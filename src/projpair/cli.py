@@ -33,7 +33,7 @@ from .generators import (
 from .index import IndexReport, index_report, spectrum_symmetry_check
 from .pairfile import load_pair, save_pair
 from .pairs import ProjectionPair, derived_ops, to_float_pair
-from .scalars import DEFAULT_POLICY, FLOAT, RATIONAL, TolerancePolicy, format_rational
+from .scalars import DEFAULT_POLICY, RATIONAL, TolerancePolicy, scalar_to_json
 from .symbolic import (
     corpus_identities,
     evaluate_expr,
@@ -113,12 +113,6 @@ def _parse_ns(text: str) -> tuple[int, ...]:
     return ns
 
 
-def _format_scalar(value, field: str) -> str:
-    if field == RATIONAL:
-        return format_rational(value)
-    return repr(float(value))
-
-
 def _render_report(rep: IndexReport, label: str | None = None) -> str:
     lines = []
     if label is not None:
@@ -128,7 +122,7 @@ def _render_report(rep: IndexReport, label: str | None = None) -> str:
         f"fitting: k={rep.fitting_k} dimF={rep.dim_F} dimY={rep.dim_Y}"
     )
     traces = "  ".join(
-        f"n={n}: {_format_scalar(rep.traces[n], rep.field)}" for n in rep.odd_ns
+        f"n={n}: {scalar_to_json(rep.traces[n], rep.field)}" for n in rep.odd_ns
     )
     lines.append(f"traces tr M^n: {traces}")
     d = rep.dims

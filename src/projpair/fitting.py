@@ -16,7 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvariant, ProjpairError, RestrictionFailure
-from .linalg import Matrix, Subspace, kernel_basis, rank, restrict_operator, subspace_sum
+from .linalg import (
+    Matrix,
+    Subspace,
+    is_invertible,
+    kernel_basis,
+    numeric_rank,
+    rank,
+    restrict_operator,
+    subspace_sum,
+)
 from .pairs import ProjectionPair, derived_ops
 from .scalars import FLOAT, RATIONAL
 
@@ -49,56 +58,21 @@ class FittingDecomposition:
     rank_margins: tuple[float, ...] | None = None
 
 
-def _rank_with_margin(m: Matrix, pair: ProjectionPair) -> tuple[int, float]:
-    """Float rank plus the smallest-kept-singular-value / threshold ratio.
-
-    Anchored at scale one (S and its powers are built from unit-scale
-    idempotents): a power of S that collapses to numerical zero is rank
-    zero, however its noise singular values compare to each other.
-    """
-    arr = m.to_numpy()
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s.size == 0 or float(s[0]) <= pair.pol.rank_rel_tol:
-        return 0, float("inf")
-    threshold = pair.pol.rank_rel_tol * max(float(s[0]), 1.0) * max(m.rows, m.cols)
-    r = int(np.sum(s > threshold))
-    margin = float(s[r - 1]) / threshold if r > 0 else float("inf")
-    return r, margin
-
-
 def _float_split(s_power: Matrix, pair: ProjectionPair) -> tuple[Subspace, Subspace]:
     """Kernel and column space of S^k from one SVD.
 
     A single factorization guarantees the two dimensions add up to n;
     mixing the SVD rank with an elimination-based column space could
-    disagree by one on borderline matrices.
+    disagree by one on borderline matrices.  Floored at scale one, like
+    the rank sequence.
     """
     u, s, vh = np.linalg.svd(s_power.to_numpy(), full_matrices=True)
-    if s.size == 0 or float(s[0]) <= pair.pol.rank_rel_tol:
-        r = 0
-    else:
-        threshold = (
-            pair.pol.rank_rel_tol * max(float(s[0]), 1.0) * max(s_power.rows, s_power.cols)
-        )
-        r = int(np.sum(s > threshold))
+    r, _ = numeric_rank(s, s_power.shape, pair.pol, floor=1.0)
     n = s_power.rows
-    f_basis = Matrix(vh[r:].T.tolist(), FLOAT) if r < n else Matrix.zeros(n, 0, FLOAT)
-    y_basis = Matrix(u[:, :r].tolist(), FLOAT) if r > 0 else Matrix.zeros(n, 0, FLOAT)
     return (
-        Subspace._make(n, f_basis, FLOAT, pair.pol),
-        Subspace._make(n, y_basis, FLOAT, pair.pol),
+        Subspace._make(n, Matrix(vh[r:].T, FLOAT), FLOAT, pair.pol),
+        Subspace._make(n, Matrix(u[:, :r], FLOAT), FLOAT, pair.pol),
     )
-
-
-def _s_y_invertible(fd_s_y: Matrix, pair: ProjectionPair) -> bool:
-    if fd_s_y.rows == 0:
-        return True
-    if pair.field == RATIONAL:
-        return fd_s_y.det() != 0
-    sv = np.linalg.svd(fd_s_y.to_numpy(), compute_uv=False)
-    if sv.size == 0:
-        return False
-    return float(sv[-1]) > pair.pol.rank_rel_tol * max(float(sv[0]), 1.0)
 
 
 def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
@@ -124,7 +98,10 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
             r = rank(next_power, pol)
             margin = None
         else:
-            r, margin = _rank_with_margin(next_power, pair)  # floor at scale 1
+            # floor at scale one: a power of S that collapses to
+            # numerical zero is rank zero, whatever its noise spectrum
+            sv = np.linalg.svd(next_power.to_numpy(), compute_uv=False)
+            r, margin = numeric_rank(sv, next_power.shape, pol, floor=1.0)
         if margin is not None:
             margins.append(margin)
         if r == ranks[-1]:
@@ -278,7 +255,7 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
             1.0,
         )
     )
-    checks["s_y_invertible"] = fd.S_Y.is_square and _s_y_invertible(fd.S_Y, pair)
+    checks["s_y_invertible"] = fd.S_Y.is_square and is_invertible(fd.S_Y, pol)
     nilpotent_scale = float(fd.S_F.max_norm()) ** max(fd.k, 1) if fd.S_F.rows else 0.0
     checks["s_f_nilpotent"] = fd.S_F.is_square and _zero_within(
         fd.S_F**fd.k, pair, nilpotent_scale

@@ -85,7 +85,7 @@ def gen_pair_orthogonal(
             return Matrix.zeros(dim, dim, FLOAT)
         g = rng.standard_normal((dim, r))
         q, _ = np.linalg.qr(g)
-        return Matrix((q @ q.T).tolist(), FLOAT)
+        return Matrix(q @ q.T, FLOAT)
 
     return make_pair(proj(rank_p), proj(rank_q), pol)
 

@@ -1,10 +1,13 @@
 """Dense matrices and subspaces over exact rationals or binary64 floats.
 
-The rational backend is the oracle of the whole package: rank, kernels,
-solving and determinants run fraction-free (Bareiss) on integer-scaled
-rows, so results are exact with controlled coefficient growth.  The float
-backend mirrors the same API through SVD thresholding and least squares,
-with every cutoff taken from an explicit :class:`TolerancePolicy`.
+The rational backend is the oracle of the whole package: matrices hold
+rows of Fractions, and rank, kernels, solving and determinants run
+fraction-free (Bareiss) on integer-scaled rows, so results are exact
+with controlled coefficient growth.  A float matrix holds one read-only
+float64 ndarray, so its arithmetic runs in numpy and BLAS; it mirrors
+the same API through SVD thresholding and least squares, with every
+cutoff taken from an explicit :class:`TolerancePolicy` and every rank
+decision from :func:`numeric_rank`.
 
 Subspaces are value objects identified by a canonical reduced
 column-echelon basis, which makes equality decidable over the rationals
@@ -46,19 +49,25 @@ __all__ = [
     "restrict_operator",
     "trace",
     "solve_exact",
+    "numeric_rank",
+    "is_invertible",
 ]
 
 
 class Matrix:
     """Immutable dense matrix with a scalar-field tag.
 
-    Entries are Fractions (rational field) or floats.  All operations
+    Rational matrices hold rows of Fractions; float matrices hold one
+    read-only float64 ndarray.  Both are in ``data``.  All operations
     return new matrices; mixing fields raises :class:`FieldMismatch`.
     """
 
     __slots__ = ("rows", "cols", "field", "data")
 
     def __init__(self, data: Iterable[Iterable], field: str, *, _raw: bool = False):
+        if field == FLOAT:
+            _init_float(self, data, _raw)
+            return
         rows = tuple(tuple(r) for r in data)
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
@@ -81,13 +90,16 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: str) -> "Matrix":
-        zero = Fraction(0) if field == RATIONAL else 0.0
+        if field == FLOAT:
+            return _wrap(np.zeros((rows, cols)))
+        zero = Fraction(0)
         return cls([[zero] * cols for _ in range(rows)], field, _raw=True)
 
     @classmethod
     def identity(cls, n: int, field: str) -> "Matrix":
-        zero = Fraction(0) if field == RATIONAL else 0.0
-        one = Fraction(1) if field == RATIONAL else 1.0
+        if field == FLOAT:
+            return _wrap(np.eye(n))
+        zero, one = Fraction(0), Fraction(1)
         return cls(
             [[one if i == j else zero for j in range(n)] for i in range(n)],
             field,
@@ -97,7 +109,9 @@ class Matrix:
     @classmethod
     def diag(cls, values: Sequence, field: str) -> "Matrix":
         vals = [coerce_scalar(v, field) for v in values]
-        zero = Fraction(0) if field == RATIONAL else 0.0
+        if field == FLOAT:
+            return _wrap(np.diag(np.array(vals, dtype=np.float64)))
+        zero = Fraction(0)
         n = len(vals)
         return cls(
             [[vals[i] if i == j else zero for j in range(n)] for i in range(n)],
@@ -126,15 +140,25 @@ class Matrix:
         return (self.rows, self.cols)
 
     def entry(self, i: int, j: int) -> Scalar:
+        if self.field == FLOAT:
+            return float(self.data[i, j])
         return self.data[i][j]
 
     def column(self, j: int) -> "Matrix":
+        if self.field == FLOAT:
+            return _wrap(self.data[:, j : j + 1])
         return Matrix([[r[j]] for r in self.data], self.field, _raw=True)
 
     def to_lists(self) -> list[list[Scalar]]:
+        if self.field == FLOAT:
+            return self.data.tolist()
         return [list(r) for r in self.data]
 
     def to_numpy(self) -> np.ndarray:
+        """Float64 array of the entries; for float matrices the stored,
+        read-only array itself."""
+        if self.field == FLOAT:
+            return self.data
         return np.array([[float(x) for x in r] for r in self.data], dtype=float).reshape(
             self.rows, self.cols
         )
@@ -142,15 +166,19 @@ class Matrix:
     def to_float(self) -> "Matrix":
         if self.field == FLOAT:
             return self
-        return Matrix([[float(x) for x in r] for r in self.data], FLOAT, _raw=True)
+        return _wrap(self.to_numpy())
 
     def max_norm(self) -> Scalar:
         """Largest absolute entry (0 for empty matrices)."""
         if self.rows == 0 or self.cols == 0:
             return Fraction(0) if self.field == RATIONAL else 0.0
+        if self.field == FLOAT:
+            return float(np.max(np.abs(self.data)))
         return max(abs(x) for r in self.data for x in r)
 
     def is_zero(self) -> bool:
+        if self.field == FLOAT:
+            return not self.data.any()
         return all(x == 0 for r in self.data for x in r)
 
     # -- algebra --------------------------------------------------------
@@ -162,6 +190,8 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
+        if self.field == FLOAT:
+            return _wrap(self.data + other.data)
         return Matrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
             self.field,
@@ -170,6 +200,8 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
+        if self.field == FLOAT:
+            return _wrap(self.data - other.data)
         return Matrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
             self.field,
@@ -177,6 +209,8 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
+        if self.field == FLOAT:
+            return _wrap(-self.data)
         return Matrix([[-a for a in r] for r in self.data], self.field, _raw=True)
 
     def __mul__(self, other):
@@ -186,6 +220,8 @@ class Matrix:
                 raise DimensionMismatch(
                     f"cannot multiply {self.shape} by {other.shape}"
                 )
+            if self.field == FLOAT:
+                return _wrap(self.data @ other.data)
             if self.cols == 0:
                 return Matrix.zeros(self.rows, other.cols, self.field)
             bt = list(zip(*other.data))
@@ -196,11 +232,15 @@ class Matrix:
                 ],
                 self.field,
             )
-        scalar = coerce_scalar(other, self.field)
-        return Matrix([[scalar * a for a in r] for r in self.data], self.field, _raw=True)
+        return self._scaled(other)
 
     def __rmul__(self, other):
+        return self._scaled(other)
+
+    def _scaled(self, other) -> "Matrix":
         scalar = coerce_scalar(other, self.field)
+        if self.field == FLOAT:
+            return _wrap(scalar * self.data)
         return Matrix([[scalar * a for a in r] for r in self.data], self.field, _raw=True)
 
     def __pow__(self, n: int) -> "Matrix":
@@ -218,6 +258,8 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
+        if self.field == FLOAT:
+            return _wrap(self.data.T)
         if self.rows == 0 or self.cols == 0:
             return Matrix.zeros(self.cols, self.rows, self.field)
         return Matrix(list(zip(*self.data)), self.field, _raw=True)
@@ -226,6 +268,8 @@ class Matrix:
         check_same_field(self.field, other.field)
         if self.rows != other.rows:
             raise DimensionMismatch("row counts differ in hstack")
+        if self.field == FLOAT:
+            return _wrap(np.hstack((self.data, other.data)))
         return Matrix(
             [ra + rb for ra, rb in zip(self.data, other.data)], self.field, _raw=True
         )
@@ -233,6 +277,8 @@ class Matrix:
     def trace(self) -> Scalar:
         if not self.is_square:
             raise DimensionMismatch("trace of a non-square matrix")
+        if self.field == FLOAT:
+            return float(np.trace(self.data))
         total = sum(self.data[i][i] for i in range(self.rows))
         return coerce_scalar(total, self.field)
 
@@ -243,7 +289,7 @@ class Matrix:
         if self.rows == 0:
             return Fraction(1) if self.field == RATIONAL else 1.0
         if self.field == FLOAT:
-            return float(np.linalg.det(self.to_numpy()))
+            return float(np.linalg.det(self.data))
         int_rows, scales = _integer_rows(self)
         rows, piv_cols, sign = _bareiss_echelon(int_rows, self.cols)
         if len(piv_cols) < self.rows:
@@ -256,10 +302,9 @@ class Matrix:
             raise DimensionMismatch("inverse of a non-square matrix")
         if self.field == FLOAT:
             try:
-                inv = np.linalg.inv(self.to_numpy())
+                return _wrap(np.linalg.inv(self.data))
             except np.linalg.LinAlgError as exc:
                 raise ProjpairError("matrix is not invertible") from exc
-            return Matrix(inv.tolist(), FLOAT)
         # for singular A the system A X = I is inconsistent, so None suffices
         result = solve_exact(self, Matrix.identity(self.rows, self.field))
         if result is None:
@@ -269,27 +314,61 @@ class Matrix:
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, Matrix)
             and self.field == other.field
             and self.shape == other.shape
-            and self.data == other.data
-        )
+        ):
+            return False
+        if self.field == FLOAT:
+            return bool(np.array_equal(self.data, other.data))
+        return self.data == other.data
 
     def __hash__(self) -> int:
+        if self.field == FLOAT:
+            # + 0.0 turns -0.0 into 0.0, which compares equal to it
+            return hash((self.field, self.shape, (self.data + 0.0).tobytes()))
         return hash((self.field, self.data))
 
     def approx_equal(self, other: "Matrix", tol: float) -> bool:
         if not isinstance(other, Matrix) or self.shape != other.shape:
             return False
-        return all(
-            abs(float(a) - float(b)) <= tol
-            for ra, rb in zip(self.data, other.data)
-            for a, b in zip(ra, rb)
-        )
+        return bool(np.all(np.abs(self.to_numpy() - other.to_numpy()) <= tol))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, {self.field})"
+
+
+def _init_float(m: Matrix, data, raw: bool) -> None:
+    """Store float entries as one read-only float64 array.
+
+    raw: data is a float64 ndarray that the new matrix takes over.
+    Otherwise a 2-D float64 array is copied, and anything else is
+    checked entry by entry exactly as for the rational field.
+    """
+    if raw:
+        arr = data
+    elif isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.float64:
+        arr = data.copy()
+    else:
+        rows = tuple(tuple(r) for r in data)
+        ncols = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != ncols:
+                raise DimensionMismatch("ragged row lengths")
+        arr = np.array(
+            [[coerce_scalar(x, FLOAT) for x in r] for r in rows], dtype=np.float64
+        ).reshape(len(rows), ncols)
+    arr.setflags(write=False)
+    object.__setattr__(m, "rows", arr.shape[0])
+    object.__setattr__(m, "cols", arr.shape[1])
+    object.__setattr__(m, "field", FLOAT)
+    object.__setattr__(m, "data", arr)
+
+
+def _wrap(arr: np.ndarray) -> Matrix:
+    """Float matrix owning ``arr``, a float64 array no one else writes to."""
+    return Matrix(arr, FLOAT, _raw=True)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +489,47 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix | None:
 # ---------------------------------------------------------------------------
 
 
+def numeric_rank(
+    sv: np.ndarray, shape: tuple[int, int], pol: TolerancePolicy, floor: float = 0.0
+) -> tuple[int, float]:
+    """The float rank rule: rank and margin from descending singular values.
+
+    A singular value counts when it exceeds rank_rel_tol * max(sigma_max,
+    floor) * max(shape); a sigma_max at or below floor * rank_rel_tol
+    means rank zero.  The margin is the smallest kept singular value over
+    that threshold (inf at rank zero), so callers can distrust
+    borderline decisions.  See :func:`rank` for the role of floor.
+    """
+    if sv.size == 0 or float(sv[0]) <= floor * pol.rank_rel_tol:
+        return 0, float("inf")
+    threshold = pol.rank_rel_tol * max(float(sv[0]), floor) * max(shape)
+    r = int(np.sum(sv > threshold))
+    margin = float(sv[r - 1]) / threshold if r > 0 else float("inf")
+    return r, margin
+
+
+def is_invertible(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """Whether a square matrix is invertible (the empty one is).
+
+    Exact determinant over Q.  Over floats the smallest singular value
+    must exceed rank_rel_tol * max(sigma_max, 1): the floor at scale one
+    makes a numerically-zero matrix built from unit-scale idempotents
+    singular, even though its noise singular values are all within a few
+    orders of each other.
+    """
+    if m.rows == 0:
+        return True
+    if m.field == RATIONAL:
+        return m.det() != 0
+    sv = np.linalg.svd(m.data, compute_uv=False)
+    return float(sv[-1]) > pol.rank_rel_tol * max(float(sv[0]), 1.0)
+
+
 def _float_rank(m: Matrix, pol: TolerancePolicy, floor: float = 0.0) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    s = np.linalg.svd(m.to_numpy(), compute_uv=False)
-    if s.size == 0 or float(s[0]) <= floor * pol.rank_rel_tol:
-        return 0
-    threshold = pol.rank_rel_tol * max(float(s[0]), floor) * max(m.rows, m.cols)
-    return int(np.sum(s > threshold))
+    s = np.linalg.svd(m.data, compute_uv=False)
+    return numeric_rank(s, m.shape, pol, floor)[0]
 
 
 def _float_kernel(m: Matrix, pol: TolerancePolicy, floor: float = 0.0) -> Matrix:
@@ -425,42 +537,39 @@ def _float_kernel(m: Matrix, pol: TolerancePolicy, floor: float = 0.0) -> Matrix
         return Matrix.zeros(0, 0, FLOAT)
     if m.rows == 0:
         return Matrix.identity(m.cols, FLOAT)
-    _, s, vh = np.linalg.svd(m.to_numpy(), full_matrices=True)
-    if s.size == 0 or float(s[0]) <= floor * pol.rank_rel_tol:
-        rank_ = 0
-    else:
-        threshold = pol.rank_rel_tol * max(float(s[0]), floor) * max(m.rows, m.cols)
-        rank_ = int(np.sum(s > threshold))
-    basis = vh[rank_:].T
-    return Matrix(basis.tolist(), FLOAT) if basis.size else Matrix.zeros(m.cols, 0, FLOAT)
+    _, s, vh = np.linalg.svd(m.data, full_matrices=True)
+    rank_, _ = numeric_rank(s, m.shape, pol, floor)
+    return _wrap(vh[rank_:].T)
 
 
-def _rref_float(
-    m: Matrix, pol: TolerancePolicy
-) -> tuple[list[list[float]], list[int]]:
-    """Gauss-Jordan with partial pivoting; entries below threshold are zero."""
-    rows = [list(map(float, r)) for r in m.data]
-    nrows, ncols = m.rows, m.cols
-    scale = max(1.0, float(m.max_norm()))
+def _rref_float(a: np.ndarray, pol: TolerancePolicy) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan with partial pivoting; entries below threshold are zero.
+
+    The pivot is the first row with the largest absolute entry in its
+    column, and a column whose pivot is at most compare_abs_tol *
+    max(1, max |a|) is skipped.  Returns the nonzero rows and the pivot
+    columns.
+    """
+    rows = np.array(a, dtype=np.float64)
+    nrows, ncols = rows.shape
+    scale = max(1.0, float(np.max(np.abs(rows)))) if rows.size else 1.0
     threshold = pol.compare_abs_tol * scale
     piv_cols: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        piv = max(range(r, nrows), key=lambda i: abs(rows[i][c]))
-        if abs(rows[piv][c]) <= threshold:
+        piv = r + int(np.argmax(np.abs(rows[r:, c])))
+        if abs(rows[piv, c]) <= threshold:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [x / pivot for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0.0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if piv != r:
+            rows[[r, piv]] = rows[[piv, r]]
+        pivot_row = rows[r] / rows[r, c]
+        rows -= np.outer(rows[:, c], pivot_row)
+        rows[r] = pivot_row
         piv_cols.append(c)
         r += 1
-    return rows[: len(piv_cols)], piv_cols
+    return rows[:r], piv_cols
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +630,10 @@ def _column_echelon(m: Matrix, pol: TolerancePolicy) -> Matrix:
     """
     if m.cols == 0:
         return m
-    mt = m.transpose()
-    if m.field == RATIONAL:
-        frows, _ = _rref_exact(mt)
-    else:
-        frows, _ = _rref_float(mt, pol)
+    if m.field == FLOAT:
+        frows, _ = _rref_float(m.data.T, pol)
+        return _wrap(frows.T)
+    frows, _ = _rref_exact(m.transpose())
     if not frows:
         return Matrix.zeros(m.rows, 0, m.field)
     return Matrix(frows, m.field).transpose()
@@ -678,7 +786,7 @@ def restrict_operator(
         raise NotInvariant(
             f"operator does not preserve the subspace (residual {residual:.3e})"
         )
-    return Matrix(solution.tolist(), FLOAT)
+    return _wrap(solution)
 
 
 def trace(m: Matrix) -> Scalar:

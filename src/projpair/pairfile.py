@@ -113,7 +113,7 @@ def load_pair(path: str | os.PathLike, pol: TolerancePolicy = DEFAULT_POLICY) ->
 def _matrix_to_json(m: Matrix) -> list[list]:
     if m.field == RATIONAL:
         return [[format_rational(x) for x in row] for row in m.data]
-    return [[float(x) for x in row] for row in m.data]
+    return m.to_lists()
 
 
 def dumps_pair(pair: ProjectionPair) -> str:

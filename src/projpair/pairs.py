@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -34,7 +32,7 @@ from .errors import (
     NotIdempotent,
     SingularS,
 )
-from .linalg import Matrix
+from .linalg import Matrix, is_invertible
 from .scalars import DEFAULT_POLICY, FLOAT, RATIONAL, Scalar, TolerancePolicy
 
 __all__ = [
@@ -248,25 +246,13 @@ def check_lemma2(pair: ProjectionPair, T: CentralizerElement) -> Matrix:
     return lhs - rhs
 
 
-def _s_invertible(pair: ProjectionPair, S: Matrix) -> bool:
-    if pair.field == RATIONAL:
-        return S.det() != 0
-    sv = np.linalg.svd(S.to_numpy(), compute_uv=False)
-    if sv.size == 0:
-        return False
-    # floor at scale one: S comes from unit-scale idempotents, so a
-    # numerically-zero S is singular even though its noise singular
-    # values are all within a few orders of each other.
-    return float(sv[-1]) > pair.pol.rank_rel_tol * max(float(sv[0]), 1.0)
-
-
 def check_lemma3(pair: ProjectionPair, T: CentralizerElement) -> Matrix:
     """Residual of [(I-2Q) T M (I-M^2)^{-1}, P V] = T M.
 
     Requires S = I - M^2 invertible; raises :class:`SingularS` otherwise.
     """
     ops = derived_ops(pair)
-    if not _s_invertible(pair, ops.S):
+    if not is_invertible(ops.S, pair.pol):
         raise SingularS("I - M^2 is not invertible")
     eye = pair.identity()
     t = T.materialize(pair)

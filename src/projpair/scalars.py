@@ -107,10 +107,3 @@ def scalar_to_json(value: Scalar, field: str):
     if field == RATIONAL:
         return format_rational(value)
     return float(value)
-
-
-def is_integer_scalar(value: Scalar, field: str, tol: float) -> bool:
-    """Whether the scalar is an integer (exactly over Q, within tol for floats)."""
-    if field == RATIONAL:
-        return Fraction(value).denominator == 1
-    return abs(value - round(value)) <= tol

@@ -1,0 +1,51 @@
+"""Golden corpus: ``verify --json`` output must not drift.
+
+``tests/data/golden`` holds pair files drawn from fixed ``mix_seed``
+seeds and the stdout that ``projpair verify --input FILE --json`` gave
+for each (see ``make_corpus.py`` there).  Rational reports are exact, so
+they must match byte for byte.  Float reports must agree on everything
+but the trace values, which may move in the last bits when BLAS sums in
+another order; those must stay within 1e-12 relative to max(1, |value|),
+because a trace that should be zero is itself roundoff.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from projpair.cli import run_cli
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
+TRACE_TOL = 1e-12
+
+
+def verify_json(capsys, name):
+    code = run_cli(["verify", "--input", str(GOLDEN / f"{name}.json"), "--json"])
+    return code, capsys.readouterr().out
+
+
+def test_corpus_size():
+    assert sum(c.startswith("r") for c in CASES) == 8
+    assert sum(c.startswith("f") for c in CASES) == 4
+
+
+@pytest.mark.parametrize("name", [c for c in CASES if c.startswith("r")])
+def test_rational_report_byte_identical(capsys, name):
+    code, out = verify_json(capsys, name)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", [c for c in CASES if c.startswith("f")])
+def test_float_report_matches(capsys, name):
+    code, out = verify_json(capsys, name)
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"))
+    got_traces, want_traces = got.pop("traces"), want.pop("traces")
+    assert got == want
+    assert got_traces.keys() == want_traces.keys()
+    for n, value in want_traces.items():
+        assert abs(got_traces[n] - value) <= TRACE_TOL * max(1.0, abs(value)), n

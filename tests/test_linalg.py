@@ -17,7 +17,10 @@ from projpair.errors import (
 from projpair.linalg import (
     Matrix,
     Subspace,
+    _rref_float,
+    is_invertible,
     kernel_basis,
+    numeric_rank,
     rank,
     restrict_operator,
     solve_exact,
@@ -119,6 +122,118 @@ class TestMatrixBasics:
 
     def test_max_norm(self):
         assert Matrix([[1, -7], [3, 2]], RATIONAL).max_norm() == 7
+
+
+def rref_float_loop(rows, pol):
+    """Row-loop Gauss-Jordan: the reference for the vectorised _rref_float.
+
+    Same pivot rule (first row with the largest |entry|, threshold
+    compare_abs_tol * max(1, max |entry|)) and the same arithmetic per
+    entry, so results must agree exactly.
+    """
+    rows = [list(map(float, r)) for r in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    scale = max([1.0] + [abs(x) for r in rows for x in r])
+    threshold = pol.compare_abs_tol * scale
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = max(range(r, nrows), key=lambda i: abs(rows[i][c]))
+        if abs(rows[piv][c]) <= threshold:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0.0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+    return rows[: len(piv_cols)], piv_cols
+
+
+class TestFloatBackend:
+    """Float matrices store a read-only float64 array behind the same API."""
+
+    def test_string_entry_rejected(self):
+        with pytest.raises(FieldMismatch):
+            Matrix([["1.5"]], FLOAT)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix([[1.0, 2.0], [3.0]], FLOAT)
+
+    def test_storage_cannot_be_written(self):
+        src = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = Matrix(src, FLOAT)
+        src[0, 0] = 9.0
+        arr = m.to_numpy()
+        try:
+            arr[0, 1] = 9.0
+        except ValueError:
+            pass
+        assert m.to_lists() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_signed_zero_equal_and_same_hash(self):
+        a = Matrix([[0.0]], FLOAT)
+        b = Matrix([[-0.0]], FLOAT)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert Matrix([[0.0, 0.0]], FLOAT) != Matrix([[0.0], [0.0]], FLOAT)
+
+    def test_scalars_are_python_floats(self):
+        m = Matrix([[1.0, 2.0], [3.0, 5.0]], FLOAT)
+        for value in (m.entry(1, 0), m.trace(), m.max_norm(), m.det()):
+            assert type(value) is float
+        assert all(type(x) is float for row in m.to_lists() for x in row)
+
+    def test_arithmetic_against_loops(self):
+        rng = np.random.default_rng(11)
+        for n, k, m in ((1, 1, 1), (3, 4, 2), (7, 5, 6), (0, 3, 2), (3, 0, 2)):
+            a, c = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+            b = rng.standard_normal((k, m))
+            ma, mb, mc = Matrix(a, FLOAT), Matrix(b, FLOAT), Matrix(c, FLOAT)
+            al, bl, cl = a.tolist(), b.tolist(), c.tolist()
+            prod = ma * mb
+            assert prod.shape == (n, m)
+            for i in range(n):
+                for j in range(m):
+                    loop = sum(al[i][t] * bl[t][j] for t in range(k))
+                    assert prod.entry(i, j) == pytest.approx(loop, rel=1e-12, abs=1e-12)
+            assert (ma + mc).to_lists() == [[x + y for x, y in zip(r, q)] for r, q in zip(al, cl)]
+            assert (ma - mc).to_lists() == [[x - y for x, y in zip(r, q)] for r, q in zip(al, cl)]
+            assert (2.5 * ma).to_lists() == [[2.5 * x for x in r] for r in al]
+            assert ma.transpose().shape == (k, n)
+            assert ma.transpose().to_lists() == [[al[i][j] for i in range(n)] for j in range(k)]
+
+    def test_rref_matches_row_loop(self):
+        rng = np.random.default_rng(12)
+        for n, m, r in ((4, 4, 2), (5, 7, 3), (6, 3, 3), (3, 3, 0), (8, 8, 5)):
+            a = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+            a[rng.integers(0, n)] = 0.0
+            # a column of equal |entry| exercises the tie-break of the pivot rule
+            ties = rng.standard_normal((n, m))
+            ties[:, 0] = rng.choice([-1.5, 1.5], n)
+            for mat in (a, ties):
+                got, got_piv = _rref_float(mat, DEFAULT_POLICY)
+                want, want_piv = rref_float_loop(mat.tolist(), DEFAULT_POLICY)
+                assert got_piv == want_piv
+                assert got.tolist() == want
+
+    def test_numeric_rank_rule(self):
+        sv = np.array([2.0, 1.0, 1e-6, 1e-12])
+        assert numeric_rank(sv, (4, 4), DEFAULT_POLICY) == (3, 1e-6 / (1e-9 * 2.0 * 4))
+        assert numeric_rank(np.array([1e-10]), (1, 1), DEFAULT_POLICY, floor=1.0) == (0, float("inf"))
+        assert numeric_rank(np.array([]), (0, 3), DEFAULT_POLICY)[0] == 0
+
+    def test_is_invertible(self):
+        assert is_invertible(Matrix.zeros(0, 0, FLOAT))
+        assert is_invertible(Matrix([[2.0, 1.0], [0.0, 1.0]], FLOAT))
+        assert not is_invertible(Matrix([[1e-12, 0.0], [0.0, 1e-12]], FLOAT))
+        assert not is_invertible(Matrix([[1, 1], [1, 1]], RATIONAL))
 
 
 class TestDeterminant:
