@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigensolverFailure, FieldMismatch, ProjpairError
-from .fitting import FittingDecomposition, fitting_decomposition
+from .fitting import fitting_decomposition
 from .linalg import Matrix, Subspace, kernel_basis, rank, subspace_intersection, trace
 from .pairs import ProjectionPair, derived_ops
 from .scalars import FLOAT, RATIONAL, Scalar, scalar_to_json

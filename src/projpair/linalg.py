@@ -1,9 +1,11 @@
 """Dense matrices and subspaces over exact rationals or binary64 floats.
 
 The rational backend is the oracle of the whole package: matrices hold
-rows of Fractions, and rank, kernels, solving and determinants run
-fraction-free (Bareiss) on integer-scaled rows, so results are exact
-with controlled coefficient growth.  A float matrix holds one read-only
+rows of Fractions, but products and the reduced row echelon form behind
+rank, kernels, solving and determinants run on integer-scaled rows
+(fraction-free Bareiss, then an integer back-substitution) and make one
+Fraction per output entry, so results are exact with controlled
+coefficient growth.  A float matrix holds one read-only
 float64 ndarray, so its arithmetic runs in numpy and BLAS; it mirrors
 the same API through SVD thresholding and least squares, with every
 cutoff taken from an explicit :class:`TolerancePolicy` and every rank
@@ -17,6 +19,7 @@ and tolerance-based over floats.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -224,13 +227,20 @@ class Matrix:
                 return _wrap(self.data @ other.data)
             if self.cols == 0:
                 return Matrix.zeros(self.rows, other.cols, self.field)
-            bt = list(zip(*other.data))
+            # integer rows of A times integer columns of B, one Fraction
+            # per entry: (a/s)(b/t) summed is sum(a b) / (s t)
+            a_rows, a_scales = _integer_rows(self)
+            b_cols, b_scales = _integer_rows(other.transpose())
             return Matrix(
                 [
-                    [sum(x * y for x, y in zip(row, col)) for col in bt]
-                    for row in self.data
+                    [
+                        Fraction(sum(map(operator.mul, a_row, b_col)), s * t)
+                        for b_col, t in zip(b_cols, b_scales)
+                    ]
+                    for a_row, s in zip(a_rows, a_scales)
                 ],
                 self.field,
+                _raw=True,
             )
         return self._scaled(other)
 
@@ -384,11 +394,9 @@ def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
     int_rows: list[list[int]] = []
     scales: list[int] = []
     for row in m.data:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        int_rows.append([x.numerator * (lcm // x.denominator) for x in row])
-        scales.append(lcm)
+        scale = math.lcm(*[x.denominator for x in row])
+        int_rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
     return int_rows, scales
 
 
@@ -435,19 +443,30 @@ def _bareiss_echelon(
 
 
 def _rref_exact(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q: Bareiss descent, Fraction ascent."""
+    """Reduced row echelon form over Q, fraction-free until the last step.
+
+    Bareiss descent, then an integer ascent: row k loses its entry in
+    pivot column c_i as pivot_i * row_k - row_k[c_i] * row_i, and each
+    changed row is divided by the gcd of its entries.  Only the final
+    division of each row by its pivot makes Fractions.
+    """
     int_rows, _ = _integer_rows(m)
     rows, piv_cols, _ = _bareiss_echelon(int_rows, m.cols)
-    rank_ = len(piv_cols)
-    frows = [[Fraction(x) for x in rows[i]] for i in range(rank_)]
-    for i in range(rank_ - 1, -1, -1):
+    for i in range(len(piv_cols) - 1, 0, -1):
         c = piv_cols[i]
-        pivot = frows[i][c]
-        frows[i] = [x / pivot for x in frows[i]]
+        row_i = rows[i]
+        pivot = row_i[c]
         for k in range(i):
-            f = frows[k][c]
+            f = rows[k][c]
             if f:
-                frows[k] = [a - f * b for a, b in zip(frows[k], frows[i])]
+                row_k = [pivot * a - f * b for a, b in zip(rows[k], row_i)]
+                g = math.gcd(*row_k)
+                rows[k] = [x // g for x in row_k]
+    zero = Fraction(0)
+    frows = [
+        [Fraction(x, row[c]) if x else zero for x in row]
+        for row, c in zip(rows, piv_cols)
+    ]
     return frows, piv_cols
 
 
@@ -636,7 +655,7 @@ def _column_echelon(m: Matrix, pol: TolerancePolicy) -> Matrix:
     frows, _ = _rref_exact(m.transpose())
     if not frows:
         return Matrix.zeros(m.rows, 0, m.field)
-    return Matrix(frows, m.field).transpose()
+    return Matrix(frows, m.field, _raw=True).transpose()
 
 
 class Subspace:

@@ -21,9 +21,7 @@ explicit commutator, which forces tr M^n = tr M for odd n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import (
     DimensionMismatch,

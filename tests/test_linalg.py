@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projpair.errors import (
@@ -17,6 +17,7 @@ from projpair.errors import (
 from projpair.linalg import (
     Matrix,
     Subspace,
+    _rref_exact,
     _rref_float,
     is_invertible,
     kernel_basis,
@@ -234,6 +235,156 @@ class TestFloatBackend:
         assert is_invertible(Matrix([[2.0, 1.0], [0.0, 1.0]], FLOAT))
         assert not is_invertible(Matrix([[1e-12, 0.0], [0.0, 1e-12]], FLOAT))
         assert not is_invertible(Matrix([[1, 1], [1, 1]], RATIONAL))
+
+
+def matmul_fraction_sum(a, b):
+    """Per-entry Fraction sum: the reference for the integer-scaled product."""
+    if a.cols == 0:
+        return Matrix.zeros(a.rows, b.cols, RATIONAL)
+    bt = list(zip(*b.data))
+    return Matrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.data],
+        RATIONAL,
+    )
+
+
+def rref_fraction_loop(m):
+    """Plain Fraction Gauss-Jordan: the reference for the integer _rref_exact.
+
+    The reduced row echelon form is unique, so any pivot order must give
+    exactly the same nonzero rows and pivot columns.
+    """
+    rows = [list(r) for r in m.data]
+    piv_cols = []
+    r = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+    return rows[:r], piv_cols
+
+
+# Small integers make zero entries and dependent rows likely; the wide
+# fractions reach numerators and denominators of 2**100.
+rational_entries = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**100), 2**100), st.integers(1, 2**100)),
+)
+
+
+@st.composite
+def rational_matrices(draw, rows=st.integers(0, 5), cols=st.integers(0, 5)):
+    """Rational matrices, a third of them built with rank below full."""
+    n, m = draw(rows), draw(cols)
+    if draw(st.integers(0, 2)) == 0:
+        r = draw(st.integers(0, min(n, m)))
+        if r == 0:
+            return Matrix.zeros(n, m, RATIONAL)
+        left = draw(rational_matrices(st.just(n), st.just(r)))
+        return matmul_fraction_sum(left, draw(rational_matrices(st.just(r), st.just(m))))
+    grid = st.lists(rational_entries, min_size=m, max_size=m)
+    return Matrix(draw(st.lists(grid, min_size=n, max_size=n)), RATIONAL)
+
+
+@st.composite
+def multipliable_pairs(draw):
+    a = draw(rational_matrices())
+    return a, draw(rational_matrices(rows=st.just(a.cols)))
+
+
+NEGATIVE_PIVOTS = Matrix([[-2, 4, 1], [6, -3, 0], [-4, 8, 2]], RATIONAL)
+RANK_ONE = Matrix([[2, -4, 6], [-1, 2, -3], [0, 0, 0]], RATIONAL)
+WIDE = Matrix(
+    [[Fraction(3, 2**100), Fraction(-(2**100) + 1, 7)], [Fraction(1, 2**99 + 1), 5]],
+    RATIONAL,
+)
+
+
+class TestExactKernels:
+    """The integer-scaled product and RREF against plain Fraction loops."""
+
+    @given(multipliable_pairs())
+    @example((Matrix([[Fraction(-7, 3)]], RATIONAL), Matrix([[Fraction(3, -7)]], RATIONAL)))
+    @example((Matrix([[], []], RATIONAL), Matrix([], RATIONAL)))
+    @example((Matrix([[1, 2], [3, 4]], RATIONAL), Matrix([[], []], RATIONAL)))
+    @example((Matrix([], RATIONAL), Matrix([], RATIONAL)))
+    @example((WIDE, WIDE))
+    @example((NEGATIVE_PIVOTS, RANK_ONE))
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_fraction_sum(self, pair):
+        a, b = pair
+        got = a * b
+        want = matmul_fraction_sum(a, b)
+        assert got.shape == want.shape
+        assert got == want
+        assert all(type(x) is Fraction for r in got.data for x in r)
+
+    @given(rational_matrices())
+    @example(Matrix([[Fraction(-7, 3)]], RATIONAL))
+    @example(Matrix([[0]], RATIONAL))
+    @example(Matrix([[], []], RATIONAL))
+    @example(Matrix([], RATIONAL))
+    @example(NEGATIVE_PIVOTS)
+    @example(RANK_ONE)
+    @example(WIDE)
+    @settings(max_examples=150, deadline=None)
+    def test_rref_matches_fraction_gauss_jordan(self, m):
+        frows, piv_cols = _rref_exact(m)
+        assert (frows, piv_cols) == rref_fraction_loop(m)
+        assert all(type(x) is Fraction for r in frows for x in r)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, m):
+    entries = [sympy.Rational(x.numerator, x.denominator) for r in m.data for x in r]
+    return sympy.Matrix(m.rows, m.cols, entries)
+
+
+def from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+class TestSympyOracle:
+    """rank, det, RREF and kernel dimension against an independent CAS."""
+
+    @given(rational_matrices())
+    @example(NEGATIVE_PIVOTS)
+    @example(RANK_ONE)
+    @settings(max_examples=60, deadline=None)
+    def test_rank_and_kernel_dim(self, sympy, m):
+        s = to_sympy(sympy, m)
+        assert rank(m) == s.rank()
+        if m.cols:
+            assert kernel_basis(m).dim == len(s.nullspace())
+
+    @given(st.integers(0, 5).flatmap(lambda n: rational_matrices(st.just(n), st.just(n))))
+    @example(NEGATIVE_PIVOTS)
+    @example(WIDE)
+    @settings(max_examples=60, deadline=None)
+    def test_det(self, sympy, m):
+        assert m.det() == from_sympy(to_sympy(sympy, m).det())
+
+    @given(rational_matrices(rows=st.integers(1, 5), cols=st.integers(1, 5)))
+    @example(NEGATIVE_PIVOTS)
+    @example(RANK_ONE)
+    @settings(max_examples=60, deadline=None)
+    def test_rref(self, sympy, m):
+        reduced, pivots = to_sympy(sympy, m).rref()
+        want = [[from_sympy(reduced[i, j]) for j in range(m.cols)] for i in range(len(pivots))]
+        assert _rref_exact(m) == (want, list(pivots))
 
 
 class TestDeterminant:
