@@ -22,7 +22,7 @@ from .errors import EigensolverFailure, FieldMismatch, ProjpairError
 from .fitting import fitting_decomposition
 from .linalg import Matrix, Subspace, kernel_basis, rank, subspace_intersection, trace
 from .pairs import ProjectionPair, derived_ops
-from .scalars import FLOAT, RATIONAL, Scalar, scalar_to_json
+from .scalars import FLOAT, RATIONAL, Scalar, TolerancePolicy, scalar_to_json
 
 __all__ = [
     "EigenspaceSet",
@@ -39,26 +39,39 @@ __all__ = [
 _DIM_KEYS = ("e10", "e01", "e11", "e00", "et10", "et01", "et11", "et00")
 
 
-def eigenspace(pair: ProjectionPair, a: int, b: int) -> Subspace:
-    """Joint eigenspace ker(P - aI) intersect ker(Q - bI), a, b in {0, 1}."""
-    if a not in (0, 1) or b not in (0, 1):
-        raise ProjpairError(f"eigenvalue labels must be 0 or 1, got ({a}, {b})")
-    eye = pair.identity()
+def _joint_eigenspaces(
+    p: Matrix, q: Matrix, pol: TolerancePolicy
+) -> dict[tuple[int, int], Subspace]:
+    """ker(P - aI) intersect ker(Q - bI) for all four labels a, b in {0, 1}.
+
+    Each of the four one-sided kernels is computed once and shared by the
+    two intersections that use it.
+    """
+    eye = Matrix.identity(p.rows, p.field)
     # floor=1.0: P - aI is built from unit-scale idempotents, so when it
     # degenerates to the zero matrix the kernel must be everything.
-    left = kernel_basis(pair.P - a * eye, pair.pol, floor=1.0)
-    right = kernel_basis(pair.Q - b * eye, pair.pol, floor=1.0)
-    return subspace_intersection(left, right)
+    ker_p = [kernel_basis(p - a * eye, pol, floor=1.0) for a in (0, 1)]
+    ker_q = [kernel_basis(q - b * eye, pol, floor=1.0) for b in (0, 1)]
+    return {
+        (a, b): subspace_intersection(ker_p[a], ker_q[b]) for a in (0, 1) for b in (0, 1)
+    }
+
+
+def _check_labels(a: int, b: int) -> None:
+    if a not in (0, 1) or b not in (0, 1):
+        raise ProjpairError(f"eigenvalue labels must be 0 or 1, got ({a}, {b})")
+
+
+def eigenspace(pair: ProjectionPair, a: int, b: int) -> Subspace:
+    """Joint eigenspace ker(P - aI) intersect ker(Q - bI), a, b in {0, 1}."""
+    _check_labels(a, b)
+    return _joint_eigenspaces(pair.P, pair.Q, pair.pol)[a, b]
 
 
 def dual_eigenspace(pair: ProjectionPair, a: int, b: int) -> Subspace:
     """Joint eigenspace of the transposed pair; the finite-dimensional dual."""
-    if a not in (0, 1) or b not in (0, 1):
-        raise ProjpairError(f"eigenvalue labels must be 0 or 1, got ({a}, {b})")
-    eye = pair.identity()
-    left = kernel_basis(pair.P.transpose() - a * eye, pair.pol, floor=1.0)
-    right = kernel_basis(pair.Q.transpose() - b * eye, pair.pol, floor=1.0)
-    return subspace_intersection(left, right)
+    _check_labels(a, b)
+    return _joint_eigenspaces(pair.P.transpose(), pair.Q.transpose(), pair.pol)[a, b]
 
 
 @dataclass(frozen=True)
@@ -88,15 +101,11 @@ class EigenspaceSet:
 
 
 def compute_eigenspaces(pair: ProjectionPair) -> EigenspaceSet:
+    e = _joint_eigenspaces(pair.P, pair.Q, pair.pol)
+    et = _joint_eigenspaces(pair.P.transpose(), pair.Q.transpose(), pair.pol)
     return EigenspaceSet(
-        E10=eigenspace(pair, 1, 0),
-        E01=eigenspace(pair, 0, 1),
-        E11=eigenspace(pair, 1, 1),
-        E00=eigenspace(pair, 0, 0),
-        Et10=dual_eigenspace(pair, 1, 0),
-        Et01=dual_eigenspace(pair, 0, 1),
-        Et11=dual_eigenspace(pair, 1, 1),
-        Et00=dual_eigenspace(pair, 0, 0),
+        E10=e[1, 0], E01=e[0, 1], E11=e[1, 1], E00=e[0, 0],
+        Et10=et[1, 0], Et01=et[0, 1], Et11=et[1, 1], Et00=et[0, 0],
     )
 
 

@@ -11,9 +11,10 @@ the same API through SVD thresholding and least squares, with every
 cutoff taken from an explicit :class:`TolerancePolicy` and every rank
 decision from :func:`numeric_rank`.
 
-Subspaces are value objects identified by a canonical reduced
-column-echelon basis, which makes equality decidable over the rationals
-and tolerance-based over floats.
+A subspace is a basis and nothing more: its dimension is the number of
+basis columns, and two subspaces are equal when they have the same
+dimension and one contains the other (exactly over Q, by the float rank
+rule over floats).  No canonical form is built.
 """
 
 from __future__ import annotations
@@ -81,10 +82,7 @@ class Matrix:
             rows = tuple(
                 tuple(coerce_scalar(x, field) for x in r) for r in rows
             )
-        object.__setattr__(self, "rows", nrows)
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", rows)
+        _fill(self, nrows, ncols, field, rows)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Matrix is immutable")
@@ -96,18 +94,14 @@ class Matrix:
         if field == FLOAT:
             return _wrap(np.zeros((rows, cols)))
         zero = Fraction(0)
-        return cls([[zero] * cols for _ in range(rows)], field, _raw=True)
+        return _exact([[zero] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int, field: str) -> "Matrix":
         if field == FLOAT:
             return _wrap(np.eye(n))
         zero, one = Fraction(0), Fraction(1)
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
-            field,
-            _raw=True,
-        )
+        return _exact([[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def diag(cls, values: Sequence, field: str) -> "Matrix":
@@ -116,21 +110,15 @@ class Matrix:
             return _wrap(np.diag(np.array(vals, dtype=np.float64)))
         zero = Fraction(0)
         n = len(vals)
-        return cls(
-            [[vals[i] if i == j else zero for j in range(n)] for i in range(n)],
-            field,
-            _raw=True,
-        )
+        return _exact([[vals[i] if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], field: str, rows: int | None = None) -> "Matrix":
-        cols = [list(c) for c in columns]
-        if not cols:
+        if not columns:
             if rows is None:
                 raise DimensionMismatch("need explicit row count for an empty column list")
             return cls.zeros(rows, 0, field)
-        nrows = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(nrows)], field)
+        return cls(columns, field).transpose()
 
     # -- basic queries --------------------------------------------------
 
@@ -150,7 +138,7 @@ class Matrix:
     def column(self, j: int) -> "Matrix":
         if self.field == FLOAT:
             return _wrap(self.data[:, j : j + 1])
-        return Matrix([[r[j]] for r in self.data], self.field, _raw=True)
+        return _exact([[r[j]] for r in self.data], 1)
 
     def to_lists(self) -> list[list[Scalar]]:
         if self.field == FLOAT:
@@ -195,26 +183,24 @@ class Matrix:
         self._check_compatible(other)
         if self.field == FLOAT:
             return _wrap(self.data + other.data)
-        return Matrix(
+        return _exact(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.field,
-            _raw=True,
+            self.cols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
         if self.field == FLOAT:
             return _wrap(self.data - other.data)
-        return Matrix(
+        return _exact(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.field,
-            _raw=True,
+            self.cols,
         )
 
     def __neg__(self) -> "Matrix":
         if self.field == FLOAT:
             return _wrap(-self.data)
-        return Matrix([[-a for a in r] for r in self.data], self.field, _raw=True)
+        return _exact([[-a for a in r] for r in self.data], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -225,13 +211,11 @@ class Matrix:
                 )
             if self.field == FLOAT:
                 return _wrap(self.data @ other.data)
-            if self.cols == 0:
-                return Matrix.zeros(self.rows, other.cols, self.field)
             # integer rows of A times integer columns of B, one Fraction
             # per entry: (a/s)(b/t) summed is sum(a b) / (s t)
             a_rows, a_scales = _integer_rows(self)
             b_cols, b_scales = _integer_rows(other.transpose())
-            return Matrix(
+            return _exact(
                 [
                     [
                         Fraction(sum(map(operator.mul, a_row, b_col)), s * t)
@@ -239,8 +223,7 @@ class Matrix:
                     ]
                     for a_row, s in zip(a_rows, a_scales)
                 ],
-                self.field,
-                _raw=True,
+                other.cols,
             )
         return self._scaled(other)
 
@@ -251,7 +234,7 @@ class Matrix:
         scalar = coerce_scalar(other, self.field)
         if self.field == FLOAT:
             return _wrap(scalar * self.data)
-        return Matrix([[scalar * a for a in r] for r in self.data], self.field, _raw=True)
+        return _exact([[scalar * a for a in r] for r in self.data], self.cols)
 
     def __pow__(self, n: int) -> "Matrix":
         if not self.is_square:
@@ -272,7 +255,7 @@ class Matrix:
             return _wrap(self.data.T)
         if self.rows == 0 or self.cols == 0:
             return Matrix.zeros(self.cols, self.rows, self.field)
-        return Matrix(list(zip(*self.data)), self.field, _raw=True)
+        return _exact(list(zip(*self.data)), self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
@@ -280,8 +263,8 @@ class Matrix:
             raise DimensionMismatch("row counts differ in hstack")
         if self.field == FLOAT:
             return _wrap(np.hstack((self.data, other.data)))
-        return Matrix(
-            [ra + rb for ra, rb in zip(self.data, other.data)], self.field, _raw=True
+        return _exact(
+            [ra + rb for ra, rb in zip(self.data, other.data)], self.cols + other.cols
         )
 
     def trace(self) -> Scalar:
@@ -370,15 +353,31 @@ def _init_float(m: Matrix, data, raw: bool) -> None:
             [[coerce_scalar(x, FLOAT) for x in r] for r in rows], dtype=np.float64
         ).reshape(len(rows), ncols)
     arr.setflags(write=False)
-    object.__setattr__(m, "rows", arr.shape[0])
-    object.__setattr__(m, "cols", arr.shape[1])
-    object.__setattr__(m, "field", FLOAT)
-    object.__setattr__(m, "data", arr)
+    _fill(m, arr.shape[0], arr.shape[1], FLOAT, arr)
+
+
+def _fill(m: Matrix, rows: int, cols: int, field: str, data) -> None:
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "field", field)
+    object.__setattr__(m, "data", data)
 
 
 def _wrap(arr: np.ndarray) -> Matrix:
     """Float matrix owning ``arr``, a float64 array no one else writes to."""
     return Matrix(arr, FLOAT, _raw=True)
+
+
+def _exact(rows, cols: int) -> Matrix:
+    """Rational matrix over rows of Fractions, taken without checks.
+
+    cols is the width, which the rows alone cannot give when there are
+    none: a 0 x 3 matrix stays 0 x 3.
+    """
+    m = object.__new__(Matrix)
+    data = tuple(map(tuple, rows))
+    _fill(m, len(data), cols, RATIONAL, data)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +499,7 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix | None:
     for i, c in enumerate(piv_cols):
         for j in range(b.cols):
             sol[c][j] = frows[i][a.cols + j]
-    return Matrix(sol, a.field, _raw=True)
+    return _exact(sol, b.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -528,20 +527,14 @@ def numeric_rank(
 
 
 def is_invertible(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Whether a square matrix is invertible (the empty one is).
+    """Whether m is square of full rank (the empty matrix is).
 
-    Exact determinant over Q.  Over floats the smallest singular value
-    must exceed rank_rel_tol * max(sigma_max, 1): the floor at scale one
-    makes a numerically-zero matrix built from unit-scale idempotents
-    singular, even though its noise singular values are all within a few
-    orders of each other.
+    Exact over Q.  Over floats it is the rank rule of :func:`rank` floored
+    at scale one, which makes a numerically-zero matrix built from
+    unit-scale idempotents singular, even though its noise singular
+    values are all within a few orders of each other.
     """
-    if m.rows == 0:
-        return True
-    if m.field == RATIONAL:
-        return m.det() != 0
-    sv = np.linalg.svd(m.data, compute_uv=False)
-    return float(sv[-1]) > pol.rank_rel_tol * max(float(sv[0]), 1.0)
+    return m.is_square and rank(m, pol, floor=1.0) == m.rows
 
 
 def _float_rank(m: Matrix, pol: TolerancePolicy, floor: float = 0.0) -> int:
@@ -552,43 +545,11 @@ def _float_rank(m: Matrix, pol: TolerancePolicy, floor: float = 0.0) -> int:
 
 
 def _float_kernel(m: Matrix, pol: TolerancePolicy, floor: float = 0.0) -> Matrix:
-    if m.cols == 0:
-        return Matrix.zeros(0, 0, FLOAT)
     if m.rows == 0:
         return Matrix.identity(m.cols, FLOAT)
     _, s, vh = np.linalg.svd(m.data, full_matrices=True)
     rank_, _ = numeric_rank(s, m.shape, pol, floor)
     return _wrap(vh[rank_:].T)
-
-
-def _rref_float(a: np.ndarray, pol: TolerancePolicy) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan with partial pivoting; entries below threshold are zero.
-
-    The pivot is the first row with the largest absolute entry in its
-    column, and a column whose pivot is at most compare_abs_tol *
-    max(1, max |a|) is skipped.  Returns the nonzero rows and the pivot
-    columns.
-    """
-    rows = np.array(a, dtype=np.float64)
-    nrows, ncols = rows.shape
-    scale = max(1.0, float(np.max(np.abs(rows)))) if rows.size else 1.0
-    threshold = pol.compare_abs_tol * scale
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = r + int(np.argmax(np.abs(rows[r:, c])))
-        if abs(rows[piv, c]) <= threshold:
-            continue
-        if piv != r:
-            rows[[r, piv]] = rows[[piv, r]]
-        pivot_row = rows[r] / rows[r, c]
-        rows -= np.outer(rows[:, c], pivot_row)
-        rows[r] = pivot_row
-        piv_cols.append(c)
-        r += 1
-    return rows[:r], piv_cols
 
 
 # ---------------------------------------------------------------------------
@@ -637,74 +598,67 @@ def kernel_basis(
     if m.cols == 0:
         raise DimensionMismatch("kernel needs at least one column")
     if m.field == RATIONAL:
-        return Subspace._make(m.cols, _exact_kernel_matrix(m), m.field, pol)
-    return Subspace._make(m.cols, _float_kernel(m, pol, floor), m.field, pol)
+        return Subspace(_exact_kernel_matrix(m), pol)
+    return Subspace(_float_kernel(m, pol, floor), pol)
 
 
-def _column_echelon(m: Matrix, pol: TolerancePolicy) -> Matrix:
-    """Reduced column echelon form with zero columns dropped.
+def _column_echelon(m: Matrix) -> Matrix:
+    """Reduced column echelon form over Q with zero columns dropped.
 
     Computed as the transpose of the reduced row echelon form of the
     transpose; pivot entries are normalized to one.
     """
-    if m.cols == 0:
-        return m
-    if m.field == FLOAT:
-        frows, _ = _rref_float(m.data.T, pol)
-        return _wrap(frows.T)
     frows, _ = _rref_exact(m.transpose())
-    if not frows:
-        return Matrix.zeros(m.rows, 0, m.field)
-    return Matrix(frows, m.field, _raw=True).transpose()
+    return _exact(frows, m.rows).transpose()
 
 
 class Subspace:
-    """A linear subspace of Q^n or R^n given by a column basis.
+    """A linear subspace of Q^n or R^n, held as a basis: the columns of
+    ``basis`` are independent and span it.
 
-    ``canonical`` is the reduced column-echelon form of the span, so two
-    subspaces are equal iff their canonical matrices agree (entrywise over
-    Q, within tolerance over floats).
+    The basis is whatever the constructing routine produced; no canonical
+    form exists.  Equality is mutual containment: the same dimension, and
+    one subspace contains the other.
     """
 
-    __slots__ = ("ambient_dim", "basis", "canonical", "field", "pol")
+    __slots__ = ("ambient_dim", "basis", "field", "pol")
 
-    def __init__(self, ambient_dim, basis, canonical, field, pol):
-        if ambient_dim < 1:
+    def __init__(self, basis: Matrix, pol: TolerancePolicy):
+        if basis.rows < 1:
             raise DimensionMismatch("ambient dimension must be at least 1")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "ambient_dim", basis.rows)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "field", basis.field)
         object.__setattr__(self, "pol", pol)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def _make(cls, ambient_dim: int, basis: Matrix, field: str, pol: TolerancePolicy) -> "Subspace":
-        canonical = _column_echelon(basis, pol)
-        if canonical.cols != basis.cols:
-            # dependent columns were supplied; fall back to the canonical set
-            basis = canonical
-        return cls(ambient_dim, basis, canonical, field, pol)
-
-    @classmethod
     def from_span(
         cls, span: Matrix, pol: TolerancePolicy = DEFAULT_POLICY
     ) -> "Subspace":
-        """Subspace spanned by the columns of ``span`` (dependencies allowed)."""
-        canonical = _column_echelon(span, pol)
-        return cls(span.rows, canonical, canonical, span.field, pol)
+        """Subspace spanned by the columns of ``span`` (dependencies allowed).
+
+        Over Q the basis is the reduced column echelon form of span.  Over
+        floats it is the leading left singular vectors of span, as many as
+        its rank floored at scale one.
+        """
+        if span.field == RATIONAL:
+            return cls(_column_echelon(span), pol)
+        if span.cols == 0:
+            return cls(span, pol)
+        u, s, _ = np.linalg.svd(span.data, full_matrices=False)
+        r, _ = numeric_rank(s, span.shape, pol, floor=1.0)
+        return cls(_wrap(u[:, :r]), pol)
 
     @classmethod
     def zero(cls, ambient_dim: int, field: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
-        empty = Matrix.zeros(ambient_dim, 0, field)
-        return cls(ambient_dim, empty, empty, field, pol)
+        return cls(Matrix.zeros(ambient_dim, 0, field), pol)
 
     @classmethod
     def full(cls, ambient_dim: int, field: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
-        eye = Matrix.identity(ambient_dim, field)
-        return cls(ambient_dim, eye, eye, field, pol)
+        return cls(Matrix.identity(ambient_dim, field), pol)
 
     @property
     def dim(self) -> int:
@@ -736,17 +690,15 @@ class Subspace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.field != other.field or self.ambient_dim != other.ambient_dim:
-            return False
-        if self.field == RATIONAL:
-            return self.canonical == other.canonical
-        tol = max(self.pol.compare_abs_tol, other.pol.compare_abs_tol)
-        return self.canonical.approx_equal(other.canonical, tol)
+        return (
+            self.field == other.field
+            and self.ambient_dim == other.ambient_dim
+            and self.dim == other.dim
+            and self.contains(other)
+        )
 
     def __hash__(self) -> int:
-        if self.field == RATIONAL:
-            return hash((self.ambient_dim, self.canonical))
-        return hash((self.ambient_dim, self.canonical.shape))
+        return hash((self.field, self.ambient_dim, self.dim))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.field}^{self.ambient_dim})"

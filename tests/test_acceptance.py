@@ -3,7 +3,8 @@
 Each test prints a single PASS line with its headline numbers once its
 assertions have gone through; a test that fails never reaches its print.
 Criteria 1, 4 and 6 share one 500-instance rational ensemble (oblique
-and prescribed, dimensions 1 through 10), built once and memoized.
+and prescribed, dimensions 1 through 10), built once and memoized; one
+more test checks every eigenspace basis of that ensemble exactly.
 """
 
 import time
@@ -112,6 +113,28 @@ def test_criterion_1_exact_integer_index(capsys):
         capsys,
         f"PASS criterion 1: 500 rational pairs, dims 1-10, n in {ODD_NS}, "
         f"trace = dim E10 - dim Et01 = dim Et10 - dim E01 exactly ({elapsed:.1f}s)",
+    )
+
+
+def test_ensemble_eigenspaces_hold_eigenvectors(capsys):
+    entries, _ = ensemble_500()
+    checked = 0
+    for pair, _rep in entries:
+        spaces = compute_eigenspaces(pair)
+        pt, qt = pair.P.transpose(), pair.Q.transpose()
+        for (a, b), primal, dual in (
+            ((1, 0), spaces.E10, spaces.Et10),
+            ((0, 1), spaces.E01, spaces.Et01),
+            ((1, 1), spaces.E11, spaces.Et11),
+            ((0, 0), spaces.E00, spaces.Et00),
+        ):
+            for p, q, x in ((pair.P, pair.Q, primal.basis), (pt, qt, dual.basis)):
+                assert (p * x - a * x).is_zero() and (q * x - b * x).is_zero()
+                checked += x.cols
+    announce(
+        capsys,
+        f"PASS eigenspace bases: P x = a x and Q x = b x exactly for all "
+        f"{checked} basis vectors of the 500 ensemble pairs (transposes for the duals)",
     )
 
 

@@ -217,6 +217,37 @@ class TestCorruptionDetection:
         report = verify_fitting(bad, pair)
         assert not report.checks["f_is_eventual_kernel"]
 
+    @staticmethod
+    def mixed_in(part, other, pair):
+        """A subspace of part's dimension that leads with other's basis.
+
+        F and Y meet only in zero, so it is not part.
+        """
+        rows = other.basis.hstack(part.basis).to_lists()
+        return Subspace.from_span(Matrix([r[: part.dim] for r in rows], pair.field), pair.pol)
+
+    def check_wrong_y(self, pair):
+        fd = fitting_decomposition(pair)
+        assert fd.F.dim > 0 and fd.Y.dim > 0
+        wrong = self.mixed_in(fd.Y, fd.F, pair)
+        assert wrong.dim == fd.Y.dim
+        report = verify_fitting(dataclasses.replace(fd, Y=wrong), pair)
+        assert not report.checks["y_is_eventual_image"]
+
+    def test_wrong_y_fails_image_check(self):
+        self.check_wrong_y(pair_k2_mixed())
+
+    def test_wrong_float_y_fails_image_check(self):
+        self.check_wrong_y(gen_pair_orthogonal(7, 3, 2, seed=9))
+
+    def test_wrong_float_f_fails_kernel_check(self):
+        pair = gen_pair_orthogonal(7, 3, 2, seed=9)
+        fd = fitting_decomposition(pair)
+        wrong = self.mixed_in(fd.F, fd.Y, pair)
+        assert wrong.dim == fd.F.dim > 0
+        report = verify_fitting(dataclasses.replace(fd, F=wrong), pair)
+        assert not report.checks["f_is_eventual_kernel"]
+
     def test_wrong_k_fails_stabilization(self):
         pair = pair_k2()
         fd = fitting_decomposition(pair)

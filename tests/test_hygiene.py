@@ -1,11 +1,15 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module,
+and every attribute the benchmark tracer patches exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "projpair"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "projpair"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -84,3 +88,18 @@ def test_checker_flags_unused_and_spares_used():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [("Iterable", 4), ("j", 3)]
+
+
+def test_tracer_patches_resolve():
+    """bench/spans.py wraps (module, attribute) pairs by name; a refactor
+    that drops one would otherwise break only ``bench/run.py --trace 1``."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYER_PATCHES
+    for owner_name, attr, _ in spans.LAYER_PATCHES:
+        mod_name, _, cls_name = owner_name.partition(".")
+        owner = importlib.import_module(f"projpair.{mod_name}")
+        if cls_name:
+            owner = getattr(owner, cls_name)
+        assert callable(getattr(owner, attr, None)), f"{owner_name}.{attr}"

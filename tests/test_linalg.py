@@ -18,7 +18,6 @@ from projpair.linalg import (
     Matrix,
     Subspace,
     _rref_exact,
-    _rref_float,
     is_invertible,
     kernel_basis,
     numeric_rank,
@@ -124,36 +123,18 @@ class TestMatrixBasics:
     def test_max_norm(self):
         assert Matrix([[1, -7], [3, 2]], RATIONAL).max_norm() == 7
 
-
-def rref_float_loop(rows, pol):
-    """Row-loop Gauss-Jordan: the reference for the vectorised _rref_float.
-
-    Same pivot rule (first row with the largest |entry|, threshold
-    compare_abs_tol * max(1, max |entry|)) and the same arithmetic per
-    entry, so results must agree exactly.
-    """
-    rows = [list(map(float, r)) for r in rows]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    scale = max([1.0] + [abs(x) for r in rows for x in r])
-    threshold = pol.compare_abs_tol * scale
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = max(range(r, nrows), key=lambda i: abs(rows[i][c]))
-        if abs(rows[piv][c]) <= threshold:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [x / pivot for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0.0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    return rows[: len(piv_cols)], piv_cols
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    def test_empty_shapes_keep_their_columns(self, field):
+        assert Matrix.zeros(0, 3, field).shape == (0, 3)
+        assert Matrix.zeros(3, 0, field).transpose().shape == (0, 3)
+        assert Matrix.zeros(0, 3, field).transpose().shape == (3, 0)
+        assert (Matrix.zeros(0, 3, field) * Matrix.zeros(3, 2, field)).shape == (0, 2)
+        assert (Matrix.zeros(2, 0, field) * Matrix.zeros(0, 3, field)).shape == (2, 3)
+        zero_rows = Matrix.zeros(0, 3, field)
+        assert (zero_rows + zero_rows).shape == (0, 3)
+        assert (-zero_rows).shape == (0, 3)
+        assert zero_rows.hstack(Matrix.zeros(0, 2, field)).shape == (0, 5)
+        assert Matrix.from_columns([[], []], field).shape == (0, 2)
 
 
 class TestFloatBackend:
@@ -210,20 +191,6 @@ class TestFloatBackend:
             assert ma.transpose().shape == (k, n)
             assert ma.transpose().to_lists() == [[al[i][j] for i in range(n)] for j in range(k)]
 
-    def test_rref_matches_row_loop(self):
-        rng = np.random.default_rng(12)
-        for n, m, r in ((4, 4, 2), (5, 7, 3), (6, 3, 3), (3, 3, 0), (8, 8, 5)):
-            a = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
-            a[rng.integers(0, n)] = 0.0
-            # a column of equal |entry| exercises the tie-break of the pivot rule
-            ties = rng.standard_normal((n, m))
-            ties[:, 0] = rng.choice([-1.5, 1.5], n)
-            for mat in (a, ties):
-                got, got_piv = _rref_float(mat, DEFAULT_POLICY)
-                want, want_piv = rref_float_loop(mat.tolist(), DEFAULT_POLICY)
-                assert got_piv == want_piv
-                assert got.tolist() == want
-
     def test_numeric_rank_rule(self):
         sv = np.array([2.0, 1.0, 1e-6, 1e-12])
         assert numeric_rank(sv, (4, 4), DEFAULT_POLICY) == (3, 1e-6 / (1e-9 * 2.0 * 4))
@@ -235,11 +202,17 @@ class TestFloatBackend:
         assert is_invertible(Matrix([[2.0, 1.0], [0.0, 1.0]], FLOAT))
         assert not is_invertible(Matrix([[1e-12, 0.0], [0.0, 1e-12]], FLOAT))
         assert not is_invertible(Matrix([[1, 1], [1, 1]], RATIONAL))
+        # the rank rule decides: sigma_min = 5e-8 is below its cutoff
+        # 1e-9 * 1 * 95 = 9.5e-8, though above 1e-9 * max(sigma_max, 1)
+        m = Matrix.diag([1.0] * 95 + [5e-8], FLOAT)
+        assert rank(m, floor=1.0) == 95
+        assert not is_invertible(m)
+        assert is_invertible(Matrix.diag([1.0] * 95 + [1e-7], FLOAT))
 
 
 def matmul_fraction_sum(a, b):
     """Per-entry Fraction sum: the reference for the integer-scaled product."""
-    if a.cols == 0:
+    if a.rows == 0 or a.cols == 0:
         return Matrix.zeros(a.rows, b.cols, RATIONAL)
     bt = list(zip(*b.data))
     return Matrix(
@@ -522,6 +495,23 @@ class TestSubspace:
                 if c.det() != 0:
                     break
             assert Subspace.from_span(basis * c) == w
+
+    def test_float_equality_under_basis_change(self):
+        rng = np.random.default_rng(809)
+        for n, d in ((2, 1), (4, 2), (6, 3), (9, 9)):
+            basis = Matrix(rng.standard_normal((n, d)), FLOAT)
+            mix = Matrix(rng.standard_normal((d, d)), FLOAT)
+            w = Subspace.from_span(basis)
+            assert w.dim == d
+            assert Subspace.from_span(basis * mix) == w
+            assert hash(Subspace.from_span(basis * mix)) == hash(w)
+
+    def test_same_dimension_different_spaces_unequal(self):
+        for field, one in ((RATIONAL, 1), (FLOAT, 1.0)):
+            a = Subspace.from_span(Matrix([[one, 0], [0, one], [0, 0]], field))
+            b = Subspace.from_span(Matrix([[one, 0], [0, 0], [0, one]], field))
+            assert a.dim == b.dim == 2
+            assert a != b and b != a
 
     def test_zero_and_full(self):
         z = Subspace.zero(4, RATIONAL, DEFAULT_POLICY)
