@@ -7,7 +7,10 @@ bridge, and ``spectrum`` emits the eigenvalue negation-pairing report as
 CSV.
 
 Exit codes: 0 everything verified, 1 a verdict or pairing came back
-false, 2 bad input (malformed file, non-odd n, invalid parameters).
+false, 2 bad input (malformed file, non-odd n, invalid parameters).  In
+a directory, a file that cannot be read or verified is reported in its
+place as an error, the other files are still verified, and the exit
+code is 2.
 With --json the machine-readable report goes to stdout and the human
 rendering to stderr, so pipelines stay clean either way.
 """
@@ -154,25 +157,40 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         paths = [(os.path.basename(args.input), args.input)]
 
-    reports = []
+    batch = len(paths) > 1
+    results = []  # (file name, report, error message): one of the last two is None
     for name, path in paths:
-        pair = load_pair(path, pol)
-        reports.append((name, index_report(pair, ns)))
+        try:
+            results.append((name, index_report(load_pair(path, pol), ns), None))
+        except (ProjpairError, ValueError, OSError) as exc:
+            if not batch:
+                raise
+            # one bad file must not hide the reports of the others
+            results.append((name, None, str(exc)))
 
     human = "\n\n".join(
-        _render_report(rep, label=name if len(reports) > 1 else None)
-        for name, rep in reports
+        _render_report(rep, label=name if batch else None)
+        if rep is not None
+        else f"== {name} ==\nerror: {error}"
+        for name, rep, error in results
     )
     if args.json:
-        if len(reports) == 1:
-            machine = reports[0][1].to_json_dict()
+        if batch:
+            machine = [
+                {"file": name, "report": rep.to_json_dict()}
+                if rep is not None
+                else {"file": name, "error": error}
+                for name, rep, error in results
+            ]
         else:
-            machine = [{"file": name, "report": rep.to_json_dict()} for name, rep in reports]
+            machine = results[0][1].to_json_dict()
         print(json.dumps(machine, sort_keys=True, separators=(",", ":")))
         print(human, file=sys.stderr)
     else:
         print(human)
-    if all(rep.all_verdicts_true for _, rep in reports):
+    if any(rep is None for _, rep, _ in results):
+        return EXIT_ERROR
+    if all(rep.all_verdicts_true for _, rep, _ in results):
         return EXIT_OK
     return EXIT_FALSE
 

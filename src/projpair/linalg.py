@@ -1,11 +1,13 @@
 """Dense matrices and subspaces over exact rationals or binary64 floats.
 
-The rational backend is the oracle of the whole package: matrices hold
-rows of Fractions, but products and the reduced row echelon form behind
-rank, kernels, solving and determinants run on integer-scaled rows
-(fraction-free Bareiss, then an integer back-substitution) and make one
-Fraction per output entry, so results are exact with controlled
-coefficient growth.  A float matrix holds one read-only
+The rational backend is the oracle of the whole package.  A rational
+matrix is one integer numerator matrix over one common denominator, kept
+canonical, so sums, products, transposes, comparisons and the
+fraction-free elimination (Bareiss, then an integer back-substitution)
+behind rank, kernels, solving and determinants all run on Python
+integers; Fractions appear only where a single entry, a trace, a
+determinant or the ``data`` view leaves the module.  Results are exact
+with controlled coefficient growth.  A float matrix holds one read-only
 float64 ndarray, so its arithmetic runs in numpy and BLAS; it mirrors
 the same API through SVD thresholding and least squares, with every
 cutoff taken from an explicit :class:`TolerancePolicy` and every rank
@@ -19,6 +21,7 @@ rule over floats).  No canonical form is built.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -61,31 +64,48 @@ __all__ = [
 class Matrix:
     """Immutable dense matrix with a scalar-field tag.
 
-    Rational matrices hold rows of Fractions; float matrices hold one
-    read-only float64 ndarray.  Both are in ``data``.  All operations
-    return new matrices; mixing fields raises :class:`FieldMismatch`.
+    A rational matrix is ``num / den``: integer rows ``num`` (a tuple of
+    tuples of int) over one denominator ``den``, kept canonical (``den >=
+    1`` and ``gcd(den, *entries) == 1``, so the zero matrix has ``den ==
+    1``) and therefore equal exactly when ``num`` and ``den`` are.  Its
+    ``data`` is a view as rows of Fractions, built on first use and
+    cached.  A float matrix holds one read-only float64 ndarray in
+    ``data``.  All operations return new matrices; mixing fields raises
+    :class:`FieldMismatch`.
     """
 
-    __slots__ = ("rows", "cols", "field", "data")
+    __slots__ = ("rows", "cols", "field", "num", "den", "data")
 
     def __init__(self, data: Iterable[Iterable], field: str, *, _raw: bool = False):
         if field == FLOAT:
             _init_float(self, data, _raw)
             return
         rows = tuple(tuple(r) for r in data)
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
+        ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged row lengths")
-        if not _raw:
-            rows = tuple(
-                tuple(coerce_scalar(x, field) for x in r) for r in rows
-            )
-        _fill(self, nrows, ncols, field, rows)
+        if field != RATIONAL:
+            raise ValueError(f"unknown field {field!r}")
+        fracs = [[coerce_scalar(x, field) for x in r] for r in rows]
+        # the lcm of reduced denominators is already canonical
+        den = math.lcm(*(x.denominator for r in fracs for x in r))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in fracs)
+        _fill_exact(self, num, ncols, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Matrix is immutable")
+
+    def __getattr__(self, name):
+        # Python calls this only for a slot that was never set: the
+        # rational ``data`` view before its first use, which is built
+        # here and cached, or ``num``/``den`` of a float matrix.
+        if name != "data" or self.field == FLOAT:
+            raise AttributeError(name)
+        den = self.den
+        data = tuple(tuple(Fraction(x, den) for x in r) for r in self.num)
+        object.__setattr__(self, "data", data)
+        return data
 
     # -- constructors ---------------------------------------------------
 
@@ -93,24 +113,21 @@ class Matrix:
     def zeros(cls, rows: int, cols: int, field: str) -> "Matrix":
         if field == FLOAT:
             return _wrap(np.zeros((rows, cols)))
-        zero = Fraction(0)
-        return _exact([[zero] * cols for _ in range(rows)], cols)
+        return _make(((0,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int, field: str) -> "Matrix":
         if field == FLOAT:
             return _wrap(np.eye(n))
-        zero, one = Fraction(0), Fraction(1)
-        return _exact([[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return _make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def diag(cls, values: Sequence, field: str) -> "Matrix":
         vals = [coerce_scalar(v, field) for v in values]
         if field == FLOAT:
             return _wrap(np.diag(np.array(vals, dtype=np.float64)))
-        zero = Fraction(0)
         n = len(vals)
-        return _exact([[vals[i] if i == j else zero for j in range(n)] for i in range(n)], n)
+        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)], field)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], field: str, rows: int | None = None) -> "Matrix":
@@ -133,12 +150,12 @@ class Matrix:
     def entry(self, i: int, j: int) -> Scalar:
         if self.field == FLOAT:
             return float(self.data[i, j])
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def column(self, j: int) -> "Matrix":
         if self.field == FLOAT:
             return _wrap(self.data[:, j : j + 1])
-        return _exact([[r[j]] for r in self.data], 1)
+        return _exact([(r[j],) for r in self.num], 1, self.den)
 
     def to_lists(self) -> list[list[Scalar]]:
         if self.field == FLOAT:
@@ -150,7 +167,9 @@ class Matrix:
         read-only array itself."""
         if self.field == FLOAT:
             return self.data
-        return np.array([[float(x) for x in r] for r in self.data], dtype=float).reshape(
+        # int / int rounds correctly, exactly as float(Fraction) does
+        den = self.den
+        return np.array([[x / den for x in r] for r in self.num], dtype=float).reshape(
             self.rows, self.cols
         )
 
@@ -165,12 +184,12 @@ class Matrix:
             return Fraction(0) if self.field == RATIONAL else 0.0
         if self.field == FLOAT:
             return float(np.max(np.abs(self.data)))
-        return max(abs(x) for r in self.data for x in r)
+        return Fraction(max(map(abs, itertools.chain.from_iterable(self.num))), self.den)
 
     def is_zero(self) -> bool:
         if self.field == FLOAT:
             return not self.data.any()
-        return all(x == 0 for r in self.data for x in r)
+        return not any(map(any, self.num))
 
     # -- algebra --------------------------------------------------------
 
@@ -179,28 +198,29 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"shape mismatch: {self.shape} vs {other.shape}")
 
+    def _common_num(self, other: "Matrix"):
+        """Both numerators over lcm(den, other.den): (num, other_num, lcm)."""
+        den = math.lcm(self.den, other.den)
+        return _scaled_num(self.num, den // self.den), _scaled_num(other.num, den // other.den), den
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
         if self.field == FLOAT:
             return _wrap(self.data + other.data)
-        return _exact(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.cols,
-        )
+        a, b, den = self._common_num(other)
+        return _exact([list(map(operator.add, ra, rb)) for ra, rb in zip(a, b)], self.cols, den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
         if self.field == FLOAT:
             return _wrap(self.data - other.data)
-        return _exact(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.cols,
-        )
+        a, b, den = self._common_num(other)
+        return _exact([list(map(operator.sub, ra, rb)) for ra, rb in zip(a, b)], self.cols, den)
 
     def __neg__(self) -> "Matrix":
         if self.field == FLOAT:
             return _wrap(-self.data)
-        return _exact([[-a for a in r] for r in self.data], self.cols)
+        return _make(tuple(tuple(-x for x in r) for r in self.num), self.cols, self.den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -211,19 +231,11 @@ class Matrix:
                 )
             if self.field == FLOAT:
                 return _wrap(self.data @ other.data)
-            # integer rows of A times integer columns of B, one Fraction
-            # per entry: (a/s)(b/t) summed is sum(a b) / (s t)
-            a_rows, a_scales = _integer_rows(self)
-            b_cols, b_scales = _integer_rows(other.transpose())
+            b_cols = other.transpose().num
             return _exact(
-                [
-                    [
-                        Fraction(sum(map(operator.mul, a_row, b_col)), s * t)
-                        for b_col, t in zip(b_cols, b_scales)
-                    ]
-                    for a_row, s in zip(a_rows, a_scales)
-                ],
+                [[sum(map(operator.mul, a_row, b_col)) for b_col in b_cols] for a_row in self.num],
                 other.cols,
+                self.den * other.den,
             )
         return self._scaled(other)
 
@@ -234,7 +246,9 @@ class Matrix:
         scalar = coerce_scalar(other, self.field)
         if self.field == FLOAT:
             return _wrap(scalar * self.data)
-        return _exact([[scalar * a for a in r] for r in self.data], self.cols)
+        return _exact(
+            _scaled_num(self.num, scalar.numerator), self.cols, self.den * scalar.denominator
+        )
 
     def __pow__(self, n: int) -> "Matrix":
         if not self.is_square:
@@ -253,9 +267,8 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if self.field == FLOAT:
             return _wrap(self.data.T)
-        if self.rows == 0 or self.cols == 0:
-            return Matrix.zeros(self.cols, self.rows, self.field)
-        return _exact(list(zip(*self.data)), self.rows)
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return _make(num, self.rows, self.den)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
@@ -263,17 +276,16 @@ class Matrix:
             raise DimensionMismatch("row counts differ in hstack")
         if self.field == FLOAT:
             return _wrap(np.hstack((self.data, other.data)))
-        return _exact(
-            [ra + rb for ra, rb in zip(self.data, other.data)], self.cols + other.cols
-        )
+        # over the lcm of two canonical denominators the result is canonical
+        a, b, den = self._common_num(other)
+        return _make(tuple(ra + rb for ra, rb in zip(a, b)), self.cols + other.cols, den)
 
     def trace(self) -> Scalar:
         if not self.is_square:
             raise DimensionMismatch("trace of a non-square matrix")
         if self.field == FLOAT:
             return float(np.trace(self.data))
-        total = sum(self.data[i][i] for i in range(self.rows))
-        return coerce_scalar(total, self.field)
+        return Fraction(sum(self.num[i][i] for i in range(self.rows)), self.den)
 
     def det(self) -> Scalar:
         """Exact determinant over Q (Bareiss); float falls back to numpy."""
@@ -283,12 +295,10 @@ class Matrix:
             return Fraction(1) if self.field == RATIONAL else 1.0
         if self.field == FLOAT:
             return float(np.linalg.det(self.data))
-        int_rows, scales = _integer_rows(self)
-        rows, piv_cols, sign = _bareiss_echelon(int_rows, self.cols)
+        rows, piv_cols, sign = _bareiss_echelon([list(r) for r in self.num], self.cols)
         if len(piv_cols) < self.rows:
             return Fraction(0)
-        denom = math.prod(scales)
-        return Fraction(sign * rows[self.rows - 1][self.cols - 1], denom)
+        return Fraction(sign * rows[-1][-1], self.den**self.rows)
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -315,13 +325,13 @@ class Matrix:
             return False
         if self.field == FLOAT:
             return bool(np.array_equal(self.data, other.data))
-        return self.data == other.data
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         if self.field == FLOAT:
             # + 0.0 turns -0.0 into 0.0, which compares equal to it
             return hash((self.field, self.shape, (self.data + 0.0).tobytes()))
-        return hash((self.field, self.data))
+        return hash((self.field, self.cols, self.den, self.num))
 
     def approx_equal(self, other: "Matrix", tol: float) -> bool:
         if not isinstance(other, Matrix) or self.shape != other.shape:
@@ -353,14 +363,10 @@ def _init_float(m: Matrix, data, raw: bool) -> None:
             [[coerce_scalar(x, FLOAT) for x in r] for r in rows], dtype=np.float64
         ).reshape(len(rows), ncols)
     arr.setflags(write=False)
-    _fill(m, arr.shape[0], arr.shape[1], FLOAT, arr)
-
-
-def _fill(m: Matrix, rows: int, cols: int, field: str, data) -> None:
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "field", field)
-    object.__setattr__(m, "data", data)
+    object.__setattr__(m, "rows", arr.shape[0])
+    object.__setattr__(m, "cols", arr.shape[1])
+    object.__setattr__(m, "field", FLOAT)
+    object.__setattr__(m, "data", arr)
 
 
 def _wrap(arr: np.ndarray) -> Matrix:
@@ -368,35 +374,45 @@ def _wrap(arr: np.ndarray) -> Matrix:
     return Matrix(arr, FLOAT, _raw=True)
 
 
-def _exact(rows, cols: int) -> Matrix:
-    """Rational matrix over rows of Fractions, taken without checks.
+def _fill_exact(m: Matrix, num: tuple, cols: int, den: int) -> None:
+    object.__setattr__(m, "rows", len(num))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "field", RATIONAL)
+    object.__setattr__(m, "num", num)
+    object.__setattr__(m, "den", den)
+
+
+def _make(num: tuple, cols: int, den: int = 1) -> Matrix:
+    """Rational matrix num / den, taken as it is: num must be a tuple of
+    int tuples and the pair already canonical.
 
     cols is the width, which the rows alone cannot give when there are
     none: a 0 x 3 matrix stays 0 x 3.
     """
     m = object.__new__(Matrix)
-    data = tuple(map(tuple, rows))
-    _fill(m, len(data), cols, RATIONAL, data)
+    _fill_exact(m, num, cols, den)
     return m
+
+
+def _exact(num, cols: int, den: int = 1) -> Matrix:
+    """Rational matrix num / den over any integer rows and a positive
+    den, brought to canonical form by dividing out their common gcd."""
+    num = tuple(map(tuple, num))
+    if den != 1:
+        g = math.gcd(den, *itertools.chain.from_iterable(num))
+        if g != 1:
+            den //= g
+            num = tuple(tuple(x // g for x in r) for r in num)
+    return _make(num, cols, den)
+
+
+def _scaled_num(num: tuple, k: int):
+    return num if k == 1 else tuple(tuple(x * k for x in r) for r in num)
 
 
 # ---------------------------------------------------------------------------
 # Exact elimination (fraction-free Bareiss core)
 # ---------------------------------------------------------------------------
-
-
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by the lcm of its denominators; returns (rows, scales).
-
-    Row scaling by nonzero integers preserves rank, row space and kernel.
-    """
-    int_rows: list[list[int]] = []
-    scales: list[int] = []
-    for row in m.data:
-        scale = math.lcm(*[x.denominator for x in row])
-        int_rows.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
-    return int_rows, scales
 
 
 def _bareiss_echelon(
@@ -441,16 +457,16 @@ def _bareiss_echelon(
     return rows, piv_cols, sign
 
 
-def _rref_exact(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q, fraction-free until the last step.
+def _rref_exact(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form over Q: (its nonzero rows, pivot columns).
 
     Bareiss descent, then an integer ascent: row k loses its entry in
     pivot column c_i as pivot_i * row_k - row_k[c_i] * row_i, and each
-    changed row is divided by the gcd of its entries.  Only the final
-    division of each row by its pivot makes Fractions.
+    changed row is divided by the gcd of its entries.  Each row, cleared
+    of its content and signed so that its pivot is positive, is then
+    brought over the lcm of the pivots.
     """
-    int_rows, _ = _integer_rows(m)
-    rows, piv_cols, _ = _bareiss_echelon(int_rows, m.cols)
+    rows, piv_cols, _ = _bareiss_echelon([list(r) for r in m.num], m.cols)
     for i in range(len(piv_cols) - 1, 0, -1):
         c = piv_cols[i]
         row_i = rows[i]
@@ -461,19 +477,19 @@ def _rref_exact(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
                 row_k = [pivot * a - f * b for a, b in zip(rows[k], row_i)]
                 g = math.gcd(*row_k)
                 rows[k] = [x // g for x in row_k]
-    zero = Fraction(0)
-    frows = [
-        [Fraction(x, row[c]) if x else zero for x in row]
-        for row, c in zip(rows, piv_cols)
-    ]
-    return frows, piv_cols
+    reduced = []
+    for row, c in zip(rows, piv_cols):
+        g = math.gcd(*row) if row[c] > 0 else -math.gcd(*row)
+        reduced.append([x // g for x in row])
+    den = math.lcm(*(row[c] for row, c in zip(reduced, piv_cols)))
+    num = [[x * (den // row[c]) for x in row] for row, c in zip(reduced, piv_cols)]
+    return _exact(num, m.cols, den), piv_cols
 
 
 def _exact_rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    int_rows, _ = _integer_rows(m)
-    _, piv_cols, _ = _bareiss_echelon(int_rows, m.cols)
+    _, piv_cols, _ = _bareiss_echelon([list(r) for r in m.num], m.cols)
     return len(piv_cols)
 
 
@@ -489,17 +505,13 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix | None:
         raise DimensionMismatch("row counts differ in solve")
     if a.cols == 0:
         return Matrix.zeros(0, b.cols, a.field) if b.is_zero() else None
-    aug = a.hstack(b)
-    frows, piv_cols = _rref_exact(aug)
-    for c in piv_cols:
-        if c >= a.cols:
-            return None
-    zero = Fraction(0)
-    sol = [[zero] * b.cols for _ in range(a.cols)]
-    for i, c in enumerate(piv_cols):
-        for j in range(b.cols):
-            sol[c][j] = frows[i][a.cols + j]
-    return _exact(sol, b.cols)
+    rref, piv_cols = _rref_exact(a.hstack(b))
+    if piv_cols and piv_cols[-1] >= a.cols:
+        return None
+    sol = [(0,) * b.cols] * a.cols
+    for row, c in zip(rref.num, piv_cols):
+        sol[c] = row[a.cols :]
+    return _exact(sol, b.cols, rref.den)
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +585,19 @@ def rank(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0) -
 
 
 def _exact_kernel_matrix(m: Matrix) -> Matrix:
-    frows, piv_cols = _rref_exact(m)
+    """One kernel column per free column f: 1 at f, minus column f of
+    the reduced rows at the pivots, all over the RREF's denominator."""
+    rref, piv_cols = _rref_exact(m)
     free_cols = [c for c in range(m.cols) if c not in piv_cols]
-    zero, one = Fraction(0), Fraction(1)
-    columns = []
-    for f in free_cols:
-        v = [zero] * m.cols
-        v[f] = one
-        for i, c in enumerate(piv_cols):
-            v[c] = -frows[i][f]
-        columns.append(v)
-    return Matrix.from_columns(columns, m.field, rows=m.cols)
+    den = rref.den
+    pivot_rows = dict(zip(piv_cols, rref.num))
+    num = [
+        [-pivot_rows[r][f] for f in free_cols]
+        if r in pivot_rows
+        else [den if f == r else 0 for f in free_cols]
+        for r in range(m.cols)
+    ]
+    return _exact(num, len(free_cols), den)
 
 
 def kernel_basis(
@@ -608,8 +622,8 @@ def _column_echelon(m: Matrix) -> Matrix:
     Computed as the transpose of the reduced row echelon form of the
     transpose; pivot entries are normalized to one.
     """
-    frows, _ = _rref_exact(m.transpose())
-    return _exact(frows, m.rows).transpose()
+    rref, _ = _rref_exact(m.transpose())
+    return rref.transpose()
 
 
 class Subspace:
@@ -721,8 +735,14 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     coeffs = kernel_basis(stacked, pol)
     if coeffs.dim == 0:
         return Subspace.zero(a.ambient_dim, a.field, pol)
-    top = Matrix(coeffs.basis.data[: a.dim], a.field, _raw=True)
+    top = _top_rows(coeffs.basis, a.dim)
     return Subspace.from_span(a.basis * top, pol)
+
+
+def _top_rows(m: Matrix, k: int) -> Matrix:
+    if m.field == FLOAT:
+        return _wrap(m.data[:k])
+    return _exact(m.num[:k], m.cols, m.den)
 
 
 def restrict_operator(

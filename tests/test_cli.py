@@ -53,6 +53,25 @@ class TestVerify:
         assert [d["file"] for d in docs] == ["a.json", "b.json", "c.json"]
         assert err.index("== a.json ==") < err.index("== b.json ==") < err.index("== c.json ==")
 
+    def test_directory_bad_file_reported_others_verified(self, tmp_path, capsys):
+        good = [write_pair(tmp_path, "a.json", seed=3), write_pair(tmp_path, "c.json", seed=4)]
+        (tmp_path / "b.json").write_text('{"bad": 1}')
+        code, out, err = run(capsys, "verify", "--input", str(tmp_path), "--json")
+        assert code == 2
+        docs = json.loads(out)
+        assert [d["file"] for d in docs] == ["a.json", "b.json", "c.json"]
+        assert set(docs[1]) == {"file", "error"}
+        assert docs[1]["error"].startswith("missing keys")
+        for doc, path in zip((docs[0], docs[2]), good):
+            _, single, _ = run(capsys, "verify", "--input", str(path), "--json")
+            assert doc == {"file": path.name, "report": json.loads(single)}
+        assert "== b.json ==\nerror: missing keys" in err
+        assert err.count("verdicts: 12/12 true") == 2
+
+        code, out, _ = run(capsys, "verify", "--input", str(tmp_path))
+        assert code == 2
+        assert out.index("== a.json ==") < out.index("== b.json ==\nerror:") < out.index("== c.json ==")
+
     def test_custom_powers(self, tmp_path, capsys):
         path = write_pair(tmp_path)
         code, out, _ = run(capsys, "verify", "--input", str(path), "--n", "1,7", "--json")

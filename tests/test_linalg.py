@@ -1,5 +1,6 @@
 """Matrix and subspace layer, checked against independent oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -274,6 +275,27 @@ def multipliable_pairs(draw):
     return a, draw(rational_matrices(rows=st.just(a.cols)))
 
 
+@st.composite
+def operand_triples(draw):
+    """(a, b, c): b has the shape of a, c has as many rows as a has columns."""
+    a = draw(rational_matrices())
+    b = draw(rational_matrices(rows=st.just(a.rows), cols=st.just(a.cols)))
+    if b.shape != a.shape:  # drawn with no rows, so 0 x 0
+        b = Matrix.zeros(a.rows, a.cols, RATIONAL)
+    return a, b, draw(rational_matrices(rows=st.just(a.cols)))
+
+
+def assert_canonical(m, want_rows, shape):
+    """m is integer rows over one denominator in canonical form, and its
+    Fraction view holds want_rows."""
+    assert m.field == RATIONAL and m.shape == shape
+    assert all(type(x) is int for r in m.num for x in r)
+    assert type(m.den) is int and m.den >= 1
+    assert math.gcd(m.den, *(x for r in m.num for x in r)) == 1
+    assert m.data == tuple(map(tuple, want_rows))
+    assert all(type(x) is Fraction for r in m.data for x in r)
+
+
 NEGATIVE_PIVOTS = Matrix([[-2, 4, 1], [6, -3, 0], [-4, 8, 2]], RATIONAL)
 RANK_ONE = Matrix([[2, -4, 6], [-1, 2, -3], [0, 0, 0]], RATIONAL)
 WIDE = Matrix(
@@ -311,9 +333,90 @@ class TestExactKernels:
     @example(WIDE)
     @settings(max_examples=150, deadline=None)
     def test_rref_matches_fraction_gauss_jordan(self, m):
-        frows, piv_cols = _rref_exact(m)
+        rref, piv_cols = _rref_exact(m)
+        frows = [list(r) for r in rref.data]
         assert (frows, piv_cols) == rref_fraction_loop(m)
         assert all(type(x) is Fraction for r in frows for x in r)
+
+    @given(operand_triples(), rational_entries)
+    @example((WIDE, WIDE, WIDE), Fraction(-3, 2**100))
+    @example((NEGATIVE_PIVOTS, RANK_ONE, RANK_ONE), Fraction(-2, 3))
+    @example((Matrix([[], []], RATIONAL),) * 2 + (Matrix([], RATIONAL),), Fraction(0))
+    @example(
+        (Matrix.zeros(0, 2, RATIONAL),) * 2 + (Matrix([[1, 2, 3], [4, 5, 6]], RATIONAL),),
+        Fraction(5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_form(self, triple, s):
+        """Every rational operation returns the canonical num / den whose
+        Fraction view is the per-entry Fraction result."""
+        a, b, c = triple
+        n, m = a.shape
+        rows_a, rows_b = [list(r) for r in a.data], [list(r) for r in b.data]
+        assert a.data is a.data  # the view is built once
+        results = [
+            # rows alone cannot carry the width of a matrix with none
+            (Matrix(rows_a, RATIONAL), rows_a, (n, m if n else 0)),
+            (a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(rows_a, rows_b)], (n, m)),
+            (a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(rows_a, rows_b)], (n, m)),
+            (-a, [[-x for x in r] for r in rows_a], (n, m)),
+            (a * s, [[x * s for x in r] for r in rows_a], (n, m)),
+            (s * a, [[s * x for x in r] for r in rows_a], (n, m)),
+            (a * c, matmul_fraction_sum(a, c).data, (n, c.cols)),
+            (a.transpose(), [[rows_a[i][j] for i in range(n)] for j in range(m)], (m, n)),
+            (a.hstack(b), [p + q for p, q in zip(rows_a, rows_b)], (n, 2 * m)),
+        ]
+        results += [(a.column(j), [[r[j]] for r in rows_a], (n, 1)) for j in range(m)]
+
+        rref, piv_cols = _rref_exact(a)
+        want_rref, want_piv = rref_fraction_loop(a)
+        assert piv_cols == want_piv
+        results.append((rref, want_rref, (len(want_piv), m)))
+        if m:
+            free = [f for f in range(m) if f not in want_piv]
+            want_kernel = [
+                [
+                    -want_rref[want_piv.index(r)][f] if r in want_piv else Fraction(int(r == f))
+                    for f in free
+                ]
+                for r in range(m)
+            ]
+            results.append((kernel_basis(a).basis, want_kernel, (m, len(free))))
+            rhs = a * c
+            aug_rows, aug_piv = rref_fraction_loop(a.hstack(rhs))
+            want_x = [[Fraction(0)] * c.cols for _ in range(m)]
+            for row, col in zip(aug_rows, aug_piv):
+                want_x[col] = row[m:]
+            results.append((solve_exact(a, rhs), want_x, (m, c.cols)))
+        if n:
+            t_rows, _ = rref_fraction_loop(a.transpose())
+            want_span = [[r[i] for r in t_rows] for i in range(n)]
+            results.append((Subspace.from_span(a).basis, want_span, (n, len(t_rows))))
+        for got, want, shape in results:
+            assert_canonical(got, want, shape)
+
+        assert a.max_norm() == max((abs(x) for r in rows_a for x in r), default=0)
+        assert a.is_zero() == all(x == 0 for r in rows_a for x in r)
+        scalars = [a.max_norm()]
+        if n == m:
+            assert a.trace() == sum((rows_a[i][i] for i in range(n)), Fraction(0))
+            assert a.det() == det_cofactor(a)
+            scalars += [a.trace(), a.det()]
+        assert all(type(x) is Fraction for x in scalars)
+
+        columns = [[rows_a[i][j] for i in range(n)] for j in range(m)]
+        routes = (
+            Matrix(rows_a, RATIONAL) if n else Matrix.zeros(0, m, RATIONAL),
+            a * Matrix.identity(m, RATIONAL),
+            Matrix.identity(n, RATIONAL) * a,
+            Matrix.from_columns(columns, RATIONAL, rows=n),
+            a.transpose().transpose(),
+            (a + a) * Fraction(1, 2),
+        )
+        for other in routes:
+            assert other == a
+            assert hash(other) == hash(a)
+            assert (other.num, other.den) == (a.num, a.den)
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +460,8 @@ class TestSympyOracle:
     def test_rref(self, sympy, m):
         reduced, pivots = to_sympy(sympy, m).rref()
         want = [[from_sympy(reduced[i, j]) for j in range(m.cols)] for i in range(len(pivots))]
-        assert _rref_exact(m) == (want, list(pivots))
+        rref, piv_cols = _rref_exact(m)
+        assert ([list(r) for r in rref.data], piv_cols) == (want, list(pivots))
 
 
 class TestDeterminant:
