@@ -6,7 +6,15 @@ eventual image (the intersection of im S^k).  In finite dimensions the
 ranks of successive powers stabilize after at most dim steps, the space
 splits as F + Y, S restricted to F is nilpotent and S restricted to Y is
 invertible.  Because S commutes with P and Q, both parts are invariant
-under the whole pair, so every operator restricts cleanly.
+under the whole pair, so every operator restricts cleanly: only P and Q
+are restricted, and M and S on each part follow from those two blocks.
+
+The verifier proves the split without a rank of any power of S:
+(a) S^k F = 0 puts F inside ker S^k; (b) the P and Q round trips on Y
+and the consistency of M_Y and S_Y give S B_Y = B_Y S_Y, and with S_Y
+invertible Y = S^k Y lies inside im S^k; (c) F + Y is the whole space.
+Then dim F <= n - r and dim Y <= r for r = rank S^k add up to n, so
+F = ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from .linalg import (
     numeric_rank,
     rank,
     restrict_operator,
-    solve_exact,
     subspace_sum,
 )
 from .pairs import ProjectionPair, derived_ops
@@ -59,24 +66,9 @@ class FittingDecomposition:
     rank_margins: tuple[float, ...] | None = None
 
 
-def _float_split(s_power: Matrix, pair: ProjectionPair) -> tuple[Subspace, Subspace]:
-    """Kernel and column space of S^k from one SVD.
-
-    A single factorization guarantees the two dimensions add up to n;
-    mixing the SVD rank with an elimination-based column space could
-    disagree by one on borderline matrices.  Floored at scale one, like
-    the rank sequence.
-    """
-    u, s, vh = np.linalg.svd(s_power.to_numpy(), full_matrices=True)
-    r, _ = numeric_rank(s, s_power.shape, pair.pol, floor=1.0)
-    return (
-        Subspace(Matrix(vh[r:].T, FLOAT), pair.pol),
-        Subspace(Matrix(u[:, :r], FLOAT), pair.pol),
-    )
-
-
 def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
-    """Split the space under S and restrict P, Q, M, S to both parts.
+    """Split the space under S, restrict P and Q to both parts and derive
+    M and S there.
 
     k is the least exponent with rank S^k = rank S^(k+1); k = 0 means S
     is invertible and F is trivial.  Over floats the invariance of F and
@@ -85,7 +77,6 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     with P and Q makes the restrictions exact.
     """
     ops = derived_ops(pair)
-    s = ops.S
     n = pair.dim
     pol = pair.pol
     ranks = [n]
@@ -93,16 +84,14 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     s_power = pair.identity()
     k = 0
     while True:
-        next_power = s_power * s
+        next_power = s_power * ops.S
         if pair.field == RATIONAL:
             r = rank(next_power, pol)
-            margin = None
         else:
             # floor at scale one: a power of S that collapses to
             # numerical zero is rank zero, whatever its noise spectrum
             sv = np.linalg.svd(next_power.to_numpy(), compute_uv=False)
             r, margin = numeric_rank(sv, next_power.shape, pol, floor=1.0)
-        if margin is not None:
             margins.append(margin)
         if r == ranks[-1]:
             break
@@ -119,40 +108,34 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
         f = kernel_basis(s_power, pol)
         y = Subspace.from_span(s_power, pol)
     else:
-        f, y = _float_split(s_power, pair)
+        # kernel and column space from one SVD, so that their dimensions
+        # add up to n; floored at scale one, like the rank sequence
+        u, sv, vh = np.linalg.svd(s_power.to_numpy(), full_matrices=True)
+        r, _ = numeric_rank(sv, s_power.shape, pol, floor=1.0)
+        f, y = Subspace(Matrix(vh[r:].T, FLOAT), pol), Subspace(Matrix(u[:, :r], FLOAT), pol)
 
     def restrict_all(w: Subspace) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+        """P_W and Q_W by restriction; M_W = P_W - Q_W and S_W = I - M_W^2."""
         try:
-            return (
-                restrict_operator(pair.P, w, pol),
-                restrict_operator(pair.Q, w, pol),
-                restrict_operator(ops.M, w, pol),
-                restrict_operator(s, w, pol),
-            )
+            p_w = restrict_operator(pair.P, w, pol)
+            q_w = restrict_operator(pair.Q, w, pol)
         except NotInvariant as exc:
             raise RestrictionFailure(str(exc)) from exc
-
-    p_f, q_f, m_f, s_f = restrict_all(f)
-    p_y, q_y, m_y, s_y = restrict_all(y)
+        m_w = p_w - q_w
+        return p_w, q_w, m_w, Matrix.identity(w.dim, pair.field) - m_w * m_w
 
     fd = FittingDecomposition(
-        k=k,
-        F=f,
-        Y=y,
-        P_F=p_f,
-        Q_F=q_f,
-        M_F=m_f,
-        S_F=s_f,
-        P_Y=p_y,
-        Q_Y=q_y,
-        M_Y=m_y,
-        S_Y=s_y,
+        k,
+        f,
+        y,
+        *restrict_all(f),  # P_F, Q_F, M_F, S_F
+        *restrict_all(y),  # P_Y, Q_Y, M_Y, S_Y
         rank_sequence=tuple(ranks),
         rank_margins=tuple(margins) if pair.field == FLOAT else None,
     )
     report = verify_fitting(fd, pair)
     if not report.all_passed:
-        failed = ", ".join(name for name, ok in report.checks.items() if not ok)
+        failed = ", ".join(report.failures())
         raise RestrictionFailure(f"decomposition invariants failed: {failed}")
     return fd
 
@@ -175,11 +158,16 @@ def _zero_within(m: Matrix, pair: ProjectionPair, scale: float) -> bool:
     return float(m.max_norm()) <= pair.pol.compare_abs_tol * (1.0 + scale)
 
 
+def _fits(w: Subspace, pair: ProjectionPair, *blocks: Matrix) -> bool:
+    """Whether every block is a dim w square over the pair's field."""
+    return all(b.shape == (w.dim, w.dim) and b.field == pair.field for b in blocks)
+
+
 def _restriction_roundtrip(
     t: Matrix, w: Subspace, restricted: Matrix, pair: ProjectionPair
 ) -> bool:
     """basis * restricted must reproduce t * basis (t preserves w)."""
-    if restricted.rows != w.dim or restricted.cols != w.dim:
+    if not _fits(w, pair, restricted) or (w.field, w.ambient_dim) != (pair.field, pair.dim):
         return False
     if w.dim == 0:
         return True
@@ -189,73 +177,72 @@ def _restriction_roundtrip(
     return _zero_within(lhs - rhs, pair, scale)
 
 
-def _columns_in(w: Subspace, m: Matrix, pair: ProjectionPair) -> bool:
-    """Whether every column of m lies in w: an exact solve over Q, a
-    least-squares residual within tolerance over floats."""
-    if pair.field == RATIONAL:
-        return solve_exact(w.basis, m) is not None
-    b = w.basis.to_numpy()
-    target = m.to_numpy()
-    coeffs, *_ = np.linalg.lstsq(b, target, rcond=None)
-    residual = float(np.max(np.abs(b @ coeffs - target)))
-    return residual <= pair.pol.compare_abs_tol * (1.0 + float(m.max_norm()))
+def _m_consistent(
+    w: Subspace, p_w: Matrix, q_w: Matrix, m_w: Matrix, pair: ProjectionPair
+) -> bool:
+    """M_W = P_W - Q_W."""
+    return _fits(w, pair, p_w, q_w, m_w) and _zero_within(m_w - (p_w - q_w), pair, 1.0)
+
+
+def _s_consistent(w: Subspace, m_w: Matrix, s_w: Matrix, pair: ProjectionPair) -> bool:
+    """S_W = I - M_W^2."""
+    return _fits(w, pair, m_w, s_w) and _zero_within(
+        s_w - (Matrix.identity(w.dim, pair.field) - m_w * m_w), pair, 1.0
+    )
 
 
 def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingReport:
     """Re-check every decomposition invariant from its defining property.
 
-    F must be killed by S^k and Y must hold the columns of S^k, with
-    dimensions n - r and r for r = rank S^k; no part is rebuilt by the
-    routine that made it.  Never raises; each verdict lands in the report
-    so tests can corrupt a decomposition and watch the right check fail.
+    No rank of a power of S is taken and no part is rebuilt.  Facts
+    (a)-(c) of the module docstring are ``f_is_eventual_kernel``,
+    ``y_is_eventual_image`` and ``parts_independent``; together they are
+    ``rank_stabilized``.  ``k_is_least`` asks for k = 0 or S_F^(k-1) !=
+    0.  A check fails, rather than raises, when a matrix it touches has
+    the wrong shape; each verdict lands in the report so tests can
+    corrupt a decomposition and watch the right check fail.
     """
     ops = derived_ops(pair)
     n = pair.dim
     pol = pair.pol
-    s_power = ops.S**fd.k
-    # floor at scale one, as in the rank sequence; ignored over Q
-    r = rank(s_power, pol, floor=1.0)
-    checks: dict[str, bool] = {}
-    checks["direct_sum_dims"] = fd.F.dim + fd.Y.dim == n
+    f, y, k = fd.F, fd.Y, fd.k
     try:
-        checks["parts_independent"] = subspace_sum(fd.F, fd.Y).dim == n
+        independent = subspace_sum(f, y).dim == n
     except ProjpairError:
-        checks["parts_independent"] = False
-    checks["f_is_eventual_kernel"] = fd.F.dim == n - r and _zero_within(
-        s_power * fd.F.basis, pair, float(fd.F.basis.max_norm())
-    )
-    checks["y_is_eventual_image"] = fd.Y.dim == r and (
-        fd.Y.dim == 0 or _columns_in(fd.Y, s_power, pair)
-    )
-    checks["rank_stabilized"] = r == rank(s_power * ops.S, pol, floor=1.0)
-    checks["k_at_most_dim"] = fd.k <= n
-    checks["p_invariant_on_f"] = _restriction_roundtrip(pair.P, fd.F, fd.P_F, pair)
-    checks["q_invariant_on_f"] = _restriction_roundtrip(pair.Q, fd.F, fd.Q_F, pair)
-    checks["p_invariant_on_y"] = _restriction_roundtrip(pair.P, fd.Y, fd.P_Y, pair)
-    checks["q_invariant_on_y"] = _restriction_roundtrip(pair.Q, fd.Y, fd.Q_Y, pair)
-    checks["m_restriction_consistent"] = (
-        fd.M_F.shape == (fd.F.dim, fd.F.dim)
-        and fd.M_Y.shape == (fd.Y.dim, fd.Y.dim)
-        and _zero_within(fd.M_F - (fd.P_F - fd.Q_F), pair, 1.0)
-        and _zero_within(fd.M_Y - (fd.P_Y - fd.Q_Y), pair, 1.0)
-    )
-    checks["s_restriction_consistent"] = (
-        fd.S_F.shape == (fd.F.dim, fd.F.dim)
-        and fd.S_Y.shape == (fd.Y.dim, fd.Y.dim)
-        and _zero_within(
-            fd.S_F - (Matrix.identity(fd.F.dim, pair.field) - fd.M_F * fd.M_F),
-            pair,
-            1.0,
-        )
-        and _zero_within(
-            fd.S_Y - (Matrix.identity(fd.Y.dim, pair.field) - fd.M_Y * fd.M_Y),
-            pair,
-            1.0,
-        )
-    )
-    checks["s_y_invertible"] = is_invertible(fd.S_Y, pol)
-    nilpotent_scale = float(fd.S_F.max_norm()) ** max(fd.k, 1) if fd.S_F.rows else 0.0
-    checks["s_f_nilpotent"] = fd.S_F.is_square and _zero_within(
-        fd.S_F**fd.k, pair, nilpotent_scale
-    )
+        independent = False
+    # (a); S^n already kills the eventual kernel, so k > n needs no more
+    killed = (f.field, f.ambient_dim) == (pair.field, n) and k >= 0
+    if killed:
+        image = f.basis
+        for _ in range(min(k, n)):
+            image = ops.S * image
+        killed = _zero_within(image, pair, float(f.basis.max_norm()))
+    p_on_y = _restriction_roundtrip(pair.P, y, fd.P_Y, pair)
+    q_on_y = _restriction_roundtrip(pair.Q, y, fd.Q_Y, pair)
+    m_y_ok = _m_consistent(y, fd.P_Y, fd.Q_Y, fd.M_Y, pair)
+    s_y_ok = _s_consistent(y, fd.M_Y, fd.S_Y, pair)
+    s_y_invertible = _fits(y, pair, fd.S_Y) and is_invertible(fd.S_Y, pol)
+    # (b): S B_Y = B_Y S_Y with S_Y invertible
+    y_in_image = p_on_y and q_on_y and m_y_ok and s_y_ok and s_y_invertible
+    s_f_ok = _fits(f, pair, fd.S_F) and k >= 0
+    s_f_norm = float(fd.S_F.max_norm()) if s_f_ok and f.dim else 0.0
+    checks = {
+        "direct_sum_dims": f.dim + y.dim == n,
+        "parts_independent": independent,
+        "f_is_eventual_kernel": killed,
+        "y_is_eventual_image": y_in_image,
+        "rank_stabilized": killed and y_in_image and independent,
+        "k_at_most_dim": k <= n,
+        "p_invariant_on_f": _restriction_roundtrip(pair.P, f, fd.P_F, pair),
+        "q_invariant_on_f": _restriction_roundtrip(pair.Q, f, fd.Q_F, pair),
+        "p_invariant_on_y": p_on_y,
+        "q_invariant_on_y": q_on_y,
+        "m_restriction_consistent": m_y_ok and _m_consistent(f, fd.P_F, fd.Q_F, fd.M_F, pair),
+        "s_restriction_consistent": s_y_ok and _s_consistent(f, fd.M_F, fd.S_F, pair),
+        "s_y_invertible": s_y_invertible,
+        "s_f_nilpotent": s_f_ok
+        and _zero_within(fd.S_F**k, pair, s_f_norm ** max(k, 1)),
+        "k_is_least": k == 0
+        or (s_f_ok and not _zero_within(fd.S_F ** (k - 1), pair, s_f_norm ** max(k - 1, 1))),
+    }
     return FittingReport(checks=checks)

@@ -13,10 +13,14 @@ the same API through SVD thresholding and least squares, with every
 cutoff taken from an explicit :class:`TolerancePolicy` and every rank
 decision from :func:`numeric_rank`.
 
-A subspace is a basis and nothing more: its dimension is the number of
-basis columns, and two subspaces are equal when they have the same
-dimension and one contains the other (exactly over Q, by the float rank
-rule over floats).  No canonical form is built.
+A subspace is a basis in a form that makes coordinates a read: over Q
+the basis is the identity on recorded pivot rows, over floats it is
+orthonormal.  Restricting an operator, or testing containment, reads
+the coordinates off (the pivot rows, or B^T times the columns) and
+checks them with one product, exactly over Q and by a residual over
+floats; nothing is solved.  Its dimension is the number of basis
+columns, and two subspaces are equal when they have the same dimension
+and one contains the other.
 """
 
 from __future__ import annotations
@@ -486,13 +490,6 @@ def _rref_exact(m: Matrix) -> tuple[Matrix, list[int]]:
     return _exact(num, m.cols, den), piv_cols
 
 
-def _exact_rank(m: Matrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, piv_cols, _ = _bareiss_echelon([list(r) for r in m.num], m.cols)
-    return len(piv_cols)
-
-
 def solve_exact(a: Matrix, b: Matrix) -> Matrix | None:
     """Solve a X = b exactly over Q; None when the system is inconsistent.
 
@@ -580,13 +577,15 @@ def rank(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0) -
     does) should pass floor=1.0.  Ignored over the rationals.
     """
     if m.field == RATIONAL:
-        return _exact_rank(m)
+        return len(_bareiss_echelon([list(r) for r in m.num], m.cols)[1])
     return _float_rank(m, pol, floor)
 
 
-def _exact_kernel_matrix(m: Matrix) -> Matrix:
-    """One kernel column per free column f: 1 at f, minus column f of
-    the reduced rows at the pivots, all over the RREF's denominator."""
+def _exact_kernel_matrix(m: Matrix) -> tuple[Matrix, list[int]]:
+    """(kernel basis, free columns): one kernel column per free column
+    f, 1 at f and minus column f of the reduced rows at the pivots, all
+    over the RREF's denominator.  So the basis is the identity on the
+    rows of the free columns."""
     rref, piv_cols = _rref_exact(m)
     free_cols = [c for c in range(m.cols) if c not in piv_cols]
     den = rref.den
@@ -597,7 +596,7 @@ def _exact_kernel_matrix(m: Matrix) -> Matrix:
         else [den if f == r else 0 for f in free_cols]
         for r in range(m.cols)
     ]
-    return _exact(num, len(free_cols), den)
+    return _exact(num, len(free_cols), den), free_cols
 
 
 def kernel_basis(
@@ -612,38 +611,50 @@ def kernel_basis(
     if m.cols == 0:
         raise DimensionMismatch("kernel needs at least one column")
     if m.field == RATIONAL:
-        return Subspace(_exact_kernel_matrix(m), pol)
-    return Subspace(_float_kernel(m, pol, floor), pol)
+        basis, free_cols = _exact_kernel_matrix(m)
+        return Subspace(basis, pol, _raw=True, _pivots=free_cols)
+    return Subspace(_float_kernel(m, pol, floor), pol, _raw=True)
 
 
-def _column_echelon(m: Matrix) -> Matrix:
-    """Reduced column echelon form over Q with zero columns dropped.
+def _column_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced column echelon form over Q with zero columns dropped, and
+    its pivot rows, on which it is the identity.
 
     Computed as the transpose of the reduced row echelon form of the
-    transpose; pivot entries are normalized to one.
+    transpose.
     """
-    rref, _ = _rref_exact(m.transpose())
-    return rref.transpose()
+    rref, piv_rows = _rref_exact(m.transpose())
+    return rref.transpose(), piv_rows
 
 
 class Subspace:
     """A linear subspace of Q^n or R^n, held as a basis: the columns of
     ``basis`` are independent and span it.
 
-    The basis is whatever the constructing routine produced; no canonical
-    form exists.  Equality is mutual containment: the same dimension, and
-    one subspace contains the other.
+    Over Q the basis is the identity on the rows listed in ``pivots``;
+    over floats it is orthonormal and ``pivots`` is unused.  Either way
+    the coordinates of a vector of the subspace are a read, not a solve
+    (see :meth:`_coordinates`).  The constructor brings a basis to that
+    form: its reduced column echelon form over Q, its QR factor over
+    floats.  With _raw the basis is taken as it is, and must already be
+    in that form with pivot rows _pivots.  Equality is mutual
+    containment: the same dimension, and one subspace contains the other.
     """
 
-    __slots__ = ("ambient_dim", "basis", "field", "pol")
+    __slots__ = ("ambient_dim", "basis", "field", "pol", "pivots")
 
-    def __init__(self, basis: Matrix, pol: TolerancePolicy):
+    def __init__(self, basis: Matrix, pol: TolerancePolicy, *, _raw=False, _pivots=None):
         if basis.rows < 1:
             raise DimensionMismatch("ambient dimension must be at least 1")
+        if not _raw and basis.field == RATIONAL:
+            basis, _pivots = _column_echelon(basis)
+        elif not _raw and basis.cols:
+            basis = _wrap(np.linalg.qr(basis.data)[0])
         object.__setattr__(self, "ambient_dim", basis.rows)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "field", basis.field)
         object.__setattr__(self, "pol", pol)
+        object.__setattr__(self, "pivots", _pivots)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Subspace is immutable")
@@ -658,41 +669,56 @@ class Subspace:
         floats it is the leading left singular vectors of span, as many as
         its rank floored at scale one.
         """
-        if span.field == RATIONAL:
-            return cls(_column_echelon(span), pol)
-        if span.cols == 0:
+        if span.field == RATIONAL or span.cols == 0:
             return cls(span, pol)
         u, s, _ = np.linalg.svd(span.data, full_matrices=False)
         r, _ = numeric_rank(s, span.shape, pol, floor=1.0)
-        return cls(_wrap(u[:, :r]), pol)
+        return cls(_wrap(u[:, :r]), pol, _raw=True)
 
     @classmethod
     def zero(cls, ambient_dim: int, field: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
-        return cls(Matrix.zeros(ambient_dim, 0, field), pol)
+        return cls(Matrix.zeros(ambient_dim, 0, field), pol, _raw=True, _pivots=[])
 
     @classmethod
     def full(cls, ambient_dim: int, field: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
-        return cls(Matrix.identity(ambient_dim, field), pol)
+        eye = Matrix.identity(ambient_dim, field)
+        return cls(eye, pol, _raw=True, _pivots=list(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return self.basis.cols
 
+    def _coordinates(self, m: Matrix, tol: float) -> Matrix | None:
+        """X with basis * X = m, or None when a column of m is not in self.
+
+        Over Q, X is the pivot rows of m, accepted when the product
+        reproduces m exactly (tol is unused).  Over floats, X = basis^T m,
+        accepted when no entry of basis * X - m exceeds tol.
+        """
+        check_same_field(self.field, m.field)
+        if m.rows != self.ambient_dim:
+            raise DimensionMismatch("row count does not match the ambient dimension")
+        if self.field == RATIONAL:
+            x = _exact([m.num[i] for i in self.pivots], m.cols, m.den)
+            return x if self.basis * x == m else None
+        b = self.basis.data
+        x = b.T @ m.data
+        residual = float(np.max(np.abs(b @ x - m.data))) if m.data.size else 0.0
+        return _wrap(x) if residual <= tol else None
+
     def contains_vector(self, v: Matrix) -> bool:
         if v.rows != self.ambient_dim or v.cols != 1:
             raise DimensionMismatch("vector shape mismatch")
-        if self.dim == 0:
-            if self.field == RATIONAL:
-                return v.is_zero()
-            return float(v.max_norm()) <= self.pol.compare_abs_tol
-        return rank(self.basis.hstack(v), self.pol) == self.dim
+        tol = self.pol.compare_abs_tol * (1.0 + float(v.max_norm()))
+        return self._coordinates(v, tol) is not None
 
     def contains(self, other: "Subspace") -> bool:
         """Whether other is a subset of self."""
         self._check_ambient(other)
         if other.dim == 0:
             return True
-        return rank(self.basis.hstack(other.basis), self.pol) == self.dim
+        tol = self.pol.compare_abs_tol * (1.0 + float(other.basis.max_norm()))
+        return self._coordinates(other.basis, tol) is not None
 
     def _check_ambient(self, other: "Subspace") -> None:
         check_same_field(self.field, other.field)
@@ -748,11 +774,11 @@ def _top_rows(m: Matrix, k: int) -> Matrix:
 def restrict_operator(
     t: Matrix, w: Subspace, pol: TolerancePolicy = DEFAULT_POLICY
 ) -> Matrix:
-    """Matrix of t acting on w, in the basis of w.
-
-    Solves basis * result = t * basis.  Raises :class:`NotInvariant` when
-    t does not map w into itself (exactly over Q, beyond tolerance over
-    floats), which signals a logic error upstream.
+    """Matrix of t acting on w, in the basis of w: the coordinates of
+    t * basis, read off its pivot rows over Q and as basis^T (t * basis)
+    over floats.  Raises :class:`NotInvariant` unless basis * result
+    reproduces t * basis (exactly over Q, within compare_abs_tol * (1 +
+    |t|) * (1 + |basis|) over floats), which signals a logic error upstream.
     """
     if not t.is_square:
         raise DimensionMismatch("operator must be square")
@@ -760,24 +786,11 @@ def restrict_operator(
         raise DimensionMismatch("subspace ambient dimension does not match operator")
     if w.dim == 0:
         return Matrix.zeros(0, 0, t.field)
-    image = t * w.basis
-    if t.field == RATIONAL:
-        solution = solve_exact(w.basis, image)
-        if solution is None:
-            raise NotInvariant("operator does not preserve the subspace")
-        return solution
-    a = w.basis.to_numpy()
-    b = image.to_numpy()
-    solution, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = np.max(np.abs(a @ solution - b)) if b.size else 0.0
-    allowed = pol.compare_abs_tol * (1.0 + float(t.max_norm())) * (
-        1.0 + float(w.basis.max_norm())
-    )
-    if residual > allowed:
-        raise NotInvariant(
-            f"operator does not preserve the subspace (residual {residual:.3e})"
-        )
-    return _wrap(solution)
+    tol = pol.compare_abs_tol * (1.0 + float(t.max_norm())) * (1.0 + float(w.basis.max_norm()))
+    result = w._coordinates(t * w.basis, tol)
+    if result is None:
+        raise NotInvariant("operator does not preserve the subspace")
+    return result
 
 
 def trace(m: Matrix) -> Scalar:

@@ -51,6 +51,41 @@ def pair_k2_mixed():
     return make_pair(Matrix(p, RATIONAL), Matrix(q, RATIONAL))
 
 
+def jordan_pair(m):
+    """dim-2m pair with Fitting exponent exactly m (checked for m = 1..5).
+
+    P = [[I, I], [0, 0]] and Q = [[I, 0], [B, 0]] in m x m blocks with
+    B = -(I + N), N the nilpotent shift: M^2 = diag(-B, -B), so S =
+    diag(-N, -N) is nilpotent of index m and F is the whole space.
+    """
+    eye = Matrix.identity(m, RATIONAL)
+    zero = Matrix.zeros(m, m, RATIONAL)
+    shift = Matrix([[int(j == i + 1) for j in range(m)] for i in range(m)], RATIONAL)
+    b = -(eye + shift)
+
+    def blocks(top_left, top_right, bottom_left, bottom_right):
+        return Matrix(
+            [l + r for l, r in zip(top_left.to_lists(), top_right.to_lists())]
+            + [l + r for l, r in zip(bottom_left.to_lists(), bottom_right.to_lists())],
+            RATIONAL,
+        )
+
+    return make_pair(blocks(eye, eye, zero, zero), blocks(eye, zero, b, zero))
+
+
+def direct_sum(a, b):
+    """The pair acting as a on the first coordinates and as b on the rest."""
+
+    def stacked(x, y):
+        n, m = x.rows, y.rows
+        return Matrix(
+            [r + [0] * m for r in x.to_lists()] + [[0] * n + r for r in y.to_lists()],
+            RATIONAL,
+        )
+
+    return make_pair(stacked(a.P, b.P), stacked(a.Q, b.Q))
+
+
 def conjugated(pair, g):
     gi = g.inverse()
     return make_pair(g * pair.P * gi, g * pair.Q * gi, pair.pol)
@@ -99,6 +134,33 @@ class TestKnownExponents:
         assert fd.F.dim == 4 and fd.Y.dim == 2
         assert fd.S_Y.det() != 0
         assert (fd.S_F * fd.S_F).is_zero()
+
+
+class TestJordanExponents:
+    """k > 1, which random oblique pairs never reach."""
+
+    @staticmethod
+    def with_invertible_part(m):
+        oblique = gen_pair_oblique_rational(4, 2, 2, seed=mix_seed(0xB10C, m))
+        assert fitting_decomposition(oblique).Y.dim > 0
+        return direct_sum(jordan_pair(m), oblique)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_exponent_is_block_size(self, m, mixed):
+        pair = self.with_invertible_part(m) if mixed else jordan_pair(m)
+        fd = fitting_decomposition(pair)
+        assert fd.k == m
+        assert fd.F.dim >= 2 * m
+        assert (fd.Y.dim > 0) == mixed
+        assert verify_fitting(fd, pair).all_passed
+
+        raised = verify_fitting(dataclasses.replace(fd, k=m + 1), pair)
+        assert raised.failures() == ["k_is_least"]
+
+        lowered = verify_fitting(dataclasses.replace(fd, k=m - 1), pair)
+        assert not lowered.checks["f_is_eventual_kernel"]
+        assert not lowered.checks["rank_stabilized"]
 
 
 class TestInvariants:
@@ -261,6 +323,23 @@ class TestCorruptionDetection:
         bad = dataclasses.replace(fd, P_F=Matrix.zeros(fd.F.dim, fd.F.dim, RATIONAL))
         report = verify_fitting(bad, pair)
         assert not report.checks["p_invariant_on_f"]
+
+    def test_wrong_shape_m_f_fails_without_raising(self):
+        pair = pair_k2()
+        fd = fitting_decomposition(pair)
+        bad = dataclasses.replace(fd, M_F=Matrix.zeros(1, 1, RATIONAL))
+        report = verify_fitting(bad, pair)
+        assert not report.checks["m_restriction_consistent"]
+        assert not report.checks["s_restriction_consistent"]
+
+    def test_wrong_shape_p_y_fails_without_raising(self):
+        pair = pair_k2()
+        fd = fitting_decomposition(pair)
+        d = fd.Y.dim + 1
+        bad = dataclasses.replace(fd, P_Y=Matrix.zeros(d, d, RATIONAL))
+        report = verify_fitting(bad, pair)
+        assert not report.checks["p_invariant_on_y"]
+        assert not report.checks["m_restriction_consistent"]
 
     def test_non_nilpotent_sf_detected(self):
         pair = pair_k2()

@@ -694,6 +694,110 @@ class TestRestrictOperator:
             assert trace(restrict_operator(t, w)) == trace(t)
 
 
+def assert_pivot_form(w):
+    """An exact subspace's basis is the identity on its pivot rows."""
+    assert w.field == RATIONAL
+    assert len(w.pivots) == len(set(w.pivots)) == w.dim
+    eye = Matrix.identity(w.dim, RATIONAL).data
+    assert tuple(w.basis.data[i] for i in w.pivots) == eye
+
+
+def restrict_by_solving(t, w):
+    """Reference restriction: solve basis * X = t * basis exactly."""
+    return solve_exact(w.basis, t * w.basis)
+
+
+@st.composite
+def operators_and_subspaces(draw):
+    """(t, w): a square t and a subspace w of its domain.
+
+    Half the time w is a cyclic subspace of t, span(v, t v, ..., t^n v),
+    which t preserves; otherwise it is the span of random columns.  The
+    leading rows of v may be zero, which moves the pivot rows of w off
+    the first ones.
+    """
+    n = draw(st.integers(1, 5))
+    t = draw(rational_matrices(rows=st.just(n), cols=st.just(n)))
+    v = draw(rational_matrices(rows=st.just(n), cols=st.integers(0, 2)))
+    lead = draw(st.integers(0, n - 1))
+    v = Matrix.from_columns(
+        [[0] * lead + col[lead:] for col in v.transpose().to_lists()], RATIONAL, rows=n
+    )
+    if draw(st.booleans()):
+        krylov = v
+        for _ in range(n):
+            v = t * v
+            krylov = krylov.hstack(v)
+        v = krylov
+    return t, Subspace.from_span(v)
+
+
+class TestPivotForm:
+    """Exact bases are the identity on their pivot rows, so restriction
+    and containment read coordinates instead of solving."""
+
+    @given(operand_triples())
+    @example((NEGATIVE_PIVOTS, RANK_ONE, RANK_ONE))
+    @example((WIDE, WIDE, WIDE))
+    @settings(max_examples=100, deadline=None)
+    def test_every_exact_subspace_has_pivot_form(self, triple):
+        a, b, _ = triple
+        n, m = a.shape
+        spaces = []
+        if m:
+            spaces.append(kernel_basis(a))
+        if n:
+            wa, wb = Subspace.from_span(a), Subspace.from_span(b)
+            spaces += [wa, wb, subspace_intersection(wa, wb), subspace_sum(wa, wb)]
+            spaces += [Subspace(a, DEFAULT_POLICY) if rank(a) == m else wa]
+            spaces += [Subspace.zero(n, RATIONAL), Subspace.full(n, RATIONAL)]
+        for w in spaces:
+            assert_pivot_form(w)
+
+    @given(operators_and_subspaces())
+    @example((NEGATIVE_PIVOTS, Subspace.from_span(Matrix([[1], [0], [2]], RATIONAL))))
+    @example((NEGATIVE_PIVOTS, kernel_basis(NEGATIVE_PIVOTS)))
+    # pivot rows that are not the leading rows
+    @example((Matrix.diag([1, 2, 3], RATIONAL), Subspace.from_span(Matrix([[0], [1], [0]], RATIONAL))))
+    @example((Matrix.diag([1, 2, 3], RATIONAL), kernel_basis(Matrix([[1, 0, 0]], RATIONAL))))
+    @settings(max_examples=150, deadline=None)
+    def test_restriction_matches_solving(self, case):
+        t, w = case
+        want = restrict_by_solving(t, w)
+        if want is None:
+            with pytest.raises(NotInvariant):
+                restrict_operator(t, w)
+            assert not w.contains(Subspace.from_span(t * w.basis))
+        else:
+            assert restrict_operator(t, w) == want
+            assert w.contains(Subspace.from_span(t * w.basis))
+
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_float_restriction_matches_lstsq(self, n, d, seed):
+        d = min(d, n)
+        rng = np.random.default_rng(seed)
+        frame, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        block = rng.standard_normal((n, n))
+        block[d:, :d] = 0.0  # the first d frame columns span an invariant subspace
+        t = Matrix(frame @ block @ frame.T, FLOAT)
+        # a bare basis of the invariant subspace, mixed so it is not orthonormal
+        mix = rng.standard_normal((d, d)) + 3.0 * np.eye(d)
+        w = Subspace(Matrix(frame[:, :d] @ mix, FLOAT), DEFAULT_POLICY)
+        assert w.dim == d
+        b = w.basis.to_numpy()
+        assert np.max(np.abs(b.T @ b - np.eye(d)), initial=0.0) <= 1e-12
+        got = restrict_operator(t, w)
+        if d:
+            want, *_ = np.linalg.lstsq(b, t.to_numpy() @ b, rcond=None)
+            assert np.max(np.abs(got.to_numpy() - want)) <= 1e-12
+        if 0 < d < n:
+            # a generic subspace of the same dimension is not invariant
+            other = Subspace.from_span(Matrix(rng.standard_normal((n, d)), FLOAT))
+            with pytest.raises(NotInvariant):
+                restrict_operator(t, other)
+
+
 class TestTolerancePolicy:
     def test_defaults(self):
         assert DEFAULT_POLICY.rank_rel_tol == 1e-9
