@@ -15,6 +15,13 @@ and the consistency of M_Y and S_Y give S B_Y = B_Y S_Y, and with S_Y
 invertible Y = S^k Y lies inside im S^k; (c) F + Y is the whole space.
 Then dim F <= n - r and dim Y <= r for r = rank S^k add up to n, so
 F = ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
+
+Over the rationals two yes/no answers come from ranks modulo a prime
+(:func:`~projpair.linalg.rank_lower_bound`), which never exceed the
+ranks over Q: the k loop stops when rank_p S^(k+1) reaches the exact
+rank S^k, and S_Y is invertible when its rank mod p is full.  Either
+equality is a proof; a bound that falls short, as an unlucky prime can
+make it, is settled by the exact rank, so no answer rests on the prime.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .linalg import (
     kernel_basis,
     numeric_rank,
     rank,
+    rank_lower_bound,
     restrict_operator,
     subspace_sum,
 )
@@ -71,10 +79,13 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     M and S there.
 
     k is the least exponent with rank S^k = rank S^(k+1); k = 0 means S
-    is invertible and F is trivial.  Over floats the invariance of F and
-    Y can fail past tolerance, which surfaces as
-    :class:`RestrictionFailure`; over the rationals the commutation of S
-    with P and Q makes the restrictions exact.
+    is invertible and F is trivial.  Over Q every entry of rank_sequence
+    is an exact rank, and stabilization is proved by rank_p S^(k+1) =
+    rank S^k, since rank_p S^(k+1) <= rank S^(k+1) <= rank S^k; when the
+    modular rank falls short the exact rank of S^(k+1) decides.  Over
+    floats the invariance of F and Y can fail past tolerance, which
+    surfaces as :class:`RestrictionFailure`; over the rationals the
+    commutation of S with P and Q makes the restrictions exact.
     """
     ops = derived_ops(pair)
     n = pair.dim
@@ -86,6 +97,10 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     while True:
         next_power = s_power * ops.S
         if pair.field == RATIONAL:
+            # rank_p S^(k+1) <= rank S^(k+1) <= rank S^k: equality proves
+            # stabilization, anything less is settled by the exact rank
+            if rank_lower_bound(next_power) == ranks[-1]:
+                break
             r = rank(next_power, pol)
         else:
             # floor at scale one: a power of S that collapses to

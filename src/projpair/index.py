@@ -14,7 +14,7 @@ per step, so a failure pinpoints the exact link that broke.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -344,6 +344,9 @@ def spectrum_symmetry_check(pair: ProjectionPair, tol: float | None = None) -> S
         raise FieldMismatch("spectrum check needs a float pair; convert first")
     if tol is None:
         tol = pair.pol.compare_abs_tol
+    else:
+        # held to the policy's rule: finite and strictly positive
+        tol = replace(pair.pol, compare_abs_tol=tol).compare_abs_tol
     try:
         values = np.linalg.eigvals(derived_ops(pair).M.to_numpy())
     except np.linalg.LinAlgError as exc:

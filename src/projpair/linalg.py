@@ -7,7 +7,12 @@ fraction-free elimination (Bareiss, then an integer back-substitution)
 behind rank, kernels, solving and determinants all run on Python
 integers; Fractions appear only where a single entry, a trace, a
 determinant or the ``data`` view leaves the module.  Results are exact
-with controlled coefficient growth.  A float matrix holds one read-only
+with controlled coefficient growth.  Where a yes/no fact needs only a
+lower bound on a rank, :func:`rank_lower_bound` takes the rank of the
+numerator modulo one fixed prime instead, in small integers: it never
+exceeds the rank over Q, so it proves full rank (:func:`is_invertible`)
+or a rank already known as an upper bound, and anything short of that
+falls back to the exact elimination.  A float matrix holds one read-only
 float64 ndarray, so its arithmetic runs in numpy and BLAS; it mirrors
 the same API through SVD thresholding and least squares, with every
 cutoff taken from an explicit :class:`TolerancePolicy` and every rank
@@ -62,7 +67,13 @@ __all__ = [
     "solve_exact",
     "numeric_rank",
     "is_invertible",
+    "rank_lower_bound",
+    "RANK_PRIME",
 ]
+
+# The modulus of rank_lower_bound: the largest prime below 2^31, so the
+# product of two reduced entries stays below 2^62.
+RANK_PRIME = 2147483629
 
 
 class Matrix:
@@ -538,12 +549,53 @@ def numeric_rank(
 def is_invertible(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """Whether m is square of full rank (the empty matrix is).
 
-    Exact over Q.  Over floats it is the rank rule of :func:`rank` floored
-    at scale one, which makes a numerically-zero matrix built from
-    unit-scale idempotents singular, even though its noise singular
+    Exact over Q: a full :func:`rank_lower_bound` proves full rank, and
+    any smaller bound, which an unlucky prime can give, is settled by the
+    exact :func:`rank`.  Over floats it is the rank rule of :func:`rank`
+    floored at scale one, which makes a numerically-zero matrix built
+    from unit-scale idempotents singular, even though its noise singular
     values are all within a few orders of each other.
     """
-    return m.is_square and rank(m, pol, floor=1.0) == m.rows
+    if not m.is_square:
+        return False
+    if m.field == RATIONAL and rank_lower_bound(m) == m.rows:
+        return True
+    return rank(m, pol, floor=1.0) == m.rows
+
+
+def rank_lower_bound(m: Matrix) -> int:
+    """Rank of the numerator of a rational m modulo :data:`RANK_PRIME`.
+
+    Reducing mod p maps every minor of ``m.num`` to that minor mod p, so
+    a minor that vanishes over Q vanishes mod p and the result is at most
+    rank m; it falls short only when p divides every nonzero minor of
+    the largest size.  So the bound proves a rank only where it meets an
+    upper bound known from elsewhere.  Gaussian elimination on Python
+    integers below p, column by column, each eliminated row losing its
+    leading column.
+    """
+    if m.field != RATIONAL:
+        raise FieldMismatch("rank_lower_bound requires the rational field")
+    p = RANK_PRIME
+    rows = [[x % p for x in r] for r in m.num]
+    found = 0
+    for _ in range(m.cols):
+        if not rows:
+            break
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            rows = [r[1:] for r in rows]
+            continue
+        pivot = rows.pop(i)
+        found += 1
+        inv = pow(pivot[0], -1, p)
+        tail = pivot[1:]
+        reduced = []
+        for r in rows:
+            f = r[0] * inv % p
+            reduced.append([(a - f * b) % p for a, b in zip(r[1:], tail)] if f else r[1:])
+        rows = reduced
+    return found
 
 
 def _float_rank(m: Matrix, pol: TolerancePolicy, floor: float = 0.0) -> int:

@@ -11,6 +11,7 @@ comparison goes through an explicit :class:`TolerancePolicy` value.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,15 +36,18 @@ class TolerancePolicy:
     rank_rel_tol: relative cutoff for singular values in rank decisions.
     compare_abs_tol: absolute cutoff for entrywise comparisons.
 
-    The rational field ignores the policy entirely.
+    Both must be finite and strictly positive.  The rational field
+    ignores the policy entirely.
     """
 
     rank_rel_tol: float = 1e-9
     compare_abs_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.rank_rel_tol > 0 and self.compare_abs_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        # an infinite tolerance would pass every float comparison
+        tols = (self.rank_rel_tol, self.compare_abs_tol)
+        if not all(math.isfinite(t) and t > 0 for t in tols):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_POLICY = TolerancePolicy()

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through run_cli, no subprocesses needed."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -217,6 +218,24 @@ class TestSpectrum:
         bad.write_text("[]")
         code, *_ = run(capsys, "spectrum", "--input", str(bad))
         assert code == 2
+
+
+class TestTolerance:
+    GOLDEN_FLOAT = str(pathlib.Path(__file__).parent / "data" / "golden" / "f8-orthogonal-d6.json")
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+    def test_unusable_tolerance_exits_2(self, capsys, command, tol):
+        # with tol = inf every float comparison would pass vacuously
+        code, out, err = run(capsys, command, "--input", self.GOLDEN_FLOAT, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "tolerances must be finite and strictly positive" in err
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_finite_tolerance_accepted(self, capsys, command):
+        code, *_ = run(capsys, command, "--input", self.GOLDEN_FLOAT, "--tol", "1e-6")
+        assert code == 0
 
 
 class TestParsing:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from projpair import fitting as fitting_module
+from projpair import linalg
 from projpair.errors import RestrictionFailure
 from projpair.fitting import fitting_decomposition, verify_fitting
 from projpair.generators import (
@@ -161,6 +163,64 @@ class TestJordanExponents:
         lowered = verify_fitting(dataclasses.replace(fd, k=m - 1), pair)
         assert not lowered.checks["f_is_eventual_kernel"]
         assert not lowered.checks["rank_stabilized"]
+
+
+class TestUnluckyPrime:
+    """A modulus that drops ranks changes no answer.
+
+    The k loop stops on rank_lower_bound only when it meets the previous
+    exact rank, and is_invertible trusts it only at full rank; otherwise
+    both take the exact rank.  With the modulus 2 or 3 many bounds fall
+    short, so the exact fallback must carry every answer.
+    """
+
+    @staticmethod
+    def corpus():
+        pairs = [jordan_pair(m) for m in range(1, 6)]
+        pairs += [TestJordanExponents.with_invertible_part(m) for m in range(1, 6)]
+        for i in range(100):
+            h = mix_seed(0x9A1, i)
+            dim = 2 + h % 7
+            pairs.append(
+                gen_pair_oblique_rational(
+                    dim, (h >> 8) % (dim + 1), (h >> 16) % (dim + 1), seed=mix_seed(0x9A2, i)
+                )
+            )
+        return pairs
+
+    @staticmethod
+    def outcome(pair):
+        fd = fitting_decomposition(pair)
+        return (
+            fd.k,
+            fd.rank_sequence,
+            (fd.F.basis, fd.F.pivots),
+            (fd.Y.basis, fd.Y.pivots),
+            verify_fitting(fd, pair).checks,
+        )
+
+    def test_small_moduli_change_no_answer(self, monkeypatch):
+        exact_ranks = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                exact_ranks.append(1)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(fitting_module, "rank", counted(fitting_module.rank))
+        monkeypatch.setattr(linalg, "rank", counted(linalg.rank))
+        pairs = self.corpus()
+        want = [self.outcome(pair) for pair in pairs]
+        assert all(checks and all(checks.values()) for *_, checks in want)
+        default_calls = len(exact_ranks)
+        for prime in (2, 3):
+            monkeypatch.setattr(linalg, "RANK_PRIME", prime)
+            exact_ranks.clear()
+            assert [self.outcome(pair) for pair in pairs] == want
+            # the small modulus did drop ranks, so the fallback was taken
+            assert len(exact_ranks) > default_calls
 
 
 class TestInvariants:

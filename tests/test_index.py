@@ -4,6 +4,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_fitting import jordan_pair
 
 from projpair.errors import FieldMismatch, ProjpairError
 from projpair.generators import (
@@ -24,7 +27,7 @@ from projpair.index import (
     spectrum_symmetry_check,
     trace_power,
 )
-from projpair.linalg import Matrix, subspace_intersection
+from projpair.linalg import Matrix, rank, subspace_intersection
 from projpair.pairs import make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL
 
@@ -107,6 +110,81 @@ class TestEigenspaces:
             exact = compute_eigenspaces(pair).dims()
             approx = compute_eigenspaces(to_float_pair(pair)).dims()
             assert approx == exact
+
+
+def rank_formula_dims(pair):
+    """The eight dims from traces and ranks alone, with no kernel or
+    intersection.
+
+    For idempotents A and B, dim(im A cap im B) = rank A + rank B -
+    rank [A | B], and the rank of an idempotent is its trace.  E_ab is
+    im A cap im B with A = P for a = 1, I - P for a = 0 (likewise B from
+    Q and b), and the et-dims take the transposes.
+    """
+
+    def meets(p, q):
+        eye = Matrix.identity(p.rows, RATIONAL)
+        a_side = {1: p, 0: eye - p}
+        b_side = {1: q, 0: eye - q}
+        # traces stay Fractions, so a non-integral one cannot match a dim
+        return {
+            f"{a}{b}": a_side[a].trace() + b_side[b].trace()
+            - rank(a_side[a].hstack(b_side[b]))
+            for a in (1, 0)
+            for b in (1, 0)
+        }
+
+    dims = {f"e{k}": v for k, v in meets(pair.P, pair.Q).items()}
+    dims.update(
+        {f"et{k}": v for k, v in meets(pair.P.transpose(), pair.Q.transpose()).items()}
+    )
+    return dims
+
+
+@st.composite
+def oracle_pairs(draw):
+    """Oblique, prescribed and Jordan-block (Fitting exponent up to 5) pairs."""
+    family = draw(st.sampled_from(["oblique", "prescribed", "jordan"]))
+    if family == "jordan":
+        return jordan_pair(draw(st.integers(1, 5)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "oblique":
+        dim = draw(st.integers(1, 8))
+        ranks = st.integers(0, dim)
+        return gen_pair_oblique_rational(dim, draw(ranks), draw(ranks), seed=seed)
+    d10, d01, d11, d00 = (draw(st.integers(0, 2)) for _ in range(4))
+    blocks = draw(
+        st.lists(
+            st.one_of(
+                st.builds(ShearBlock, st.integers(1, 4).map(lambda t: Fraction(t, 3))),
+                st.integers(2, 4).flatmap(
+                    lambda m: st.integers(1, m - 1).map(lambda k: PythagoreanBlock(m, k))
+                ),
+            ),
+            max_size=2,
+        )
+    )
+    assume(d10 + d01 + d11 + d00 + len(blocks) > 0)
+    spec = PrescribedSpec(
+        d10=d10, d01=d01, d11=d11, d00=d00, generic_blocks=tuple(blocks),
+        conjugate=draw(st.booleans()), seed=seed,
+    )
+    return gen_prescribed(spec)[0]
+
+
+class TestRankFormulaOracle:
+    @given(oracle_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_eight_dims_match_kernel_path(self, pair):
+        assert rank_formula_dims(pair) == compute_eigenspaces(pair).dims()
+
+    def test_formula_on_known_dims(self):
+        assert rank_formula_dims(diag_pair()) == {
+            "e10": 1, "e01": 1, "e11": 0, "e00": 0,
+            "et10": 1, "et01": 1, "et11": 0, "et00": 0,
+        }
+        dims = rank_formula_dims(shear_pair())
+        assert (dims["e11"], dims["et00"]) == (1, 1)
 
 
 class TestTracePower:

@@ -16,6 +16,7 @@ from projpair.errors import (
     ProjpairError,
 )
 from projpair.linalg import (
+    RANK_PRIME,
     Matrix,
     Subspace,
     _rref_exact,
@@ -23,6 +24,7 @@ from projpair.linalg import (
     kernel_basis,
     numeric_rank,
     rank,
+    rank_lower_bound,
     restrict_operator,
     solve_exact,
     subspace_intersection,
@@ -419,6 +421,53 @@ class TestExactKernels:
             assert (other.num, other.den) == (a.num, a.den)
 
 
+@st.composite
+def small_integer_matrices(draw):
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    row = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return Matrix(rows, RATIONAL) if n else Matrix.zeros(0, m, RATIONAL)
+
+
+class TestRankLowerBound:
+    """The rank modulo RANK_PRIME never exceeds the rank over Q, and
+    is_invertible falls back to the exact rank when the bound falls short."""
+
+    @given(rational_matrices())
+    @example(Matrix.zeros(0, 3, RATIONAL))
+    @example(Matrix.zeros(3, 0, RATIONAL))
+    @example(WIDE)
+    @example(NEGATIVE_PIVOTS)
+    @example(RANK_ONE)
+    @settings(max_examples=150, deadline=None)
+    def test_at_most_rank(self, m):
+        bound = rank_lower_bound(m)
+        assert 0 <= bound <= rank(m)
+        if m.is_square:
+            assert is_invertible(m) == (rank(m) == m.rows)
+
+    @given(small_integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_on_small_integers(self, m):
+        # every minor is below Hadamard's bound (5 * 3^2)^(5/2) < 14000 <
+        # RANK_PRIME, so no nonzero minor vanishes modulo the prime
+        assert rank_lower_bound(m) == rank(m)
+
+    def test_prime_on_the_diagonal(self):
+        m = Matrix.diag([1, RANK_PRIME], RATIONAL)
+        assert rank_lower_bound(m) == 1
+        assert rank(m) == 2
+        assert is_invertible(m)
+        # the same numerator over the denominator RANK_PRIME
+        scaled = Matrix.diag([Fraction(1, RANK_PRIME), 1], RATIONAL)
+        assert scaled.num == m.num and rank_lower_bound(scaled) == 1
+        assert is_invertible(scaled)
+
+    def test_float_rejected(self):
+        with pytest.raises(FieldMismatch):
+            rank_lower_bound(Matrix.identity(2, FLOAT))
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
@@ -808,3 +857,10 @@ class TestTolerancePolicy:
             TolerancePolicy(rank_rel_tol=0.0)
         with pytest.raises(ValueError):
             TolerancePolicy(compare_abs_tol=-1e-9)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["rank_rel_tol", "compare_abs_tol"])
+    def test_rejects_non_finite(self, name, bad):
+        # an infinite tolerance passes every float comparison vacuously
+        with pytest.raises(ValueError, match="finite"):
+            TolerancePolicy(**{name: bad})
