@@ -162,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name, path in paths:
         try:
             results.append((name, index_report(load_pair(path, pol), ns), None))
-        except (ProjpairError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             if not batch:
                 raise
             # one bad file must not hide the reports of the others
@@ -347,23 +347,32 @@ _DISPATCH = {
 }
 
 
+def _join_tol(args: list[str]) -> list[str]:
+    """Write ``--tol X`` as ``--tol=X``.
+
+    argparse reads a value such as ``-1e-9`` as an option, so spaced from
+    ``--tol`` it never reached the tolerance rule and its message.
+    """
+    joined: list[str] = []
+    for arg in args:
+        if joined and joined[-1] == "--tol":
+            joined[-1] = f"--tol={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def run_cli(args: list[str]) -> int:
     """Parse and run one command; returns the exit code, never raises."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(args)
+        ns = parser.parse_args(_join_tol(args))
     except SystemExit as exc:
         # argparse already printed a usage message; 2 on error, 0 on --help
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return _DISPATCH[ns.command](ns)
-    except ProjpairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ProjpairError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -103,10 +103,8 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
                 break
             r = rank(next_power, pol)
         else:
-            # floor at scale one: a power of S that collapses to
-            # numerical zero is rank zero, whatever its noise spectrum
             sv = np.linalg.svd(next_power.to_numpy(), compute_uv=False)
-            r, margin = numeric_rank(sv, next_power.shape, pol, floor=1.0)
+            r, margin = numeric_rank(sv, next_power.shape, pol)
             margins.append(margin)
         if r == ranks[-1]:
             break
@@ -124,10 +122,11 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
         y = Subspace.from_span(s_power, pol)
     else:
         # kernel and column space from one SVD, so that their dimensions
-        # add up to n; floored at scale one, like the rank sequence
+        # add up to n; both bases are already orthonormal
         u, sv, vh = np.linalg.svd(s_power.to_numpy(), full_matrices=True)
-        r, _ = numeric_rank(sv, s_power.shape, pol, floor=1.0)
-        f, y = Subspace(Matrix(vh[r:].T, FLOAT), pol), Subspace(Matrix(u[:, :r], FLOAT), pol)
+        r, _ = numeric_rank(sv, s_power.shape, pol)
+        f = Subspace(Matrix(vh[r:].T, FLOAT), pol, _raw=True)
+        y = Subspace(Matrix(u[:, :r], FLOAT), pol, _raw=True)
 
     def restrict_all(w: Subspace) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         """P_W and Q_W by restriction; M_W = P_W - Q_W and S_W = I - M_W^2."""

@@ -126,9 +126,11 @@ def gen_pair_oblique_rational(
                 [[rng.randint(-entry_bound, entry_bound) for _ in range(dim)] for _ in range(r)],
                 RATIONAL,
             )
-            ba = b * a
-            if ba.det() != 0:
-                return a * ba.inverse() * b
+            try:
+                core = (b * a).inverse()
+            except ProjpairError:  # BA is singular: draw again
+                continue
+            return a * core * b
         raise GenerationExhausted(
             f"no invertible {r}x{r} core after {_OBLIQUE_RETRY_BUDGET} draws "
             f"(dim={dim}, entry_bound={entry_bound}, seed={seed})"

@@ -48,10 +48,8 @@ def _joint_eigenspaces(
     two intersections that use it.
     """
     eye = Matrix.identity(p.rows, p.field)
-    # floor=1.0: P - aI is built from unit-scale idempotents, so when it
-    # degenerates to the zero matrix the kernel must be everything.
-    ker_p = [kernel_basis(p - a * eye, pol, floor=1.0) for a in (0, 1)]
-    ker_q = [kernel_basis(q - b * eye, pol, floor=1.0) for b in (0, 1)]
+    ker_p = [kernel_basis(p - a * eye, pol) for a in (0, 1)]
+    ker_q = [kernel_basis(q - b * eye, pol) for b in (0, 1)]
     return {
         (a, b): subspace_intersection(ker_p[a], ker_q[b]) for a in (0, 1) for b in (0, 1)
     }
@@ -202,14 +200,10 @@ class IndexReport:
 def _mixed_image_dim(
     f: Subspace, left: Matrix, right: Matrix, pair: ProjectionPair
 ) -> int:
-    """dim(left @ F + right @ F) for a subspace F given by its basis.
-
-    floor=1.0 because either product can legitimately be the zero matrix
-    (a projection annihilating F), and noise must not count as rank.
-    """
+    """dim(left @ F + right @ F) for a subspace F given by its basis."""
     if f.dim == 0:
         return 0
-    return rank((left * f.basis).hstack(right * f.basis), pair.pol, floor=1.0)
+    return rank((left * f.basis).hstack(right * f.basis), pair.pol)
 
 
 def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> IndexReport:

@@ -14,16 +14,18 @@ exceeds the rank over Q, so it proves full rank (:func:`is_invertible`)
 or a rank already known as an upper bound, and anything short of that
 falls back to the exact elimination.  A float matrix holds one read-only
 float64 ndarray, so its arithmetic runs in numpy and BLAS; it mirrors
-the same API through SVD thresholding and least squares, with every
-cutoff taken from an explicit :class:`TolerancePolicy` and every rank
-decision from :func:`numeric_rank`.
+the same API through SVD thresholding, with every cutoff taken from an
+explicit :class:`TolerancePolicy` and every rank decision, float
+subspace bases included, from the one rule :func:`numeric_rank`,
+anchored at unit scale.
 
 A subspace is a basis in a form that makes coordinates a read: over Q
 the basis is the identity on recorded pivot rows, over floats it is
-orthonormal.  Restricting an operator, or testing containment, reads
-the coordinates off (the pivot rows, or B^T times the columns) and
-checks them with one product, exactly over Q and by a residual over
-floats; nothing is solved.  Its dimension is the number of basis
+orthonormal (the leading left singular vectors of its spanning
+columns).  Restricting an operator, or testing containment, reads the
+coordinates off (the pivot rows, or B^T times the columns) and checks
+them with one product, exactly over Q and by a residual over floats;
+nothing is solved.  Its dimension is the number of basis
 columns, and two subspaces are equal when they have the same dimension
 and one contains the other.
 """
@@ -528,19 +530,21 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def numeric_rank(
-    sv: np.ndarray, shape: tuple[int, int], pol: TolerancePolicy, floor: float = 0.0
+    sv: np.ndarray, shape: tuple[int, int], pol: TolerancePolicy
 ) -> tuple[int, float]:
     """The float rank rule: rank and margin from descending singular values.
 
     A singular value counts when it exceeds rank_rel_tol * max(sigma_max,
-    floor) * max(shape); a sigma_max at or below floor * rank_rel_tol
-    means rank zero.  The margin is the smallest kept singular value over
-    that threshold (inf at rank zero), so callers can distrust
-    borderline decisions.  See :func:`rank` for the role of floor.
+    1) * max(shape).  The scale is anchored at one because every matrix
+    the package ranks is built from unit-scale idempotents or has
+    orthonormal columns: a matrix that should be zero but holds 1e-16
+    noise is rank zero, not full rank.  The margin is the smallest kept
+    singular value over that threshold (inf at rank zero, and for an
+    empty sv), so callers can distrust borderline decisions.
     """
-    if sv.size == 0 or float(sv[0]) <= floor * pol.rank_rel_tol:
+    if sv.size == 0:
         return 0, float("inf")
-    threshold = pol.rank_rel_tol * max(float(sv[0]), floor) * max(shape)
+    threshold = pol.rank_rel_tol * max(float(sv[0]), 1.0) * max(shape)
     r = int(np.sum(sv > threshold))
     margin = float(sv[r - 1]) / threshold if r > 0 else float("inf")
     return r, margin
@@ -551,16 +555,14 @@ def is_invertible(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
 
     Exact over Q: a full :func:`rank_lower_bound` proves full rank, and
     any smaller bound, which an unlucky prime can give, is settled by the
-    exact :func:`rank`.  Over floats it is the rank rule of :func:`rank`
-    floored at scale one, which makes a numerically-zero matrix built
-    from unit-scale idempotents singular, even though its noise singular
-    values are all within a few orders of each other.
+    exact :func:`rank`.  Over floats it is ``rank(m, pol) == m.rows``, so
+    a numerically-zero matrix is singular whatever its noise spectrum.
     """
     if not m.is_square:
         return False
     if m.field == RATIONAL and rank_lower_bound(m) == m.rows:
         return True
-    return rank(m, pol, floor=1.0) == m.rows
+    return rank(m, pol) == m.rows
 
 
 def rank_lower_bound(m: Matrix) -> int:
@@ -598,39 +600,19 @@ def rank_lower_bound(m: Matrix) -> int:
     return found
 
 
-def _float_rank(m: Matrix, pol: TolerancePolicy, floor: float = 0.0) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    s = np.linalg.svd(m.data, compute_uv=False)
-    return numeric_rank(s, m.shape, pol, floor)[0]
-
-
-def _float_kernel(m: Matrix, pol: TolerancePolicy, floor: float = 0.0) -> Matrix:
-    if m.rows == 0:
-        return Matrix.identity(m.cols, FLOAT)
-    _, s, vh = np.linalg.svd(m.data, full_matrices=True)
-    rank_, _ = numeric_rank(s, m.shape, pol, floor)
-    return _wrap(vh[rank_:].T)
-
-
 # ---------------------------------------------------------------------------
 # Field-dispatching operations
 # ---------------------------------------------------------------------------
 
 
-def rank(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0) -> int:
-    """Matrix rank: exact elimination over Q, SVD thresholding over floats.
-
-    floor sets an ambient scale for the float cutoff: singular values are
-    compared against rank_rel_tol times max(sigma_max, floor).  Without it
-    the test is purely relative, and a matrix that should be zero but
-    holds 1e-16 noise would count as full rank.  Callers that know the
-    inputs have entries of order one (everything built from projections
-    does) should pass floor=1.0.  Ignored over the rationals.
-    """
+def rank(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
+    """Matrix rank: exact elimination over Q, :func:`numeric_rank` of the
+    singular values over floats."""
     if m.field == RATIONAL:
         return len(_bareiss_echelon([list(r) for r in m.num], m.cols)[1])
-    return _float_rank(m, pol, floor)
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return numeric_rank(np.linalg.svd(m.data, compute_uv=False), m.shape, pol)[0]
 
 
 def _exact_kernel_matrix(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -651,21 +633,23 @@ def _exact_kernel_matrix(m: Matrix) -> tuple[Matrix, list[int]]:
     return _exact(num, len(free_cols), den), free_cols
 
 
-def kernel_basis(
-    m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0
-) -> "Subspace":
+def kernel_basis(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
     """Basis of the null space of m, as a Subspace of dimension cols - rank.
 
-    floor plays the same role as in :func:`rank`: with floor=1.0 a
-    numerically-zero float matrix gets the full kernel instead of the
-    empty one its noise singular values would suggest.
+    Over floats it is the trailing right singular vectors past the
+    :func:`numeric_rank` of m, so a numerically-zero matrix has the full
+    kernel.
     """
     if m.cols == 0:
         raise DimensionMismatch("kernel needs at least one column")
     if m.field == RATIONAL:
         basis, free_cols = _exact_kernel_matrix(m)
         return Subspace(basis, pol, _raw=True, _pivots=free_cols)
-    return Subspace(_float_kernel(m, pol, floor), pol, _raw=True)
+    if m.rows == 0:
+        return Subspace.full(m.cols, FLOAT, pol)
+    _, s, vh = np.linalg.svd(m.data, full_matrices=True)
+    r, _ = numeric_rank(s, m.shape, pol)
+    return Subspace(_wrap(vh[r:].T), pol, _raw=True)
 
 
 def _column_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -686,11 +670,13 @@ class Subspace:
     Over Q the basis is the identity on the rows listed in ``pivots``;
     over floats it is orthonormal and ``pivots`` is unused.  Either way
     the coordinates of a vector of the subspace are a read, not a solve
-    (see :meth:`_coordinates`).  The constructor brings a basis to that
-    form: its reduced column echelon form over Q, its QR factor over
-    floats.  With _raw the basis is taken as it is, and must already be
-    in that form with pivot rows _pivots.  Equality is mutual
-    containment: the same dimension, and one subspace contains the other.
+    (see :meth:`_coordinates`).  The constructor takes any spanning
+    columns, dependencies allowed, and brings them to that form: their
+    reduced column echelon form over Q, and over floats the leading left
+    singular vectors, as many as the :func:`numeric_rank` of the columns.
+    With _raw the basis is taken as it is, and must already be in that
+    form with pivot rows _pivots.  Equality is mutual containment: the
+    same dimension, and one subspace contains the other.
     """
 
     __slots__ = ("ambient_dim", "basis", "field", "pol", "pivots")
@@ -701,7 +687,9 @@ class Subspace:
         if not _raw and basis.field == RATIONAL:
             basis, _pivots = _column_echelon(basis)
         elif not _raw and basis.cols:
-            basis = _wrap(np.linalg.qr(basis.data)[0])
+            u, s, _ = np.linalg.svd(basis.data, full_matrices=False)
+            r, _ = numeric_rank(s, basis.shape, pol)
+            basis = _wrap(u[:, :r])
         object.__setattr__(self, "ambient_dim", basis.rows)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "field", basis.field)
@@ -715,17 +703,9 @@ class Subspace:
     def from_span(
         cls, span: Matrix, pol: TolerancePolicy = DEFAULT_POLICY
     ) -> "Subspace":
-        """Subspace spanned by the columns of ``span`` (dependencies allowed).
-
-        Over Q the basis is the reduced column echelon form of span.  Over
-        floats it is the leading left singular vectors of span, as many as
-        its rank floored at scale one.
-        """
-        if span.field == RATIONAL or span.cols == 0:
-            return cls(span, pol)
-        u, s, _ = np.linalg.svd(span.data, full_matrices=False)
-        r, _ = numeric_rank(s, span.shape, pol, floor=1.0)
-        return cls(_wrap(u[:, :r]), pol, _raw=True)
+        """Subspace spanned by the columns of ``span`` (dependencies
+        allowed): the constructor, with a default policy."""
+        return cls(span, pol)
 
     @classmethod
     def zero(cls, ambient_dim: int, field: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":

@@ -22,8 +22,6 @@ from .errors import FieldMismatch, PairFileError
 RATIONAL = "rational"
 FLOAT = "float"
 
-FIELDS = (RATIONAL, FLOAT)
-
 Scalar = Union[Fraction, float]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")

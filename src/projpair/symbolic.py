@@ -89,15 +89,9 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, word: str) -> int:
-        return self._terms.get(word, 0)
-
     def terms(self) -> Iterator[tuple[str, int]]:
         """Terms in canonical length-lexicographic order."""
         return iter(sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0])))
-
-    def degree(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NCPoly):
@@ -386,27 +380,9 @@ def parse_expr(text: str) -> Expr:
 
 
 def expand(e: Expr) -> NCPoly:
-    """Expand an expression tree into canonical reduced form."""
-    if isinstance(e, Atom):
-        return ATOM_VALUES[e.name]
-    if isinstance(e, IntLit):
-        return e.value * NCPoly.one()
-    if isinstance(e, Add):
-        return expand(e.left) + expand(e.right)
-    if isinstance(e, SubNode):
-        return expand(e.left) - expand(e.right)
-    if isinstance(e, Neg):
-        return -expand(e.operand)
-    if isinstance(e, Mul):
-        return expand(e.left) * expand(e.right)
-    if isinstance(e, Pow):
-        if e.exponent < 0:
-            raise NegativePower(f"negative power {e.exponent} cannot be expanded")
-        return expand(e.base) ** e.exponent
-    if isinstance(e, Commutator):
-        a, b = expand(e.left), expand(e.right)
-        return a * b - b * a
-    raise TypeError(f"not an expression node: {e!r}")
+    """Expand an expression tree into canonical reduced form: its value
+    in the ring of reduced words."""
+    return evaluate_expr(e, ATOM_VALUES, NCPoly.one())
 
 
 def verify_identity(lhs: str, rhs: str) -> tuple[bool, NCPoly]:
@@ -506,14 +482,8 @@ def lemma_suite(max_n: int = 9) -> SuiteReport:
         ("chain_reorder", "P*U*V - Q*U*V", "P*V*U - U*P*V"),
         ("chain_as_commutator", "P*V*U - U*P*V", "[I - U, P*V]"),
     ]
-    t_family = ["I", "M^2"]
-    for j in range(1, (max_n - 3) // 2 + 1):
-        t_family.append(" + ".join(["I"] + [f"M^{2 * i}" for i in range(1, j + 1)]))
-    seen = set()
+    t_family = ["I", "M^2"] + [_geometric_sum_text(n) for n in range(5, max_n + 1, 2)]
     for t_text in t_family:
-        if t_text in seen:
-            continue
-        seen.add(t_text)
         identities.append(
             (
                 f"commutator_identity[T={t_text}]",

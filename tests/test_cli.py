@@ -226,11 +226,14 @@ class TestTolerance:
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
     def test_unusable_tolerance_exits_2(self, capsys, command, tol):
-        # with tol = inf every float comparison would pass vacuously
-        code, out, err = run(capsys, command, "--input", self.GOLDEN_FLOAT, f"--tol={tol}")
-        assert code == 2
-        assert out == ""
-        assert "tolerances must be finite and strictly positive" in err
+        # with tol = inf every float comparison would pass vacuously; the
+        # spaced spelling must reach the same rule, also for -1e-9, which
+        # argparse alone takes for an option
+        for spelling in ([f"--tol={tol}"], ["--tol", tol]):
+            code, out, err = run(capsys, command, "--input", self.GOLDEN_FLOAT, *spelling)
+            assert code == 2
+            assert out == ""
+            assert "tolerances must be finite and strictly positive" in err
 
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     def test_finite_tolerance_accepted(self, capsys, command):

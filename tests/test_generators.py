@@ -54,8 +54,8 @@ class TestOrthogonal:
     def test_symmetric_and_correct_rank(self):
         pair = gen_pair_orthogonal(7, 3, 5, seed=2)
         assert pair.P.approx_equal(pair.P.transpose(), 1e-12)
-        assert rank(pair.P, pair.pol, floor=1.0) == 3
-        assert rank(pair.Q, pair.pol, floor=1.0) == 5
+        assert rank(pair.P, pair.pol) == 3
+        assert rank(pair.Q, pair.pol) == 5
 
     def test_rank_edges(self):
         pair = gen_pair_orthogonal(4, 0, 4, seed=9)

@@ -197,8 +197,15 @@ class TestFloatBackend:
     def test_numeric_rank_rule(self):
         sv = np.array([2.0, 1.0, 1e-6, 1e-12])
         assert numeric_rank(sv, (4, 4), DEFAULT_POLICY) == (3, 1e-6 / (1e-9 * 2.0 * 4))
-        assert numeric_rank(np.array([1e-10]), (1, 1), DEFAULT_POLICY, floor=1.0) == (0, float("inf"))
-        assert numeric_rank(np.array([]), (0, 3), DEFAULT_POLICY)[0] == 0
+        assert numeric_rank(np.array([1e-10]), (1, 1), DEFAULT_POLICY) == (0, float("inf"))
+        assert numeric_rank(np.array([]), (0, 3), DEFAULT_POLICY) == (0, float("inf"))
+
+    def test_numeric_rank_unit_scale(self):
+        # sigma_max < 1: the cutoff is 1e-9 * 1 * 3, not 1e-9 * 1e-3 * 3, so
+        # 1e-9 no longer counts and the margin is taken against 3e-9
+        sv = np.array([1e-3, 1e-6, 1e-9])
+        assert numeric_rank(sv, (3, 3), DEFAULT_POLICY) == (2, 1e-6 / (1e-9 * 1.0 * 3))
+        assert numeric_rank(np.array([1e-10, 1e-11]), (2, 2), DEFAULT_POLICY) == (0, float("inf"))
 
     def test_is_invertible(self):
         assert is_invertible(Matrix.zeros(0, 0, FLOAT))
@@ -208,7 +215,7 @@ class TestFloatBackend:
         # the rank rule decides: sigma_min = 5e-8 is below its cutoff
         # 1e-9 * 1 * 95 = 9.5e-8, though above 1e-9 * max(sigma_max, 1)
         m = Matrix.diag([1.0] * 95 + [5e-8], FLOAT)
-        assert rank(m, floor=1.0) == 95
+        assert rank(m) == 95
         assert not is_invertible(m)
         assert is_invertible(Matrix.diag([1.0] * 95 + [1e-7], FLOAT))
 
@@ -609,11 +616,9 @@ class TestRankKernelSolve:
 
     def test_float_rank_floor_kills_noise(self):
         noise = Matrix((1e-14 * np.random.default_rng(3).standard_normal((4, 4))).tolist(), FLOAT)
-        # purely relative: noise looks full rank
-        assert rank(noise) == 4
         # anchored at ambient scale one it is the zero matrix
-        assert rank(noise, floor=1.0) == 0
-        assert kernel_basis(noise, floor=1.0).dim == 4
+        assert rank(noise) == 0
+        assert kernel_basis(noise).dim == 4
 
     @given(
         st.integers(1, 5),
@@ -658,6 +663,16 @@ class TestSubspace:
             assert w.dim == d
             assert Subspace.from_span(basis * mix) == w
             assert hash(Subspace.from_span(basis * mix)) == hash(w)
+
+    def test_float_dependent_columns(self):
+        # a bare float basis is cut to the rank of its span, as over Q
+        for cols in ([[1, 1], [0, 0], [0, 0]], [[1, 2, 0], [1, 2, 1], [0, 0, 0]]):
+            span = Matrix([[float(x) for x in r] for r in cols], FLOAT)
+            w = Subspace(span, DEFAULT_POLICY)
+            assert w.dim == Subspace(Matrix(cols, RATIONAL), DEFAULT_POLICY).dim == len(cols[0]) - 1
+            assert w == Subspace.from_span(span)
+            b = w.basis.to_numpy()
+            assert np.max(np.abs(b.T @ b - np.eye(w.dim))) <= 1e-12
 
     def test_same_dimension_different_spaces_unequal(self):
         for field, one in ((RATIONAL, 1), (FLOAT, 1.0)):
