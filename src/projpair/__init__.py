@@ -40,6 +40,7 @@ from .index import (
     eigenspace,
     dual_eigenspace,
     compute_eigenspaces,
+    eigenspace_dims,
     trace_power,
     index_report,
     spectrum_symmetry_check,
@@ -96,6 +97,7 @@ __all__ = [
     "eigenspace",
     "dual_eigenspace",
     "compute_eigenspaces",
+    "eigenspace_dims",
     "trace_power",
     "index_report",
     "spectrum_symmetry_check",

@@ -119,7 +119,7 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
         y = Subspace.full(n, pair.field, pol)
     elif pair.field == RATIONAL:
         f = kernel_basis(s_power, pol)
-        y = Subspace.from_span(s_power, pol)
+        y = Subspace(s_power, pol)
     else:
         # kernel and column space from one SVD, so that their dimensions
         # add up to n; both bases are already orthonormal

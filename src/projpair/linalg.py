@@ -62,6 +62,7 @@ __all__ = [
     "Subspace",
     "rank",
     "kernel_basis",
+    "row_and_kernel",
     "subspace_sum",
     "subspace_intersection",
     "restrict_operator",
@@ -615,26 +616,41 @@ def rank(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return numeric_rank(np.linalg.svd(m.data, compute_uv=False), m.shape, pol)[0]
 
 
-def _exact_kernel_matrix(m: Matrix) -> tuple[Matrix, list[int]]:
-    """(kernel basis, free columns): one kernel column per free column
-    f, 1 at f and minus column f of the reduced rows at the pivots, all
-    over the RREF's denominator.  So the basis is the identity on the
-    rows of the free columns."""
-    rref, piv_cols = _rref_exact(m)
-    free_cols = [c for c in range(m.cols) if c not in piv_cols]
-    den = rref.den
-    pivot_rows = dict(zip(piv_cols, rref.num))
-    num = [
-        [-pivot_rows[r][f] for f in free_cols]
-        if r in pivot_rows
-        else [den if f == r else 0 for f in free_cols]
-        for r in range(m.cols)
-    ]
-    return _exact(num, len(free_cols), den), free_cols
+def row_and_kernel(
+    m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[Matrix, Matrix, list[int] | None]:
+    """Row-space basis R, kernel basis K and the free columns of m, all
+    from one elimination; R has rank m rows.
+
+    Over Q, R is the nonzero rows of the reduced row echelon form, and K
+    has one column per free column f: 1 at f and minus column f of R at
+    the pivots, over R's denominator, so K is the identity on the rows of
+    the free columns.  Over floats one full SVD gives both, R = Vh[:r]
+    with orthonormal rows and K = Vh[r:]^T with orthonormal columns, r
+    its :func:`numeric_rank`; there are no free columns (None).
+    """
+    if m.field == RATIONAL:
+        rref, piv_cols = _rref_exact(m)
+        free_cols = [c for c in range(m.cols) if c not in piv_cols]
+        den = rref.den
+        pivot_rows = dict(zip(piv_cols, rref.num))
+        num = [
+            [-pivot_rows[r][f] for f in free_cols]
+            if r in pivot_rows
+            else [den if f == r else 0 for f in free_cols]
+            for r in range(m.cols)
+        ]
+        return rref, _exact(num, len(free_cols), den), free_cols
+    if m.rows == 0:
+        return Matrix.zeros(0, m.cols, FLOAT), Matrix.identity(m.cols, FLOAT), None
+    _, s, vh = np.linalg.svd(m.data, full_matrices=True)
+    r, _ = numeric_rank(s, m.shape, pol)
+    return _wrap(vh[:r]), _wrap(vh[r:].T), None
 
 
 def kernel_basis(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
-    """Basis of the null space of m, as a Subspace of dimension cols - rank.
+    """Basis of the null space of m, as a Subspace of dimension cols - rank:
+    the K of :func:`row_and_kernel`.
 
     Over floats it is the trailing right singular vectors past the
     :func:`numeric_rank` of m, so a numerically-zero matrix has the full
@@ -642,14 +658,8 @@ def kernel_basis(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace"
     """
     if m.cols == 0:
         raise DimensionMismatch("kernel needs at least one column")
-    if m.field == RATIONAL:
-        basis, free_cols = _exact_kernel_matrix(m)
-        return Subspace(basis, pol, _raw=True, _pivots=free_cols)
-    if m.rows == 0:
-        return Subspace.full(m.cols, FLOAT, pol)
-    _, s, vh = np.linalg.svd(m.data, full_matrices=True)
-    r, _ = numeric_rank(s, m.shape, pol)
-    return Subspace(_wrap(vh[r:].T), pol, _raw=True)
+    _, basis, free_cols = row_and_kernel(m, pol)
+    return Subspace(basis, pol, _raw=True, _pivots=free_cols)
 
 
 def _column_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -681,7 +691,7 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis", "field", "pol", "pivots")
 
-    def __init__(self, basis: Matrix, pol: TolerancePolicy, *, _raw=False, _pivots=None):
+    def __init__(self, basis: Matrix, pol: TolerancePolicy = DEFAULT_POLICY, *, _raw=False, _pivots=None):
         if basis.rows < 1:
             raise DimensionMismatch("ambient dimension must be at least 1")
         if not _raw and basis.field == RATIONAL:
@@ -698,14 +708,6 @@ class Subspace:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def from_span(
-        cls, span: Matrix, pol: TolerancePolicy = DEFAULT_POLICY
-    ) -> "Subspace":
-        """Subspace spanned by the columns of ``span`` (dependencies
-        allowed): the constructor, with a default policy."""
-        return cls(span, pol)
 
     @classmethod
     def zero(cls, ambient_dim: int, field: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
@@ -780,7 +782,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Span of the union: column space of the concatenated bases."""
     a._check_ambient(b)
     pol = a.pol
-    return Subspace.from_span(a.basis.hstack(b.basis), pol)
+    return Subspace(a.basis.hstack(b.basis), pol)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -794,7 +796,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if coeffs.dim == 0:
         return Subspace.zero(a.ambient_dim, a.field, pol)
     top = _top_rows(coeffs.basis, a.dim)
-    return Subspace.from_span(a.basis * top, pol)
+    return Subspace(a.basis * top, pol)
 
 
 def _top_rows(m: Matrix, k: int) -> Matrix:

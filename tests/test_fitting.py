@@ -309,7 +309,7 @@ class TestCorruptionDetection:
     def test_truncated_f_fails_dimension_check(self):
         pair = pair_k2()
         fd = fitting_decomposition(pair)
-        cut = Subspace.from_span(
+        cut = Subspace(
             Matrix.from_columns(
                 [
                     [row[0] for row in fd.F.basis.column(j).to_lists()]
@@ -332,7 +332,7 @@ class TestCorruptionDetection:
         cols = [[0] * pair.dim for _ in range(fd.F.dim)]
         for j in range(fd.F.dim):
             cols[j][pair.dim - 1 - j] = 1
-        wrong = Subspace.from_span(
+        wrong = Subspace(
             Matrix.from_columns(cols, RATIONAL, rows=pair.dim), pair.pol
         )
         bad = dataclasses.replace(fd, F=wrong)
@@ -346,7 +346,7 @@ class TestCorruptionDetection:
         F and Y meet only in zero, so it is not part.
         """
         rows = other.basis.hstack(part.basis).to_lists()
-        return Subspace.from_span(Matrix([r[: part.dim] for r in rows], pair.field), pair.pol)
+        return Subspace(Matrix([r[: part.dim] for r in rows], pair.field), pair.pol)
 
     def check_wrong_y(self, pair):
         fd = fitting_decomposition(pair)

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,12 +24,13 @@ from projpair.index import (
     compute_eigenspaces,
     dual_eigenspace,
     eigenspace,
+    eigenspace_dims,
     index_report,
     spectrum_symmetry_check,
     trace_power,
 )
 from projpair.linalg import Matrix, rank, subspace_intersection
-from projpair.pairs import make_pair, to_float_pair
+from projpair.pairs import derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL
 
 VERDICT_NAMES = {
@@ -172,11 +174,22 @@ def oracle_pairs(draw):
     return gen_prescribed(spec)[0]
 
 
+def kernel_route_dims(pair):
+    return compute_eigenspaces(pair).dims()
+
+
 class TestRankFormulaOracle:
-    @given(oracle_pairs())
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize(
+        "route", [kernel_route_dims, eigenspace_dims], ids=["kernels", "basis_products"]
+    )
+    @given(pair=oracle_pairs())
     @settings(max_examples=80, deadline=None)
-    def test_eight_dims_match_kernel_path(self, pair):
-        assert rank_formula_dims(pair) == compute_eigenspaces(pair).dims()
+    def test_eight_dims_match_oracle(self, route, field, pair):
+        """Both eigenspace routes against the exact block-rank oracle, on
+        the pair and on its float conversion (non-symmetric float pairs)."""
+        want = rank_formula_dims(pair)
+        assert route(pair if field == RATIONAL else to_float_pair(pair)) == want
 
     def test_formula_on_known_dims(self):
         assert rank_formula_dims(diag_pair()) == {
@@ -185,6 +198,25 @@ class TestRankFormulaOracle:
         }
         dims = rank_formula_dims(shear_pair())
         assert (dims["e11"], dims["et00"]) == (1, 1)
+
+
+class TestAvronSeilerSimon:
+    """Avron, Seiler and Simon 1994: for orthogonal projections M = P - Q
+    is symmetric, E10 = ker(M - I) and E01 = ker(M + I), so those two
+    dims are counts of eigenvalues of M, with no kernel and no rank."""
+
+    def test_dims_count_unit_eigenvalues(self):
+        for dim in range(2, 65):
+            h = mix_seed(0xA55, dim)
+            pair = gen_pair_orthogonal(dim, (h >> 8) % (dim + 1), (h >> 16) % (dim + 1), seed=h)
+            values = np.linalg.eigvalsh(derived_ops(pair).M.to_numpy())
+            tol = pair.pol.compare_abs_tol
+            dims = index_report(pair).dims
+            assert dims["e10"] == np.sum(np.abs(values - 1) <= tol)
+            assert dims["e01"] == np.sum(np.abs(values + 1) <= tol)
+            # a symmetric pair is its own transpose
+            for key in ("10", "01", "11", "00"):
+                assert dims["et" + key] == dims["e" + key]
 
 
 class TestTracePower:

@@ -400,7 +400,7 @@ class TestExactKernels:
         if n:
             t_rows, _ = rref_fraction_loop(a.transpose())
             want_span = [[r[i] for r in t_rows] for i in range(n)]
-            results.append((Subspace.from_span(a).basis, want_span, (n, len(t_rows))))
+            results.append((Subspace(a).basis, want_span, (n, len(t_rows))))
         for got, want, shape in results:
             assert_canonical(got, want, shape)
 
@@ -646,23 +646,23 @@ class TestSubspace:
             n = rng.randint(2, 6)
             d = rng.randint(1, n)
             basis = rand_int_matrix(rng, n, d)
-            w = Subspace.from_span(basis)
+            w = Subspace(basis)
             # mix the columns by a random invertible matrix: same span
             while True:
                 c = rand_int_matrix(rng, d, d, bound=3)
                 if c.det() != 0:
                     break
-            assert Subspace.from_span(basis * c) == w
+            assert Subspace(basis * c) == w
 
     def test_float_equality_under_basis_change(self):
         rng = np.random.default_rng(809)
         for n, d in ((2, 1), (4, 2), (6, 3), (9, 9)):
             basis = Matrix(rng.standard_normal((n, d)), FLOAT)
             mix = Matrix(rng.standard_normal((d, d)), FLOAT)
-            w = Subspace.from_span(basis)
+            w = Subspace(basis)
             assert w.dim == d
-            assert Subspace.from_span(basis * mix) == w
-            assert hash(Subspace.from_span(basis * mix)) == hash(w)
+            assert Subspace(basis * mix) == w
+            assert hash(Subspace(basis * mix)) == hash(w)
 
     def test_float_dependent_columns(self):
         # a bare float basis is cut to the rank of its span, as over Q
@@ -670,14 +670,14 @@ class TestSubspace:
             span = Matrix([[float(x) for x in r] for r in cols], FLOAT)
             w = Subspace(span, DEFAULT_POLICY)
             assert w.dim == Subspace(Matrix(cols, RATIONAL), DEFAULT_POLICY).dim == len(cols[0]) - 1
-            assert w == Subspace.from_span(span)
+            assert w == Subspace(span)
             b = w.basis.to_numpy()
             assert np.max(np.abs(b.T @ b - np.eye(w.dim))) <= 1e-12
 
     def test_same_dimension_different_spaces_unequal(self):
         for field, one in ((RATIONAL, 1), (FLOAT, 1.0)):
-            a = Subspace.from_span(Matrix([[one, 0], [0, one], [0, 0]], field))
-            b = Subspace.from_span(Matrix([[one, 0], [0, 0], [0, one]], field))
+            a = Subspace(Matrix([[one, 0], [0, one], [0, 0]], field))
+            b = Subspace(Matrix([[one, 0], [0, 0], [0, one]], field))
             assert a.dim == b.dim == 2
             assert a != b and b != a
 
@@ -689,7 +689,7 @@ class TestSubspace:
         assert f.contains(z)
 
     def test_contains_vector(self):
-        w = Subspace.from_span(Matrix([[1, 0], [0, 1], [0, 0]], RATIONAL))
+        w = Subspace(Matrix([[1, 0], [0, 1], [0, 0]], RATIONAL))
         assert w.contains_vector(Matrix([[2], [3], [0]], RATIONAL))
         assert not w.contains_vector(Matrix([[0], [0], [1]], RATIONAL))
         assert w.contains_vector(Matrix([[0], [0], [0]], RATIONAL))
@@ -698,8 +698,8 @@ class TestSubspace:
         rng = random.Random(909)
         for _ in range(25):
             n = rng.randint(2, 6)
-            a = Subspace.from_span(rand_int_matrix(rng, n, rng.randint(0, n)))
-            b = Subspace.from_span(rand_int_matrix(rng, n, rng.randint(0, n)))
+            a = Subspace(rand_int_matrix(rng, n, rng.randint(0, n)))
+            b = Subspace(rand_int_matrix(rng, n, rng.randint(0, n)))
             s = subspace_sum(a, b)
             i = subspace_intersection(a, b)
             assert s.dim + i.dim == a.dim + b.dim
@@ -708,22 +708,22 @@ class TestSubspace:
 
     def test_intersection_members_in_both(self):
         rng = random.Random(111)
-        a = Subspace.from_span(rand_int_matrix(rng, 5, 3))
-        b = Subspace.from_span(rand_int_matrix(rng, 5, 3))
+        a = Subspace(rand_int_matrix(rng, 5, 3))
+        b = Subspace(rand_int_matrix(rng, 5, 3))
         i = subspace_intersection(a, b)
         for j in range(i.dim):
             v = i.basis.column(j)
             assert a.contains_vector(v) and b.contains_vector(v)
 
     def test_ambient_mismatch(self):
-        a = Subspace.from_span(Matrix([[1], [0]], RATIONAL))
-        b = Subspace.from_span(Matrix([[1], [0], [0]], RATIONAL))
+        a = Subspace(Matrix([[1], [0]], RATIONAL))
+        b = Subspace(Matrix([[1], [0], [0]], RATIONAL))
         with pytest.raises(DimensionMismatch):
             subspace_sum(a, b)
 
     def test_float_subspace_equality(self):
-        a = Subspace.from_span(Matrix([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], FLOAT))
-        b = Subspace.from_span(Matrix([[2.0, 1e-12], [1e-12, 3.0], [0.0, 1e-12]], FLOAT))
+        a = Subspace(Matrix([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], FLOAT))
+        b = Subspace(Matrix([[2.0, 1e-12], [1e-12, 3.0], [0.0, 1e-12]], FLOAT))
         assert a == b
 
 
@@ -731,14 +731,14 @@ class TestRestrictOperator:
     def test_invariant_restriction(self):
         # block upper-triangular: the first two coordinates are invariant
         t = Matrix([[1, 2, 5], [3, 4, 6], [0, 0, 7]], RATIONAL)
-        w = Subspace.from_span(Matrix([[1, 0], [0, 1], [0, 0]], RATIONAL))
+        w = Subspace(Matrix([[1, 0], [0, 1], [0, 0]], RATIONAL))
         r = restrict_operator(t, w)
         assert w.basis * r == t * w.basis
         assert r.to_lists() == [[1, 2], [3, 4]]
 
     def test_non_invariant_raises(self):
         t = Matrix([[0, 0], [1, 0]], RATIONAL)
-        w = Subspace.from_span(Matrix([[1], [0]], RATIONAL))
+        w = Subspace(Matrix([[1], [0]], RATIONAL))
         with pytest.raises(NotInvariant):
             restrict_operator(t, w)
 
@@ -752,7 +752,7 @@ class TestRestrictOperator:
         for _ in range(10):
             n = rng.randint(2, 5)
             t = rand_int_matrix(rng, n, n)
-            w = Subspace.from_span(rand_int_matrix(rng, n, n))  # full space, random basis
+            w = Subspace(rand_int_matrix(rng, n, n))  # full space, random basis
             if w.dim != n:
                 continue
             assert trace(restrict_operator(t, w)) == trace(t)
@@ -793,7 +793,7 @@ def operators_and_subspaces(draw):
             v = t * v
             krylov = krylov.hstack(v)
         v = krylov
-    return t, Subspace.from_span(v)
+    return t, Subspace(v)
 
 
 class TestPivotForm:
@@ -811,7 +811,7 @@ class TestPivotForm:
         if m:
             spaces.append(kernel_basis(a))
         if n:
-            wa, wb = Subspace.from_span(a), Subspace.from_span(b)
+            wa, wb = Subspace(a), Subspace(b)
             spaces += [wa, wb, subspace_intersection(wa, wb), subspace_sum(wa, wb)]
             spaces += [Subspace(a, DEFAULT_POLICY) if rank(a) == m else wa]
             spaces += [Subspace.zero(n, RATIONAL), Subspace.full(n, RATIONAL)]
@@ -819,10 +819,10 @@ class TestPivotForm:
             assert_pivot_form(w)
 
     @given(operators_and_subspaces())
-    @example((NEGATIVE_PIVOTS, Subspace.from_span(Matrix([[1], [0], [2]], RATIONAL))))
+    @example((NEGATIVE_PIVOTS, Subspace(Matrix([[1], [0], [2]], RATIONAL))))
     @example((NEGATIVE_PIVOTS, kernel_basis(NEGATIVE_PIVOTS)))
     # pivot rows that are not the leading rows
-    @example((Matrix.diag([1, 2, 3], RATIONAL), Subspace.from_span(Matrix([[0], [1], [0]], RATIONAL))))
+    @example((Matrix.diag([1, 2, 3], RATIONAL), Subspace(Matrix([[0], [1], [0]], RATIONAL))))
     @example((Matrix.diag([1, 2, 3], RATIONAL), kernel_basis(Matrix([[1, 0, 0]], RATIONAL))))
     @settings(max_examples=150, deadline=None)
     def test_restriction_matches_solving(self, case):
@@ -831,10 +831,10 @@ class TestPivotForm:
         if want is None:
             with pytest.raises(NotInvariant):
                 restrict_operator(t, w)
-            assert not w.contains(Subspace.from_span(t * w.basis))
+            assert not w.contains(Subspace(t * w.basis))
         else:
             assert restrict_operator(t, w) == want
-            assert w.contains(Subspace.from_span(t * w.basis))
+            assert w.contains(Subspace(t * w.basis))
 
     @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -857,7 +857,7 @@ class TestPivotForm:
             assert np.max(np.abs(got.to_numpy() - want)) <= 1e-12
         if 0 < d < n:
             # a generic subspace of the same dimension is not invariant
-            other = Subspace.from_span(Matrix(rng.standard_normal((n, d)), FLOAT))
+            other = Subspace(Matrix(rng.standard_normal((n, d)), FLOAT))
             with pytest.raises(NotInvariant):
                 restrict_operator(t, other)
 
