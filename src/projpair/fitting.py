@@ -92,10 +92,10 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     pol = pair.pol
     ranks = [n]
     margins: list[float] = []
-    s_power = pair.identity()
+    s_power = pair.identity()  # S^k
+    next_power = ops.S  # S^(k+1)
     k = 0
     while True:
-        next_power = s_power * ops.S
         if pair.field == RATIONAL:
             # rank_p S^(k+1) <= rank S^(k+1) <= rank S^k: equality proves
             # stabilization, anything less is settled by the exact rank
@@ -113,6 +113,7 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
         k += 1
         if k > n:  # cannot happen: ranks strictly decrease in [0, n]
             raise ProjpairError("rank sequence failed to stabilize")
+        next_power = s_power * ops.S
 
     if k == 0:
         f = Subspace.zero(n, pair.field, pol)

@@ -12,9 +12,10 @@ per step, so a failure pinpoints the exact link that broke.
 
 The report needs only the eight dimensions, and :func:`eigenspace_dims`
 takes them from ranks of products of row-space and kernel bases of P,
-P - I, Q and Q - I, one elimination each.  :func:`compute_eigenspaces`,
-:func:`eigenspace` and :func:`dual_eigenspace` build the bases, by
-kernels and their intersections, for callers that need the vectors.
+P - I, Q and Q - I, the four bases of each idempotent from one
+elimination of it.  :func:`compute_eigenspaces`, :func:`eigenspace` and
+:func:`dual_eigenspace` build the bases, by kernels and their
+intersections, for callers that need the vectors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,16 @@ import numpy as np
 
 from .errors import EigensolverFailure, FieldMismatch, ProjpairError
 from .fitting import fitting_decomposition
-from .linalg import Matrix, Subspace, kernel_basis, rank, row_and_kernel, subspace_intersection, trace
+from .linalg import (
+    Matrix,
+    Subspace,
+    idempotent_bases,
+    kernel_basis,
+    rank,
+    subspace_intersection,
+    trace,
+    trace_product,
+)
 from .pairs import ProjectionPair, derived_ops
 from .scalars import FLOAT, RATIONAL, Scalar, TolerancePolicy, scalar_to_json
 
@@ -115,22 +125,22 @@ def compute_eigenspaces(pair: ProjectionPair) -> EigenspaceSet:
 
 
 def eigenspace_dims(pair: ProjectionPair) -> dict[str, int]:
-    """The eight eigenspace dimensions from four eliminations and eight
+    """The eight eigenspace dimensions from two eliminations and eight
     small ranks, with no kernel intersected.
 
-    P - aI and Q - bI are each reduced once to a row-space basis R and a
-    kernel basis K (:func:`row_and_kernel`).  E_ab is the kernel of P - aI
-    inside ker(Q - bI), so dim E_ab = dim K_{Q-bI} - rank(R_{P-aI} K_{Q-bI}).
+    One elimination of P gives a row-space basis R and a kernel basis K
+    of both P and P - I (:func:`idempotent_bases`), and one of Q those of
+    Q and Q - I.  E_ab is the kernel of P - aI inside ker(Q - bI), so
+    dim E_ab = dim K_{Q-bI} - rank(R_{P-aI} K_{Q-bI}).
     For an idempotent X, ker(X^T - cI) is the row space of X - (1-c)I, so
     Et_ab is the meet of the row spaces of P - (1-a)I and Q - (1-b)I, and
     z^T R_{Q-(1-b)I} lies in the first exactly when it is orthogonal to
     K_{P-(1-a)I}: dim Et_ab = rank(Q - (1-b)I) - rank(R_{Q-(1-b)I} K_{P-(1-a)I}),
     where rank(Q - (1-b)I) is the row count of its R.
     """
-    eye = pair.identity()
     pol = pair.pol
-    row_p, ker_p, _ = zip(*(row_and_kernel(pair.P - a * eye, pol) for a in (0, 1)))
-    row_q, ker_q, _ = zip(*(row_and_kernel(pair.Q - b * eye, pol) for b in (0, 1)))
+    row_p, ker_p = idempotent_bases(pair.P, pol)
+    row_q, ker_q = idempotent_bases(pair.Q, pol)
     labels = ((1, 0), (0, 1), (1, 1), (0, 0))
     dims = {f"e{a}{b}": ker_q[b].cols - rank(row_p[a] * ker_q[b], pol) for a, b in labels}
     for a, b in labels:
@@ -147,22 +157,22 @@ def trace_power(pair: ProjectionPair, n: int) -> Scalar:
 
 
 def _odd_power_traces(m: Matrix, ns: tuple[int, ...]) -> dict[int, Scalar]:
-    """Traces of m^n for the given odd n, sharing work between powers."""
-    out: dict[int, Scalar] = {}
+    """Traces of m^n for the given odd n, from the powers m^2 .. m^h only,
+    h = (max n + 1) / 2.
+
+    tr m^n = tr(m^a m^(n-a)) = sum_ij (m^a)_ij (m^(n-a))_ji with a = (n +
+    1) / 2 is one dot product (:func:`trace_product`), so no power beyond
+    h is formed: n = 1, 3, 5, 7 take m^2, m^3 and m^4.
+    """
     if not ns:
-        return out
-    if m.rows == 0:
-        zero = trace(m)
-        return {n: zero for n in ns}
-    m2 = m * m
-    cur = m
-    p = 1
-    for n in sorted(ns):
-        while p < n:
-            cur = cur * m2
-            p += 2
-        out[n] = trace(cur)
-    return out
+        return {}
+    powers = [None, m]
+    for _ in range((max(ns) + 1) // 2 - 1):
+        powers.append(powers[-1] * m)
+    return {
+        n: trace(m) if n == 1 else trace_product(powers[(n + 1) // 2], powers[n // 2])
+        for n in ns
+    }
 
 
 def _close(pair: ProjectionPair, x: Scalar, y: Scalar) -> bool:
@@ -229,20 +239,25 @@ class IndexReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _mixed_image_dim(
-    f: Subspace, left: Matrix, right: Matrix, pair: ProjectionPair
-) -> int:
-    """dim(left @ F + right @ F) for a subspace F given by its basis."""
+def _mixed_image_dims(f: Subspace, pair: ProjectionPair) -> tuple[int, int]:
+    """dim((I-P)F + QF) and dim(PF + (I-Q)F) for a subspace F given by its
+    basis B, from the two products P B and Q B: (I-P)B = B - P B and
+    (I-Q)B = B - Q B."""
     if f.dim == 0:
-        return 0
-    return rank((left * f.basis).hstack(right * f.basis), pair.pol)
+        return 0, 0
+    b = f.basis
+    pb, qb = pair.P * b, pair.Q * b
+    return rank((b - pb).hstack(qb), pair.pol), rank(pb.hstack(b - qb), pair.pol)
 
 
 def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> IndexReport:
     """Verify the whole trace/dimension chain on one pair.
 
-    The eight eigenspace dimensions come from :func:`eigenspace_dims`; no
-    eigenspace basis is built.
+    Each operator is computed once: of the derived operators only M and
+    S are built (:func:`derived_ops`; U, V and their certificate are
+    not), the eight eigenspace dimensions come from
+    :func:`eigenspace_dims` with no eigenspace basis built, and the
+    traces from powers of M up to half the largest n.
 
     Verdicts, in the order the equalities are derived:
 
@@ -275,7 +290,6 @@ def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> I
     ops = derived_ops(pair)
     fd = fitting_decomposition(pair)
     dims = eigenspace_dims(pair)
-    eye = pair.identity()
 
     traces = _odd_power_traces(ops.M, ns)
     traces_mf = _odd_power_traces(fd.M_F, ns)
@@ -284,8 +298,7 @@ def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> I
     trace_pf = trace(fd.P_F)
     trace_qf = trace(fd.Q_F)
 
-    codim_raw = _mixed_image_dim(fd.F, eye - pair.P, pair.Q, pair)
-    codim_mirror_raw = _mixed_image_dim(fd.F, pair.P, eye - pair.Q, pair)
+    codim_raw, codim_mirror_raw = _mixed_image_dims(fd.F, pair)
     gap = fd.F.dim - codim_raw
     gap_mirror = fd.F.dim - codim_mirror_raw
 

@@ -63,10 +63,12 @@ __all__ = [
     "rank",
     "kernel_basis",
     "row_and_kernel",
+    "idempotent_bases",
     "subspace_sum",
     "subspace_intersection",
     "restrict_operator",
     "trace",
+    "trace_product",
     "solve_exact",
     "numeric_rank",
     "is_invertible",
@@ -273,14 +275,18 @@ class Matrix:
             raise DimensionMismatch("power of a non-square matrix")
         if not isinstance(n, int) or n < 0:
             raise NegativePower("exponent must be a nonnegative integer")
-        result = Matrix.identity(self.rows, self.field)
+        if n == 0:
+            return Matrix.identity(self.rows, self.field)
+        # binary powering that starts from the first factor, not from I
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def transpose(self) -> "Matrix":
         if self.field == FLOAT:
@@ -648,6 +654,37 @@ def row_and_kernel(
     return _wrap(vh[:r]), _wrap(vh[r:].T), None
 
 
+def idempotent_bases(
+    x: Matrix, pol: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]:
+    """Row-space and kernel bases of an idempotent X and of X - I, from
+    one elimination of X: ((R_X, R_{X-I}), (K_X, K_{X-I})), so that
+    index a holds the bases of X - aI.
+
+    R_X and K_X are those of :func:`row_and_kernel`.  Over Q, with f its
+    free and c its pivot columns, ker X = im(I - X) and K_X is the
+    identity on rows f, so I - X = K_X (I - X)[f, :]: the n - rank X rows
+    (I - X)[f, :] span the row space of X - I.  The rows of X lie in the
+    row space of R_X, which is the identity on columns c, so X = X[:, c]
+    R_X: the rank X columns X[:, c] span im X = ker(X - I).  Over floats
+    one full SVD X = U diag(s) Vh gives R_X = Vh[:r], K_X = Vh[r:]^T,
+    R_{X-I} = U[:, r:]^T (ker X^T, the row space of I - X) and K_{X-I} =
+    U[:, :r] (im X), r its :func:`numeric_rank`.  x must be square and
+    idempotent; nothing here checks it.
+    """
+    if x.field == RATIONAL:
+        r_x, k_x, free_cols = row_and_kernel(x, pol)
+        free = set(free_cols)
+        piv_cols = [c for c in range(x.cols) if c not in free]
+        den = x.den
+        r_xi = [[(den if j == f else 0) - v for j, v in enumerate(x.num[f])] for f in free_cols]
+        k_xi = [[row[c] for c in piv_cols] for row in x.num]
+        return (r_x, _exact(r_xi, x.cols, den)), (k_x, _exact(k_xi, len(piv_cols), den))
+    u, s, vh = np.linalg.svd(x.data, full_matrices=True)
+    r, _ = numeric_rank(s, x.shape, pol)
+    return (_wrap(vh[:r]), _wrap(u[:, r:].T)), (_wrap(vh[r:].T), _wrap(u[:, :r]))
+
+
 def kernel_basis(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
     """Basis of the null space of m, as a Subspace of dimension cols - rank:
     the K of :func:`row_and_kernel`.
@@ -830,3 +867,15 @@ def restrict_operator(
 def trace(m: Matrix) -> Scalar:
     """Sum of the diagonal entries; exact over the rationals."""
     return m.trace()
+
+
+def trace_product(a: Matrix, b: Matrix) -> Scalar:
+    """tr(AB) = sum_ij A_ij B_ji without forming AB: one integer dot
+    product over den_a * den_b over Q, one elementwise sum over floats."""
+    check_same_field(a.field, b.field)
+    if a.shape != (b.cols, b.rows):
+        raise DimensionMismatch(f"tr(AB) needs AB square: {a.shape} by {b.shape}")
+    if a.field == FLOAT:
+        return float(np.sum(a.data * b.data.T))
+    b_t = itertools.chain.from_iterable(zip(*b.num))
+    return Fraction(sum(map(operator.mul, itertools.chain.from_iterable(a.num), b_t)), a.den * b.den)

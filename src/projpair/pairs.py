@@ -8,8 +8,8 @@ Given idempotents P and Q on the same space, the derived operators are
     V = (I-P)(I-Q) + PQ
 
 linked by the structural identities QU = UP, UV = VU = S and
-I - U = (I-2Q)M, which this module verifies at construction time and
-exposes as residual checks.  The commutator identity
+I - U = (I-2Q)M, which this module verifies when U and V are first
+built and exposes as residual checks.  The commutator identity
 
     [(I-2Q) T M, PV] = T M (I - M^2)
 
@@ -20,8 +20,8 @@ explicit commutator, which forces tr M^n = tr M for odd n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -88,13 +88,54 @@ class IdentityCertificate:
 
 @dataclass(frozen=True)
 class DerivedOps:
-    """The operators derived from a pair, with their identity certificate."""
+    """M = P - Q and S = I - M^2 of a pair, with U, V and their identity
+    certificate built together on first access and kept.
 
+    Reading U, V or the certificate raises :class:`IdentityViolation`
+    when a float pair breaks an identity beyond tolerance; over the
+    rationals the identities hold exactly for every valid pair.
+    """
+
+    pair: ProjectionPair = field(repr=False)
     M: Matrix
     S: Matrix
-    U: Matrix
-    V: Matrix
-    certificate: IdentityCertificate
+
+    @cached_property
+    def _exchange(self) -> tuple[Matrix, Matrix, IdentityCertificate]:
+        pair = self.pair
+        eye = pair.identity()
+        P, Q, M, S = pair.P, pair.Q, self.M, self.S
+        U = (eye - Q) * (eye - P) + Q * P
+        V = (eye - P) * (eye - Q) + P * Q
+        cert = IdentityCertificate(
+            qu_up=(Q * U - U * P).max_norm(),
+            uv_s=(U * V - S).max_norm(),
+            vu_s=(V * U - S).max_norm(),
+            one_minus_u=((eye - U) - (eye - 2 * Q) * M).max_norm(),
+        )
+        if pair.field == RATIONAL:
+            if cert.max_residual() != 0.0:
+                raise IdentityViolation("exact identity check failed; invalid pair state")
+        else:
+            allowed = _identity_tol(pair.pol, pair.dim, P, Q, U, V)
+            if cert.max_residual() > allowed:
+                raise IdentityViolation(
+                    f"derived-operator identities exceed tolerance "
+                    f"({cert.max_residual():.3e} > {allowed:.3e})"
+                )
+        return U, V, cert
+
+    @property
+    def U(self) -> Matrix:
+        return self._exchange[0]
+
+    @property
+    def V(self) -> Matrix:
+        return self._exchange[1]
+
+    @property
+    def certificate(self) -> IdentityCertificate:
+        return self._exchange[2]
 
 
 def _idempotency_residual(m: Matrix) -> Scalar:
@@ -137,35 +178,10 @@ def make_pair(
 
 @lru_cache(maxsize=256)
 def derived_ops(pair: ProjectionPair) -> DerivedOps:
-    """Compute M, S, U, V and certify the structural identities.
-
-    Raises :class:`IdentityViolation` when a float pair breaks an identity
-    beyond tolerance; over the rationals the identities hold exactly for
-    every valid pair.
-    """
-    eye = pair.identity()
-    P, Q = pair.P, pair.Q
-    M = P - Q
-    S = eye - M * M
-    U = (eye - Q) * (eye - P) + Q * P
-    V = (eye - P) * (eye - Q) + P * Q
-    cert = IdentityCertificate(
-        qu_up=(Q * U - U * P).max_norm(),
-        uv_s=(U * V - S).max_norm(),
-        vu_s=(V * U - S).max_norm(),
-        one_minus_u=((eye - U) - (eye - 2 * Q) * M).max_norm(),
-    )
-    if pair.field == RATIONAL:
-        if cert.max_residual() != 0.0:
-            raise IdentityViolation("exact identity check failed; invalid pair state")
-    else:
-        allowed = _identity_tol(pair.pol, pair.dim, P, Q, U, V)
-        if cert.max_residual() > allowed:
-            raise IdentityViolation(
-                f"derived-operator identities exceed tolerance "
-                f"({cert.max_residual():.3e} > {allowed:.3e})"
-            )
-    return DerivedOps(M=M, S=S, U=U, V=V, certificate=cert)
+    """M and S of a pair, with one product; U, V and the identity
+    certificate wait for first access (:class:`DerivedOps`)."""
+    M = pair.P - pair.Q
+    return DerivedOps(pair, M, pair.identity() - M * M)
 
 
 @dataclass(frozen=True)
@@ -205,7 +221,7 @@ class CentralizerElement:
         power = eye
         for j, c in enumerate(self.coeffs):
             if j > 0:
-                power = power * m2
+                power = m2 if j == 1 else power * m2
             if c != 0:
                 acc = acc + c * power
         res = max(

@@ -5,9 +5,10 @@ import pathlib
 
 import pytest
 
-from projpair.cli import run_cli
+from projpair.cli import _bridge_pair, run_cli
 from projpair.generators import gen_pair_oblique_rational
 from projpair.pairfile import save_pair
+from projpair.pairs import derived_ops
 
 
 def run(capsys, *args):
@@ -183,6 +184,17 @@ class TestLemma:
         assert "FAIL" not in out
         assert "PASS numeric bridge:" in out
         assert "witness_m_minus_m7" in out
+
+    def test_bridge_builds_exchange_operators(self, capsys):
+        """The bridge evaluates U and V, which derived_ops builds and
+        certifies on first access."""
+        derived_ops.cache_clear()
+        code, out, _ = run(capsys, "lemma", "--numeric-samples", "3")
+        assert code == 0 and "PASS numeric bridge:" in out
+        for i in range(3):
+            ops = derived_ops(_bridge_pair(0xB71D6E, i))
+            assert "_exchange" in vars(ops)
+            assert ops.certificate.max_residual() == 0
 
     def test_bridge_can_be_skipped(self, capsys):
         code, out, _ = run(capsys, "lemma", "--max-n", "5", "--numeric-samples", "0")

@@ -1,6 +1,7 @@
 """Eigenspace counts, odd-power traces, verdicts, spectrum pairing."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from projpair.generators import (
     random_unimodular,
 )
 from projpair.index import (
+    _odd_power_traces,
     compute_eigenspaces,
     dual_eigenspace,
     eigenspace,
@@ -29,8 +31,8 @@ from projpair.index import (
     spectrum_symmetry_check,
     trace_power,
 )
-from projpair.linalg import Matrix, rank, subspace_intersection
-from projpair.pairs import derived_ops, make_pair, to_float_pair
+from projpair.linalg import Matrix, rank, subspace_intersection, trace
+from projpair.pairs import commutator_witness, derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL
 
 VERDICT_NAMES = {
@@ -178,6 +180,29 @@ def kernel_route_dims(pair):
     return compute_eigenspaces(pair).dims()
 
 
+def edge_pairs():
+    """Pairs on which one elimination of an idempotent gives degenerate
+    bases: P or Q = 0 or I (empty pivot or free columns), d = 1, and
+    Fitting exponents 2..4."""
+    other = gen_pair_oblique_rational(4, 2, 3, seed=17)
+    zero, eye = Matrix.zeros(4, 4, RATIONAL), Matrix.identity(4, RATIONAL)
+    pairs = {
+        "P=0": make_pair(zero, other.Q),
+        "P=I": make_pair(eye, other.Q),
+        "Q=0": make_pair(other.P, zero),
+        "Q=I": make_pair(other.P, eye),
+    }
+    for p in (0, 1):
+        for q in (0, 1):
+            pairs[f"d1-{p}{q}"] = make_pair(Matrix([[p]], RATIONAL), Matrix([[q]], RATIONAL))
+    for m in (2, 3, 4):
+        pairs[f"jordan{m}"] = jordan_pair(m)
+    return pairs
+
+
+EDGE_PAIRS = edge_pairs()
+
+
 class TestRankFormulaOracle:
     @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
     @pytest.mark.parametrize(
@@ -190,6 +215,13 @@ class TestRankFormulaOracle:
         the pair and on its float conversion (non-symmetric float pairs)."""
         want = rank_formula_dims(pair)
         assert route(pair if field == RATIONAL else to_float_pair(pair)) == want
+
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("name", sorted(EDGE_PAIRS))
+    def test_edge_idempotents(self, name, field):
+        pair = EDGE_PAIRS[name]
+        x = pair if field == RATIONAL else to_float_pair(pair)
+        assert eigenspace_dims(x) == kernel_route_dims(x) == rank_formula_dims(pair)
 
     def test_formula_on_known_dims(self):
         assert rank_formula_dims(diag_pair()) == {
@@ -247,7 +279,62 @@ class TestTracePower:
             trace_power(diag_pair(), 0)
 
 
+ODD = tuple(range(1, 16, 2))
+
+
+def odd_subsets(rng, count):
+    """(9,) alone, all odd n up to 15 unsorted, then random unsorted subsets."""
+    subsets = [(9,), tuple(reversed(ODD))]
+    for _ in range(count):
+        ns = rng.sample(ODD, rng.randint(1, len(ODD)))
+        subsets.append(tuple(ns))
+    return subsets
+
+
+class TestOddPowerTraces:
+    """The half-power traces against the traces of the full powers."""
+
+    def test_exact_on_rational_pairs(self):
+        rng = random.Random(5)
+        for pair in [oblique(i, 1, 8) for i in range(6)] + [jordan_pair(3)]:
+            m = derived_ops(pair).M
+            want = {n: trace(m**n) for n in ODD}
+            for ns in odd_subsets(rng, 12):
+                got = _odd_power_traces(m, ns)
+                assert list(got) == list(ns)
+                assert got == {n: want[n] for n in ns}
+
+    def test_close_on_float_pairs(self):
+        rng = random.Random(6)
+        for dim in (1, 5, 16, 40):
+            h = mix_seed(0x0DD, dim)
+            pair = gen_pair_orthogonal(dim, (h >> 8) % (dim + 1), (h >> 16) % (dim + 1), seed=h)
+            m = derived_ops(pair).M
+            want = {n: trace(m**n) for n in ODD}
+            for ns in odd_subsets(rng, 6):
+                for n, value in _odd_power_traces(m, ns).items():
+                    assert abs(value - want[n]) <= 1e-12 * max(1.0, abs(want[n])), (dim, n)
+
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    def test_empty_block(self, field):
+        assert _odd_power_traces(Matrix.zeros(0, 0, field), (7, 1, 3)) == {7: 0, 1: 0, 3: 0}
+
+
 class TestIndexReport:
+    def test_report_builds_no_exchange_operators(self):
+        """The report reads M and S only; U, V and their certificate are
+        built on first access, as by the commutator witness."""
+        derived_ops.cache_clear()
+        for pair in (oblique(4), to_float_pair(oblique(4)), jordan_pair(2)):
+            assert index_report(pair, (1, 3, 5, 7)).all_verdicts_true
+            ops = derived_ops(pair)
+            assert "_exchange" not in vars(ops)
+            commutator_witness(pair, 5)
+            assert "_exchange" in vars(ops)
+            # reading the certificate raises IdentityViolation past tolerance
+            residual = ops.certificate.max_residual()
+            assert pair.field == FLOAT or residual == 0
+
     def test_verdict_names_fixed(self):
         report = index_report(diag_pair())
         assert set(report.verdicts) == VERDICT_NAMES

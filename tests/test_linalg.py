@@ -30,6 +30,7 @@ from projpair.linalg import (
     subspace_intersection,
     subspace_sum,
     trace,
+    trace_product,
 )
 from projpair.scalars import DEFAULT_POLICY, FLOAT, RATIONAL, TolerancePolicy
 
@@ -113,10 +114,36 @@ class TestMatrixBasics:
         with pytest.raises(ProjpairError):
             a**-1
 
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    def test_power_matches_repeated_products(self, field):
+        # integer entries keep every float product exact (below 2^53)
+        rng = random.Random(11)
+        for dim in (1, 3, 4):
+            a = Matrix(rand_int_matrix(rng, dim, dim, bound=2).to_lists(), field)
+            expected = Matrix.identity(dim, field)
+            for e in range(10):
+                assert a**e == expected, e
+                expected = expected * a
+
     def test_trace_requires_square(self):
         with pytest.raises(DimensionMismatch):
             Matrix.zeros(2, 3, RATIONAL).trace()
         assert trace(Matrix.zeros(0, 0, RATIONAL)) == 0
+
+    def test_trace_product(self):
+        rng = random.Random(13)
+        for rows, cols in ((1, 1), (2, 5), (4, 3)):
+            a = rand_int_matrix(rng, rows, cols) * Fraction(1, 3)
+            b = rand_int_matrix(rng, cols, rows) * Fraction(2, 7)
+            assert trace_product(a, b) == trace(a * b)
+            fa, fb = a.to_float(), b.to_float()
+            assert trace_product(fa, fb) == pytest.approx(float(trace(a * b)), abs=1e-12)
+        for field in (RATIONAL, FLOAT):
+            for rows, cols in ((0, 3), (3, 0), (0, 0)):
+                a, b = Matrix.zeros(rows, cols, field), Matrix.zeros(cols, rows, field)
+                assert trace_product(a, b) == 0
+        with pytest.raises(DimensionMismatch):
+            trace_product(Matrix.zeros(2, 3, RATIONAL), Matrix.zeros(2, 3, RATIONAL))
 
     def test_hstack(self):
         a = Matrix([[1], [2]], RATIONAL)
