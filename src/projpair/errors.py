@@ -39,7 +39,7 @@ class SingularS(ProjpairError):
 
 
 class IdentityViolation(ProjpairError):
-    """A structural identity failed beyond tolerance (float field only)."""
+    """A structural identity failed: exactly over Q, beyond tolerance over floats."""
 
 
 class RestrictionFailure(ProjpairError):

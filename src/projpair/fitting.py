@@ -89,7 +89,6 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     """
     ops = derived_ops(pair)
     n = pair.dim
-    pol = pair.pol
     ranks = [n]
     margins: list[float] = []
     s_power = pair.identity()  # S^k
@@ -101,10 +100,10 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
             # stabilization, anything less is settled by the exact rank
             if rank_lower_bound(next_power) == ranks[-1]:
                 break
-            r = rank(next_power, pol)
+            r = rank(next_power)
         else:
             sv = np.linalg.svd(next_power.to_numpy(), compute_uv=False)
-            r, margin = numeric_rank(sv, next_power.shape, pol)
+            r, margin = numeric_rank(sv, next_power.shape)
             margins.append(margin)
         if r == ranks[-1]:
             break
@@ -116,24 +115,24 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
         next_power = s_power * ops.S
 
     if k == 0:
-        f = Subspace.zero(n, pair.field, pol)
-        y = Subspace.full(n, pair.field, pol)
+        f = Subspace.zero(n, pair.field)
+        y = Subspace.full(n, pair.field)
     elif pair.field == RATIONAL:
-        f = kernel_basis(s_power, pol)
-        y = Subspace(s_power, pol)
+        f = kernel_basis(s_power)
+        y = Subspace(s_power)
     else:
         # kernel and column space from one SVD, so that their dimensions
         # add up to n; both bases are already orthonormal
         u, sv, vh = np.linalg.svd(s_power.to_numpy(), full_matrices=True)
-        r, _ = numeric_rank(sv, s_power.shape, pol)
-        f = Subspace(Matrix(vh[r:].T, FLOAT), pol, _raw=True)
-        y = Subspace(Matrix(u[:, :r], FLOAT), pol, _raw=True)
+        r, _ = numeric_rank(sv, s_power.shape)
+        f = Subspace(Matrix(vh[r:].T, FLOAT), _raw=True)
+        y = Subspace(Matrix(u[:, :r], FLOAT), _raw=True)
 
     def restrict_all(w: Subspace) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         """P_W and Q_W by restriction; M_W = P_W - Q_W and S_W = I - M_W^2."""
         try:
-            p_w = restrict_operator(pair.P, w, pol)
-            q_w = restrict_operator(pair.Q, w, pol)
+            p_w = restrict_operator(pair.P, w, pair.pol)
+            q_w = restrict_operator(pair.Q, w, pair.pol)
         except NotInvariant as exc:
             raise RestrictionFailure(str(exc)) from exc
         m_w = p_w - q_w
@@ -219,7 +218,6 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
     """
     ops = derived_ops(pair)
     n = pair.dim
-    pol = pair.pol
     f, y, k = fd.F, fd.Y, fd.k
     try:
         independent = subspace_sum(f, y).dim == n
@@ -236,7 +234,7 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
     q_on_y = _restriction_roundtrip(pair.Q, y, fd.Q_Y, pair)
     m_y_ok = _m_consistent(y, fd.P_Y, fd.Q_Y, fd.M_Y, pair)
     s_y_ok = _s_consistent(y, fd.M_Y, fd.S_Y, pair)
-    s_y_invertible = _fits(y, pair, fd.S_Y) and is_invertible(fd.S_Y, pol)
+    s_y_invertible = _fits(y, pair, fd.S_Y) and is_invertible(fd.S_Y)
     # (b): S B_Y = B_Y S_Y with S_Y invertible
     y_in_image = p_on_y and q_on_y and m_y_ok and s_y_ok and s_y_invertible
     s_f_ok = _fits(f, pair, fd.S_F) and k >= 0

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GenerationExhausted, ProjpairError
 from .linalg import Matrix
 from .pairs import ProjectionPair, make_pair
-from .scalars import DEFAULT_POLICY, FLOAT, RATIONAL, TolerancePolicy
+from .scalars import FLOAT, RATIONAL
 
 __all__ = [
     "PythagoreanBlock",
@@ -64,13 +64,7 @@ def _check_ranks(dim: int, rank_p: int, rank_q: int) -> None:
             raise ProjpairError(f"{name} must lie in [0, {dim}], got {r}")
 
 
-def gen_pair_orthogonal(
-    dim: int,
-    rank_p: int,
-    rank_q: int,
-    seed: int,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> ProjectionPair:
+def gen_pair_orthogonal(dim: int, rank_p: int, rank_q: int, seed: int) -> ProjectionPair:
     """Symmetric float pair from seeded random orthonormal frames.
 
     Each projection is F F^T for a frame F whose columns come out of a QR
@@ -87,7 +81,7 @@ def gen_pair_orthogonal(
         q, _ = np.linalg.qr(g)
         return Matrix(q @ q.T, FLOAT)
 
-    return make_pair(proj(rank_p), proj(rank_q), pol)
+    return make_pair(proj(rank_p), proj(rank_q))
 
 
 _OBLIQUE_RETRY_BUDGET = 200
@@ -99,7 +93,6 @@ def gen_pair_oblique_rational(
     rank_q: int,
     seed: int,
     entry_bound: int = 3,
-    pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> ProjectionPair:
     """Exact rational pair of oblique projections A (BA)^-1 B.
 
@@ -136,7 +129,7 @@ def gen_pair_oblique_rational(
             f"(dim={dim}, entry_bound={entry_bound}, seed={seed})"
         )
 
-    return make_pair(proj(rank_p, 0), proj(rank_q, 1), pol)
+    return make_pair(proj(rank_p, 0), proj(rank_q, 1))
 
 
 @dataclass(frozen=True)
@@ -249,8 +242,8 @@ def expected_dimensions(spec: PrescribedSpec) -> dict[str, int]:
     }
 
 
-def random_unimodular(n: int, seed: int, ops: int | None = None) -> Matrix:
-    """Integer matrix with determinant +-1 from seeded elementary moves.
+def random_unimodular(n: int, seed: int) -> Matrix:
+    """Integer matrix with determinant +-1 from 2n seeded elementary moves.
 
     Row additions use coefficients +-1 to keep the entries (and the
     entries of the inverse) from blowing up; determinant stays in
@@ -263,9 +256,7 @@ def random_unimodular(n: int, seed: int, ops: int | None = None) -> Matrix:
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     if n == 1:
         return Matrix([[Fraction(rng.choice((-1, 1)))]], RATIONAL)
-    if ops is None:
-        ops = 2 * n
-    for _ in range(ops):
+    for _ in range(2 * n):
         move = rng.randrange(3)
         i, j = rng.sample(range(n), 2)
         if move == 0:
@@ -278,9 +269,7 @@ def random_unimodular(n: int, seed: int, ops: int | None = None) -> Matrix:
     return Matrix(rows, RATIONAL)
 
 
-def gen_prescribed(
-    spec: PrescribedSpec, pol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[ProjectionPair, int]:
+def gen_prescribed(spec: PrescribedSpec) -> tuple[ProjectionPair, int]:
     """Assemble the block-diagonal pair and report its index.
 
     Blocks are laid down in a fixed order (the 1x1 families, then the
@@ -318,4 +307,4 @@ def gen_prescribed(
         r_inv = r.inverse()
         p = r * p * r_inv
         q = r * q * r_inv
-    return make_pair(p, q, pol), spec.d10 - spec.d01
+    return make_pair(p, q), spec.d10 - spec.d01

@@ -21,7 +21,7 @@ intersections, for callers that need the vectors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,17 +56,15 @@ __all__ = [
 _DIM_KEYS = ("e10", "e01", "e11", "e00", "et10", "et01", "et11", "et00")
 
 
-def _joint_eigenspaces(
-    p: Matrix, q: Matrix, pol: TolerancePolicy
-) -> dict[tuple[int, int], Subspace]:
+def _joint_eigenspaces(p: Matrix, q: Matrix) -> dict[tuple[int, int], Subspace]:
     """ker(P - aI) intersect ker(Q - bI) for all four labels a, b in {0, 1}.
 
     Each of the four one-sided kernels is computed once and shared by the
     two intersections that use it.
     """
     eye = Matrix.identity(p.rows, p.field)
-    ker_p = [kernel_basis(p - a * eye, pol) for a in (0, 1)]
-    ker_q = [kernel_basis(q - b * eye, pol) for b in (0, 1)]
+    ker_p = [kernel_basis(p - a * eye) for a in (0, 1)]
+    ker_q = [kernel_basis(q - b * eye) for b in (0, 1)]
     return {
         (a, b): subspace_intersection(ker_p[a], ker_q[b]) for a in (0, 1) for b in (0, 1)
     }
@@ -80,13 +78,13 @@ def _check_labels(a: int, b: int) -> None:
 def eigenspace(pair: ProjectionPair, a: int, b: int) -> Subspace:
     """Joint eigenspace ker(P - aI) intersect ker(Q - bI), a, b in {0, 1}."""
     _check_labels(a, b)
-    return _joint_eigenspaces(pair.P, pair.Q, pair.pol)[a, b]
+    return _joint_eigenspaces(pair.P, pair.Q)[a, b]
 
 
 def dual_eigenspace(pair: ProjectionPair, a: int, b: int) -> Subspace:
     """Joint eigenspace of the transposed pair; the finite-dimensional dual."""
     _check_labels(a, b)
-    return _joint_eigenspaces(pair.P.transpose(), pair.Q.transpose(), pair.pol)[a, b]
+    return _joint_eigenspaces(pair.P.transpose(), pair.Q.transpose())[a, b]
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,8 @@ class EigenspaceSet:
 
 
 def compute_eigenspaces(pair: ProjectionPair) -> EigenspaceSet:
-    e = _joint_eigenspaces(pair.P, pair.Q, pair.pol)
-    et = _joint_eigenspaces(pair.P.transpose(), pair.Q.transpose(), pair.pol)
+    e = _joint_eigenspaces(pair.P, pair.Q)
+    et = _joint_eigenspaces(pair.P.transpose(), pair.Q.transpose())
     return EigenspaceSet(
         E10=e[1, 0], E01=e[0, 1], E11=e[1, 1], E00=e[0, 0],
         Et10=et[1, 0], Et01=et[0, 1], Et11=et[1, 1], Et00=et[0, 0],
@@ -138,14 +136,13 @@ def eigenspace_dims(pair: ProjectionPair) -> dict[str, int]:
     K_{P-(1-a)I}: dim Et_ab = rank(Q - (1-b)I) - rank(R_{Q-(1-b)I} K_{P-(1-a)I}),
     where rank(Q - (1-b)I) is the row count of its R.
     """
-    pol = pair.pol
-    row_p, ker_p = idempotent_bases(pair.P, pol)
-    row_q, ker_q = idempotent_bases(pair.Q, pol)
+    row_p, ker_p = idempotent_bases(pair.P)
+    row_q, ker_q = idempotent_bases(pair.Q)
     labels = ((1, 0), (0, 1), (1, 1), (0, 0))
-    dims = {f"e{a}{b}": ker_q[b].cols - rank(row_p[a] * ker_q[b], pol) for a, b in labels}
+    dims = {f"e{a}{b}": ker_q[b].cols - rank(row_p[a] * ker_q[b]) for a, b in labels}
     for a, b in labels:
         r = row_q[1 - b]
-        dims[f"et{a}{b}"] = r.rows - rank(r * ker_p[1 - a], pol)
+        dims[f"et{a}{b}"] = r.rows - rank(r * ker_p[1 - a])
     return dims
 
 
@@ -247,7 +244,7 @@ def _mixed_image_dims(f: Subspace, pair: ProjectionPair) -> tuple[int, int]:
         return 0, 0
     b = f.basis
     pb, qb = pair.P * b, pair.Q * b
-    return rank((b - pb).hstack(qb), pair.pol), rank(pb.hstack(b - qb), pair.pol)
+    return rank((b - pb).hstack(qb)), rank(pb.hstack(b - qb))
 
 
 def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> IndexReport:
@@ -383,11 +380,8 @@ def spectrum_symmetry_check(pair: ProjectionPair, tol: float | None = None) -> S
     """
     if pair.field != FLOAT:
         raise FieldMismatch("spectrum check needs a float pair; convert first")
-    if tol is None:
-        tol = pair.pol.compare_abs_tol
-    else:
-        # held to the policy's rule: finite and strictly positive
-        tol = replace(pair.pol, compare_abs_tol=tol).compare_abs_tol
+    # an explicit tol is held to the policy's rule: finite and strictly positive
+    tol = pair.pol.compare_abs_tol if tol is None else TolerancePolicy(tol).compare_abs_tol
     try:
         values = np.linalg.eigvals(derived_ops(pair).M.to_numpy())
     except np.linalg.LinAlgError as exc:

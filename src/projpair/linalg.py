@@ -14,10 +14,11 @@ exceeds the rank over Q, so it proves full rank (:func:`is_invertible`)
 or a rank already known as an upper bound, and anything short of that
 falls back to the exact elimination.  A float matrix holds one read-only
 float64 ndarray, so its arithmetic runs in numpy and BLAS; it mirrors
-the same API through SVD thresholding, with every cutoff taken from an
-explicit :class:`TolerancePolicy` and every rank decision, float
-subspace bases included, from the one rule :func:`numeric_rank`,
-anchored at unit scale.
+the same API through SVD thresholding.  Every float rank decision, float
+subspace bases included, comes from the one rule :func:`numeric_rank`,
+the fixed cutoff :data:`RANK_REL_TOL` anchored at unit scale, and every
+float comparison from the ``compare_abs_tol`` of a
+:class:`TolerancePolicy`.
 
 A subspace is a basis in a form that makes coordinates a read: over Q
 the basis is the identity on recorded pivot rows, over floats it is
@@ -74,11 +75,15 @@ __all__ = [
     "is_invertible",
     "rank_lower_bound",
     "RANK_PRIME",
+    "RANK_REL_TOL",
 ]
 
 # The modulus of rank_lower_bound: the largest prime below 2^31, so the
 # product of two reduced entries stays below 2^62.
 RANK_PRIME = 2147483629
+
+# The relative singular-value cutoff of numeric_rank.
+RANK_REL_TOL = 1e-9
 
 
 class Matrix:
@@ -536,13 +541,12 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix | None:
 # ---------------------------------------------------------------------------
 
 
-def numeric_rank(
-    sv: np.ndarray, shape: tuple[int, int], pol: TolerancePolicy
-) -> tuple[int, float]:
+def numeric_rank(sv: np.ndarray, shape: tuple[int, int]) -> tuple[int, float]:
     """The float rank rule: rank and margin from descending singular values.
 
-    A singular value counts when it exceeds rank_rel_tol * max(sigma_max,
-    1) * max(shape).  The scale is anchored at one because every matrix
+    A singular value counts when it exceeds RANK_REL_TOL * max(sigma_max,
+    1) * max(shape), a fixed cutoff that no policy or comparison
+    tolerance moves.  The scale is anchored at one because every matrix
     the package ranks is built from unit-scale idempotents or has
     orthonormal columns: a matrix that should be zero but holds 1e-16
     noise is rank zero, not full rank.  The margin is the smallest kept
@@ -551,25 +555,26 @@ def numeric_rank(
     """
     if sv.size == 0:
         return 0, float("inf")
-    threshold = pol.rank_rel_tol * max(float(sv[0]), 1.0) * max(shape)
+    threshold = RANK_REL_TOL * max(float(sv[0]), 1.0) * max(shape)
     r = int(np.sum(sv > threshold))
     margin = float(sv[r - 1]) / threshold if r > 0 else float("inf")
     return r, margin
 
 
-def is_invertible(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+def is_invertible(m: Matrix) -> bool:
     """Whether m is square of full rank (the empty matrix is).
 
     Exact over Q: a full :func:`rank_lower_bound` proves full rank, and
     any smaller bound, which an unlucky prime can give, is settled by the
-    exact :func:`rank`.  Over floats it is ``rank(m, pol) == m.rows``, so
-    a numerically-zero matrix is singular whatever its noise spectrum.
+    exact :func:`rank`.  Over floats it is ``rank(m) == m.rows`` by
+    :func:`numeric_rank`, so a numerically-zero matrix is singular
+    whatever its noise spectrum.
     """
     if not m.is_square:
         return False
     if m.field == RATIONAL and rank_lower_bound(m) == m.rows:
         return True
-    return rank(m, pol) == m.rows
+    return rank(m) == m.rows
 
 
 def rank_lower_bound(m: Matrix) -> int:
@@ -612,19 +617,17 @@ def rank_lower_bound(m: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def rank(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
+def rank(m: Matrix) -> int:
     """Matrix rank: exact elimination over Q, :func:`numeric_rank` of the
     singular values over floats."""
     if m.field == RATIONAL:
         return len(_bareiss_echelon([list(r) for r in m.num], m.cols)[1])
     if m.rows == 0 or m.cols == 0:
         return 0
-    return numeric_rank(np.linalg.svd(m.data, compute_uv=False), m.shape, pol)[0]
+    return numeric_rank(np.linalg.svd(m.data, compute_uv=False), m.shape)[0]
 
 
-def row_and_kernel(
-    m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[Matrix, Matrix, list[int] | None]:
+def row_and_kernel(m: Matrix) -> tuple[Matrix, Matrix, list[int] | None]:
     """Row-space basis R, kernel basis K and the free columns of m, all
     from one elimination; R has rank m rows.
 
@@ -650,13 +653,11 @@ def row_and_kernel(
     if m.rows == 0:
         return Matrix.zeros(0, m.cols, FLOAT), Matrix.identity(m.cols, FLOAT), None
     _, s, vh = np.linalg.svd(m.data, full_matrices=True)
-    r, _ = numeric_rank(s, m.shape, pol)
+    r, _ = numeric_rank(s, m.shape)
     return _wrap(vh[:r]), _wrap(vh[r:].T), None
 
 
-def idempotent_bases(
-    x: Matrix, pol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]:
+def idempotent_bases(x: Matrix) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]:
     """Row-space and kernel bases of an idempotent X and of X - I, from
     one elimination of X: ((R_X, R_{X-I}), (K_X, K_{X-I})), so that
     index a holds the bases of X - aI.
@@ -673,7 +674,7 @@ def idempotent_bases(
     idempotent; nothing here checks it.
     """
     if x.field == RATIONAL:
-        r_x, k_x, free_cols = row_and_kernel(x, pol)
+        r_x, k_x, free_cols = row_and_kernel(x)
         free = set(free_cols)
         piv_cols = [c for c in range(x.cols) if c not in free]
         den = x.den
@@ -681,11 +682,11 @@ def idempotent_bases(
         k_xi = [[row[c] for c in piv_cols] for row in x.num]
         return (r_x, _exact(r_xi, x.cols, den)), (k_x, _exact(k_xi, len(piv_cols), den))
     u, s, vh = np.linalg.svd(x.data, full_matrices=True)
-    r, _ = numeric_rank(s, x.shape, pol)
+    r, _ = numeric_rank(s, x.shape)
     return (_wrap(vh[:r]), _wrap(u[:, r:].T)), (_wrap(vh[r:].T), _wrap(u[:, :r]))
 
 
-def kernel_basis(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
+def kernel_basis(m: Matrix) -> "Subspace":
     """Basis of the null space of m, as a Subspace of dimension cols - rank:
     the K of :func:`row_and_kernel`.
 
@@ -695,8 +696,8 @@ def kernel_basis(m: Matrix, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace"
     """
     if m.cols == 0:
         raise DimensionMismatch("kernel needs at least one column")
-    _, basis, free_cols = row_and_kernel(m, pol)
-    return Subspace(basis, pol, _raw=True, _pivots=free_cols)
+    _, basis, free_cols = row_and_kernel(m)
+    return Subspace(basis, _raw=True, _pivots=free_cols)
 
 
 def _column_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -723,37 +724,37 @@ class Subspace:
     singular vectors, as many as the :func:`numeric_rank` of the columns.
     With _raw the basis is taken as it is, and must already be in that
     form with pivot rows _pivots.  Equality is mutual containment: the
-    same dimension, and one subspace contains the other.
+    same dimension, and one subspace contains the other, over floats
+    within the default ``compare_abs_tol``.
     """
 
-    __slots__ = ("ambient_dim", "basis", "field", "pol", "pivots")
+    __slots__ = ("ambient_dim", "basis", "field", "pivots")
 
-    def __init__(self, basis: Matrix, pol: TolerancePolicy = DEFAULT_POLICY, *, _raw=False, _pivots=None):
+    def __init__(self, basis: Matrix, *, _raw=False, _pivots=None):
         if basis.rows < 1:
             raise DimensionMismatch("ambient dimension must be at least 1")
         if not _raw and basis.field == RATIONAL:
             basis, _pivots = _column_echelon(basis)
         elif not _raw and basis.cols:
             u, s, _ = np.linalg.svd(basis.data, full_matrices=False)
-            r, _ = numeric_rank(s, basis.shape, pol)
+            r, _ = numeric_rank(s, basis.shape)
             basis = _wrap(u[:, :r])
         object.__setattr__(self, "ambient_dim", basis.rows)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "field", basis.field)
-        object.__setattr__(self, "pol", pol)
         object.__setattr__(self, "pivots", _pivots)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def zero(cls, ambient_dim: int, field: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
-        return cls(Matrix.zeros(ambient_dim, 0, field), pol, _raw=True, _pivots=[])
+    def zero(cls, ambient_dim: int, field: str) -> "Subspace":
+        return cls(Matrix.zeros(ambient_dim, 0, field), _raw=True, _pivots=[])
 
     @classmethod
-    def full(cls, ambient_dim: int, field: str, pol: TolerancePolicy = DEFAULT_POLICY) -> "Subspace":
+    def full(cls, ambient_dim: int, field: str) -> "Subspace":
         eye = Matrix.identity(ambient_dim, field)
-        return cls(eye, pol, _raw=True, _pivots=list(range(ambient_dim)))
+        return cls(eye, _raw=True, _pivots=list(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -780,7 +781,7 @@ class Subspace:
     def contains_vector(self, v: Matrix) -> bool:
         if v.rows != self.ambient_dim or v.cols != 1:
             raise DimensionMismatch("vector shape mismatch")
-        tol = self.pol.compare_abs_tol * (1.0 + float(v.max_norm()))
+        tol = DEFAULT_POLICY.compare_abs_tol * (1.0 + float(v.max_norm()))
         return self._coordinates(v, tol) is not None
 
     def contains(self, other: "Subspace") -> bool:
@@ -788,7 +789,7 @@ class Subspace:
         self._check_ambient(other)
         if other.dim == 0:
             return True
-        tol = self.pol.compare_abs_tol * (1.0 + float(other.basis.max_norm()))
+        tol = DEFAULT_POLICY.compare_abs_tol * (1.0 + float(other.basis.max_norm()))
         return self._coordinates(other.basis, tol) is not None
 
     def _check_ambient(self, other: "Subspace") -> None:
@@ -818,22 +819,20 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Span of the union: column space of the concatenated bases."""
     a._check_ambient(b)
-    pol = a.pol
-    return Subspace(a.basis.hstack(b.basis), pol)
+    return Subspace(a.basis.hstack(b.basis))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked system [A | -B]."""
     a._check_ambient(b)
-    pol = a.pol
     if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim, a.field, pol)
+        return Subspace.zero(a.ambient_dim, a.field)
     stacked = a.basis.hstack(-b.basis)
-    coeffs = kernel_basis(stacked, pol)
+    coeffs = kernel_basis(stacked)
     if coeffs.dim == 0:
-        return Subspace.zero(a.ambient_dim, a.field, pol)
+        return Subspace.zero(a.ambient_dim, a.field)
     top = _top_rows(coeffs.basis, a.dim)
-    return Subspace(a.basis * top, pol)
+    return Subspace(a.basis * top)
 
 
 def _top_rows(m: Matrix, k: int) -> Matrix:

@@ -77,13 +77,10 @@ class IdentityCertificate:
     vu_s: Scalar
     one_minus_u: Scalar
 
-    def max_residual(self) -> float:
-        return max(
-            float(self.qu_up),
-            float(self.uv_s),
-            float(self.vu_s),
-            float(self.one_minus_u),
-        )
+    def max_residual(self) -> Scalar:
+        """The largest residual, exact over Q: a float conversion would
+        turn a residual below the smallest float into zero."""
+        return max(self.qu_up, self.uv_s, self.vu_s, self.one_minus_u)
 
 
 @dataclass(frozen=True)
@@ -113,16 +110,7 @@ class DerivedOps:
             vu_s=(V * U - S).max_norm(),
             one_minus_u=((eye - U) - (eye - 2 * Q) * M).max_norm(),
         )
-        if pair.field == RATIONAL:
-            if cert.max_residual() != 0.0:
-                raise IdentityViolation("exact identity check failed; invalid pair state")
-        else:
-            allowed = _identity_tol(pair.pol, pair.dim, P, Q, U, V)
-            if cert.max_residual() > allowed:
-                raise IdentityViolation(
-                    f"derived-operator identities exceed tolerance "
-                    f"({cert.max_residual():.3e} > {allowed:.3e})"
-                )
+        _require_identity(pair, "derived-operator identities", cert.max_residual(), P, Q, U, V)
         return U, V, cert
 
     @property
@@ -146,6 +134,19 @@ def _identity_tol(pol: TolerancePolicy, dim: int, *mats: Matrix) -> float:
     """Scaled tolerance for a float identity built from the given matrices."""
     biggest = max([1.0] + [float(m.max_norm()) for m in mats])
     return pol.compare_abs_tol * (1.0 + dim * biggest * biggest)
+
+
+def _require_identity(pair: ProjectionPair, name: str, residual: Scalar, *mats: Matrix) -> None:
+    """Raise :class:`IdentityViolation` unless the named identity holds:
+    its max-norm residual is exactly zero over Q, and over floats within
+    :func:`_identity_tol` of the matrices it is built from."""
+    if pair.field == RATIONAL:
+        if residual != 0:
+            raise IdentityViolation(f"{name} failed exactly")
+        return
+    allowed = _identity_tol(pair.pol, pair.dim, *mats)
+    if float(residual) > allowed:
+        raise IdentityViolation(f"{name} residual {float(residual):.3e} exceeds {allowed:.3e}")
 
 
 def make_pair(
@@ -224,19 +225,8 @@ class CentralizerElement:
                 power = m2 if j == 1 else power * m2
             if c != 0:
                 acc = acc + c * power
-        res = max(
-            float(commutator(acc, pair.P).max_norm()),
-            float(commutator(acc, pair.Q).max_norm()),
-        )
-        if pair.field == RATIONAL:
-            if res != 0.0:
-                raise IdentityViolation("centralizer element fails to commute")
-        else:
-            allowed = _identity_tol(pair.pol, pair.dim, acc, pair.P, pair.Q)
-            if res > allowed:
-                raise IdentityViolation(
-                    f"centralizer commutation residual {res:.3e} beyond tolerance"
-                )
+        res = max(commutator(acc, pair.P).max_norm(), commutator(acc, pair.Q).max_norm())
+        _require_identity(pair, "centralizer commutation", res, acc, pair.P, pair.Q)
         return acc
 
 
@@ -266,7 +256,7 @@ def check_lemma3(pair: ProjectionPair, T: CentralizerElement) -> Matrix:
     Requires S = I - M^2 invertible; raises :class:`SingularS` otherwise.
     """
     ops = derived_ops(pair)
-    if not is_invertible(ops.S, pair.pol):
+    if not is_invertible(ops.S):
         raise SingularS("I - M^2 is not invertible")
     eye = pair.identity()
     t = T.materialize(pair)
@@ -292,22 +282,13 @@ def commutator_witness(pair: ProjectionPair, n: int) -> tuple[Matrix, Matrix]:
     b = pair.P * ops.V
     expected = ops.M - ops.M**n
     residual = (commutator(a, b) - expected).max_norm()
-    if pair.field == RATIONAL:
-        if residual != 0:
-            raise IdentityViolation("commutator witness failed exactly")
-    else:
-        allowed = _identity_tol(pair.pol, pair.dim, a, b, expected)
-        if float(residual) > allowed:
-            raise IdentityViolation(
-                f"commutator witness residual {float(residual):.3e} beyond tolerance"
-            )
+    _require_identity(pair, "commutator witness", residual, a, b, expected)
     return a, b
 
 
-def to_float_pair(
-    pair: ProjectionPair, pol: TolerancePolicy | None = None
-) -> ProjectionPair:
-    """Convert a rational pair to the float field (idempotency revalidated)."""
+def to_float_pair(pair: ProjectionPair) -> ProjectionPair:
+    """Convert a rational pair to the float field under its own policy
+    (idempotency revalidated)."""
     if pair.field == FLOAT:
         return pair
-    return make_pair(pair.P.to_float(), pair.Q.to_float(), pol or pair.pol)
+    return make_pair(pair.P.to_float(), pair.Q.to_float(), pair.pol)

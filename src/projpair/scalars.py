@@ -6,7 +6,9 @@ floats.  Every matrix and subspace carries a field tag; mixed-field
 arithmetic is rejected rather than coerced.
 
 Floats never make tolerance decisions on their own: every approximate
-comparison goes through an explicit :class:`TolerancePolicy` value.
+comparison goes through the one comparison tolerance of an explicit
+:class:`TolerancePolicy` value.  Float rank decisions do not read it;
+they use the fixed cutoff :data:`projpair.linalg.RANK_REL_TOL`.
 """
 
 from __future__ import annotations
@@ -29,22 +31,20 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Thresholds for float-field decisions.
+    """The comparison tolerance of float-field decisions.
 
-    rank_rel_tol: relative cutoff for singular values in rank decisions.
-    compare_abs_tol: absolute cutoff for entrywise comparisons.
-
-    Both must be finite and strictly positive.  The rational field
-    ignores the policy entirely.
+    compare_abs_tol: absolute cutoff for entrywise comparisons, scaled by
+    each check to the size of what it compares.  It must be finite and
+    strictly positive.  Rank decisions never read it, and the rational
+    field ignores the policy entirely.
     """
 
-    rank_rel_tol: float = 1e-9
     compare_abs_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         # an infinite tolerance would pass every float comparison
-        tols = (self.rank_rel_tol, self.compare_abs_tol)
-        if not all(math.isfinite(t) and t > 0 for t in tols):
+        tol = self.compare_abs_tol
+        if not (math.isfinite(tol) and tol > 0):
             raise ValueError("tolerances must be finite and strictly positive")
 
 
@@ -60,11 +60,12 @@ def coerce_scalar(value, field: str) -> Scalar:
     """Coerce a number into the given field.
 
     Rational field accepts int, Fraction and exact rational strings;
-    float contamination of the rational field is rejected.
+    float contamination of the rational field is rejected.  A bool is no
+    scalar in either field.
     """
+    if isinstance(value, bool):
+        raise FieldMismatch(f"cannot place bool {value!r} in the {field} field")
     if field == RATIONAL:
-        if isinstance(value, bool):
-            raise TypeError("bool is not a scalar")
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):

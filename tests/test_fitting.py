@@ -318,7 +318,6 @@ class TestCorruptionDetection:
                 RATIONAL,
                 rows=pair.dim,
             ),
-            pair.pol,
         )
         # keep the restriction shapes out of the way: they now disagree too
         bad = dataclasses.replace(fd, F=cut)
@@ -332,9 +331,7 @@ class TestCorruptionDetection:
         cols = [[0] * pair.dim for _ in range(fd.F.dim)]
         for j in range(fd.F.dim):
             cols[j][pair.dim - 1 - j] = 1
-        wrong = Subspace(
-            Matrix.from_columns(cols, RATIONAL, rows=pair.dim), pair.pol
-        )
+        wrong = Subspace(Matrix.from_columns(cols, RATIONAL, rows=pair.dim))
         bad = dataclasses.replace(fd, F=wrong)
         report = verify_fitting(bad, pair)
         assert not report.checks["f_is_eventual_kernel"]
@@ -346,7 +343,7 @@ class TestCorruptionDetection:
         F and Y meet only in zero, so it is not part.
         """
         rows = other.basis.hstack(part.basis).to_lists()
-        return Subspace(Matrix([r[: part.dim] for r in rows], pair.field), pair.pol)
+        return Subspace(Matrix([r[: part.dim] for r in rows], pair.field))
 
     def check_wrong_y(self, pair):
         fd = fitting_decomposition(pair)

@@ -54,8 +54,8 @@ class TestOrthogonal:
     def test_symmetric_and_correct_rank(self):
         pair = gen_pair_orthogonal(7, 3, 5, seed=2)
         assert pair.P.approx_equal(pair.P.transpose(), 1e-12)
-        assert rank(pair.P, pair.pol) == 3
-        assert rank(pair.Q, pair.pol) == 5
+        assert rank(pair.P) == 3
+        assert rank(pair.Q) == 5
 
     def test_rank_edges(self):
         pair = gen_pair_orthogonal(4, 0, 4, seed=9)
@@ -91,8 +91,8 @@ class TestObliqueRational:
             rp = (h >> 8) % (dim + 1)
             rq = (h >> 16) % (dim + 1)
             pair = gen_pair_oblique_rational(dim, rp, rq, seed=i)
-            assert rank(pair.P, pair.pol) == rp
-            assert rank(pair.Q, pair.pol) == rq
+            assert rank(pair.P) == rp
+            assert rank(pair.Q) == rq
             assert pair.P.trace() == rp  # idempotent: trace equals rank
 
     def test_full_rank_is_identity(self):

@@ -103,3 +103,14 @@ def test_tracer_patches_resolve():
         if cls_name:
             owner = getattr(owner, cls_name)
         assert callable(getattr(owner, attr, None)), f"{owner_name}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "name", ["projpair"] + [f"projpair.{p.stem}" for p in MODULES if p.stem != "__init__"]
+)
+def test_all_names_resolve(name):
+    """Every name the package or a module lists in __all__ exists there,
+    so removing a public name cannot leave a stale export behind."""
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []

@@ -17,6 +17,7 @@ from projpair.errors import (
 )
 from projpair.linalg import (
     RANK_PRIME,
+    RANK_REL_TOL,
     Matrix,
     Subspace,
     _rref_exact,
@@ -74,6 +75,19 @@ class TestMatrixBasics:
     def test_float_contamination_rejected(self):
         with pytest.raises(FieldMismatch):
             Matrix([[0.5]], RATIONAL)
+
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    def test_bool_rejected(self, field):
+        # a bool is no scalar in either field, and the error is a ProjpairError
+        m = Matrix([[1]], field)
+        with pytest.raises(FieldMismatch):
+            Matrix([[True]], field)
+        with pytest.raises(FieldMismatch):
+            Matrix.diag([True], field)
+        with pytest.raises(FieldMismatch):
+            m * True
+        with pytest.raises(FieldMismatch):
+            False * m
 
     def test_mixed_field_arithmetic_rejected(self):
         a = Matrix([[1]], RATIONAL)
@@ -223,16 +237,16 @@ class TestFloatBackend:
 
     def test_numeric_rank_rule(self):
         sv = np.array([2.0, 1.0, 1e-6, 1e-12])
-        assert numeric_rank(sv, (4, 4), DEFAULT_POLICY) == (3, 1e-6 / (1e-9 * 2.0 * 4))
-        assert numeric_rank(np.array([1e-10]), (1, 1), DEFAULT_POLICY) == (0, float("inf"))
-        assert numeric_rank(np.array([]), (0, 3), DEFAULT_POLICY) == (0, float("inf"))
+        assert numeric_rank(sv, (4, 4)) == (3, 1e-6 / (1e-9 * 2.0 * 4))
+        assert numeric_rank(np.array([1e-10]), (1, 1)) == (0, float("inf"))
+        assert numeric_rank(np.array([]), (0, 3)) == (0, float("inf"))
 
     def test_numeric_rank_unit_scale(self):
         # sigma_max < 1: the cutoff is 1e-9 * 1 * 3, not 1e-9 * 1e-3 * 3, so
         # 1e-9 no longer counts and the margin is taken against 3e-9
         sv = np.array([1e-3, 1e-6, 1e-9])
-        assert numeric_rank(sv, (3, 3), DEFAULT_POLICY) == (2, 1e-6 / (1e-9 * 1.0 * 3))
-        assert numeric_rank(np.array([1e-10, 1e-11]), (2, 2), DEFAULT_POLICY) == (0, float("inf"))
+        assert numeric_rank(sv, (3, 3)) == (2, 1e-6 / (1e-9 * 1.0 * 3))
+        assert numeric_rank(np.array([1e-10, 1e-11]), (2, 2)) == (0, float("inf"))
 
     def test_is_invertible(self):
         assert is_invertible(Matrix.zeros(0, 0, FLOAT))
@@ -695,8 +709,8 @@ class TestSubspace:
         # a bare float basis is cut to the rank of its span, as over Q
         for cols in ([[1, 1], [0, 0], [0, 0]], [[1, 2, 0], [1, 2, 1], [0, 0, 0]]):
             span = Matrix([[float(x) for x in r] for r in cols], FLOAT)
-            w = Subspace(span, DEFAULT_POLICY)
-            assert w.dim == Subspace(Matrix(cols, RATIONAL), DEFAULT_POLICY).dim == len(cols[0]) - 1
+            w = Subspace(span)
+            assert w.dim == Subspace(Matrix(cols, RATIONAL)).dim == len(cols[0]) - 1
             assert w == Subspace(span)
             b = w.basis.to_numpy()
             assert np.max(np.abs(b.T @ b - np.eye(w.dim))) <= 1e-12
@@ -709,8 +723,8 @@ class TestSubspace:
             assert a != b and b != a
 
     def test_zero_and_full(self):
-        z = Subspace.zero(4, RATIONAL, DEFAULT_POLICY)
-        f = Subspace.full(4, RATIONAL, DEFAULT_POLICY)
+        z = Subspace.zero(4, RATIONAL)
+        f = Subspace.full(4, RATIONAL)
         assert z.dim == 0 and f.dim == 4
         assert z != f
         assert f.contains(z)
@@ -771,7 +785,7 @@ class TestRestrictOperator:
 
     def test_zero_dim_restriction(self):
         t = Matrix.identity(3, RATIONAL)
-        w = Subspace.zero(3, RATIONAL, DEFAULT_POLICY)
+        w = Subspace.zero(3, RATIONAL)
         assert restrict_operator(t, w).shape == (0, 0)
 
     def test_trace_similarity_invariance(self):
@@ -840,7 +854,7 @@ class TestPivotForm:
         if n:
             wa, wb = Subspace(a), Subspace(b)
             spaces += [wa, wb, subspace_intersection(wa, wb), subspace_sum(wa, wb)]
-            spaces += [Subspace(a, DEFAULT_POLICY) if rank(a) == m else wa]
+            spaces += [Subspace(a) if rank(a) == m else wa]
             spaces += [Subspace.zero(n, RATIONAL), Subspace.full(n, RATIONAL)]
         for w in spaces:
             assert_pivot_form(w)
@@ -874,7 +888,7 @@ class TestPivotForm:
         t = Matrix(frame @ block @ frame.T, FLOAT)
         # a bare basis of the invariant subspace, mixed so it is not orthonormal
         mix = rng.standard_normal((d, d)) + 3.0 * np.eye(d)
-        w = Subspace(Matrix(frame[:, :d] @ mix, FLOAT), DEFAULT_POLICY)
+        w = Subspace(Matrix(frame[:, :d] @ mix, FLOAT))
         assert w.dim == d
         b = w.basis.to_numpy()
         assert np.max(np.abs(b.T @ b - np.eye(d)), initial=0.0) <= 1e-12
@@ -891,17 +905,17 @@ class TestPivotForm:
 
 class TestTolerancePolicy:
     def test_defaults(self):
-        assert DEFAULT_POLICY.rank_rel_tol == 1e-9
+        assert RANK_REL_TOL == 1e-9
         assert DEFAULT_POLICY.compare_abs_tol == 1e-8
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            TolerancePolicy(rank_rel_tol=0.0)
+            TolerancePolicy(compare_abs_tol=0.0)
         with pytest.raises(ValueError):
             TolerancePolicy(compare_abs_tol=-1e-9)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    @pytest.mark.parametrize("name", ["rank_rel_tol", "compare_abs_tol"])
+    @pytest.mark.parametrize("name", ["compare_abs_tol"])
     def test_rejects_non_finite(self, name, bad):
         # an infinite tolerance passes every float comparison vacuously
         with pytest.raises(ValueError, match="finite"):

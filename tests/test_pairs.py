@@ -7,6 +7,7 @@ import pytest
 from projpair.errors import (
     DimensionMismatch,
     FieldMismatch,
+    IdentityViolation,
     NotIdempotent,
     SingularS,
 )
@@ -14,6 +15,7 @@ from projpair.generators import gen_pair_oblique_rational, gen_pair_orthogonal, 
 from projpair.linalg import Matrix
 from projpair.pairs import (
     CentralizerElement,
+    ProjectionPair,
     check_lemma1,
     check_lemma2,
     check_lemma3,
@@ -23,7 +25,7 @@ from projpair.pairs import (
     make_pair,
     to_float_pair,
 )
-from projpair.scalars import FLOAT, RATIONAL, TolerancePolicy
+from projpair.scalars import DEFAULT_POLICY, FLOAT, RATIONAL, TolerancePolicy
 
 
 def oblique_pair(i, max_dim=6):
@@ -104,6 +106,59 @@ class TestDerivedOps:
         pair = gen_pair_orthogonal(6, 2, 3, seed=4)
         ops = derived_ops(pair)
         assert ops.certificate.max_residual() < 1e-10
+
+
+def unchecked_pair(field, q22=2, pol=DEFAULT_POLICY):
+    """P = [[1, 1], [0, 0]] and Q = diag(0, q22), built past make_pair.
+
+    With q22 = 2, Q is not idempotent, M^2 = [[1, -1], [0, 4]] fails to
+    commute with P and Q by 2, and QU - UP is not zero.
+    """
+    p = Matrix([[1, 1], [0, 0]], RATIONAL)
+    q = Matrix.diag([0, q22], RATIONAL)
+    if field == FLOAT:
+        p, q = p.to_float(), q.to_float()
+    return ProjectionPair(2, p, q, field, pol)
+
+
+class TestIdentityGate:
+    """One rule for every identity check: exactly zero over Q, within
+    the pair's scaled comparison tolerance over floats."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    def test_broken_identities_raise(self, field):
+        pair = unchecked_pair(field)
+        with pytest.raises(IdentityViolation, match="^derived-operator identities"):
+            derived_ops(pair).U
+        with pytest.raises(IdentityViolation, match="^centralizer commutation"):
+            CentralizerElement.m_squared().materialize(pair)
+
+    def test_messages(self):
+        with pytest.raises(IdentityViolation, match="^centralizer commutation failed exactly$"):
+            CentralizerElement.m_squared().materialize(unchecked_pair(RATIONAL))
+        # the residual 2 against 1e-8 * (1 + dim * |M^2|^2) = 1e-8 * (1 + 2 * 16)
+        with pytest.raises(
+            IdentityViolation,
+            match=r"^centralizer commutation residual 2\.000e\+00 exceeds 3\.300e-07$",
+        ):
+            CentralizerElement.m_squared().materialize(unchecked_pair(FLOAT))
+
+    def test_float_residual_judged_by_the_pair_policy(self):
+        # Q = diag(0, 1e-12) leaves [M^2, P] about 1e-12 from zero: within
+        # the default tolerance, far beyond a 1e-20 one
+        loose = unchecked_pair(FLOAT, q22=Fraction(1, 10**12))
+        CentralizerElement.m_squared().materialize(loose)
+        tight = unchecked_pair(FLOAT, q22=Fraction(1, 10**12), pol=TolerancePolicy(1e-20))
+        with pytest.raises(IdentityViolation, match="^centralizer commutation residual"):
+            CentralizerElement.m_squared().materialize(tight)
+        # over Q the same residual is never forgiven, nor one below the
+        # smallest float
+        with pytest.raises(IdentityViolation, match="^centralizer commutation failed exactly$"):
+            CentralizerElement.m_squared().materialize(
+                unchecked_pair(RATIONAL, q22=Fraction(1, 10**12))
+            )
+        with pytest.raises(IdentityViolation, match="^derived-operator identities failed exactly$"):
+            derived_ops(unchecked_pair(RATIONAL, q22=Fraction(1, 10**400))).U
 
 
 class TestCentralizer:
@@ -205,6 +260,11 @@ class TestFloatConversion:
         assert fpair.field == FLOAT
         assert fpair.dim == pair.dim
         assert fpair.P.entry(0, 0) == pytest.approx(float(pair.P.entry(0, 0)))
+
+    def test_conversion_keeps_the_policy(self):
+        tight = TolerancePolicy(compare_abs_tol=1e-12)
+        pair = oblique_pair(2)
+        assert to_float_pair(make_pair(pair.P, pair.Q, tight)).pol == tight
 
     def test_float_to_float_is_identity_conversion(self):
         pair = gen_pair_orthogonal(4, 2, 2, seed=1)
