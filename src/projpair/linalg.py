@@ -74,13 +74,33 @@ __all__ = [
     "numeric_rank",
     "is_invertible",
     "rank_lower_bound",
+    "uses_primes",
     "RANK_PRIME",
+    "RREF_PRIMES",
+    "MODULAR_MIN_DIM",
     "RANK_REL_TOL",
 ]
 
-# The modulus of rank_lower_bound: the largest prime below 2^31, so the
-# product of two reduced entries stays below 2^62.
+# The modulus of rank_lower_bound: a prime below 2^31, so the product of
+# two reduced entries stays below 2^62.
 RANK_PRIME = 2147483629
+
+# The moduli of the multi-modular elimination, in the order it takes
+# them: 31-bit primes, so that the product of two reduced entries, and
+# of two of the primes, fits an int64.
+RREF_PRIMES = (
+    RANK_PRIME, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
+    2147483497, 2147483489, 2147483477, 2147483423, 2147483399, 2147483353,
+    2147483323, 2147483269, 2147483249, 2147483237, 2147483179, 2147483171,
+    2147483137, 2147483123, 2147483077, 2147483069, 2147483059, 2147483053,
+    2147483033, 2147483029, 2147482951, 2147482949, 2147482943, 2147482937,
+    2147482921, 2147482877,
+)
+
+# The size rule of the exact path: a rational matrix with at least this
+# many rows and columns is eliminated modulo RREF_PRIMES and certified,
+# a smaller one by Bareiss.
+MODULAR_MIN_DIM = 12
 
 # The relative singular-value cutoff of numeric_rank.
 RANK_REL_TOL = 1e-9
@@ -489,11 +509,31 @@ def _bareiss_echelon(
 def _rref_exact(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over Q: (its nonzero rows, pivot columns).
 
-    Bareiss descent, then an integer ascent: row k loses its entry in
-    pivot column c_i as pivot_i * row_k - row_k[c_i] * row_i, and each
-    changed row is divided by the gcd of its entries.  Each row, cleared
-    of its content and signed so that its pivot is positive, is then
-    brought over the lcm of the pivots.
+    At or above the size rule (:data:`MODULAR_MIN_DIM` rows and columns)
+    it is the certified multi-modular RREF of :func:`_rref_modular`;
+    below it, or when the primes run out, that of :func:`_rref_bareiss`.
+    Either way the answer is exact and the same.
+    """
+    if uses_primes(m):
+        found = _rref_modular(m)
+        if found is not None:
+            return found
+    return _rref_bareiss(m)
+
+
+def uses_primes(m: Matrix) -> bool:
+    """The size rule: whether an exact elimination of m runs modulo
+    :data:`RREF_PRIMES`, that is, whether m has at least
+    :data:`MODULAR_MIN_DIM` rows and columns."""
+    return min(m.rows, m.cols) >= MODULAR_MIN_DIM
+
+
+def _rref_bareiss(m: Matrix) -> tuple[Matrix, list[int]]:
+    """The RREF of :func:`_rref_exact` by Bareiss descent, then an integer
+    ascent: row k loses its entry in pivot column c_i as pivot_i * row_k
+    - row_k[c_i] * row_i, and each changed row is divided by the gcd of
+    its entries.  Each row, cleared of its content and signed so that its
+    pivot is positive, is then brought over the lcm of the pivots.
     """
     rows, piv_cols, _ = _bareiss_echelon([list(r) for r in m.num], m.cols)
     for i in range(len(piv_cols) - 1, 0, -1):
@@ -513,6 +553,189 @@ def _rref_exact(m: Matrix) -> tuple[Matrix, list[int]]:
     den = math.lcm(*(row[c] for row, c in zip(reduced, piv_cols)))
     num = [[x * (den // row[c]) for x in row] for row, c in zip(reduced, piv_cols)]
     return _exact(num, m.cols, den), piv_cols
+
+
+def _rref_mod(a: np.ndarray, primes: list[int]):
+    """Gauss-Jordan RREF of a stack of residue matrices, one per prime.
+
+    a is (k, rows, cols) int64 with layer i reduced modulo primes[i]; it
+    is overwritten.  All layers share one pivot set: at each column the
+    layers that have no pivot where another has one are dropped, since
+    their prime cannot give the earliest pivots.  Returns the surviving
+    layers' nonzero rows, the pivot columns and the surviving primes.
+    """
+    mods = np.array(primes, dtype=np.int64)[:, None]
+    nrows, ncols = a.shape[1:]
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        heads = a[:, r, c].tolist()
+        if not all(heads):
+            nonzero = a[:, r:, c] != 0
+            first = nonzero.argmax(axis=1)
+            has = nonzero[np.arange(len(first)), first].tolist()
+            if not any(has):
+                continue
+            if not all(has):
+                a, first, mods = a[has], first[has], mods[has]
+                primes = [p for p, h in zip(primes, has) if h]
+            layers = np.arange(len(first))
+            first += r
+            a[layers, r], a[layers, first] = a[layers, first], a[layers, r].copy()
+            heads = a[:, r, c].tolist()
+        inv = np.array([pow(x, -1, p) for x, p in zip(heads, primes)], dtype=np.int64)
+        row = a[:, r, c:] * inv[:, None] % mods
+        factor = a[:, :, c].copy()
+        factor[:, r] = 0
+        rest = a[:, :, c:]
+        rest -= factor[:, :, None] * row[:, None, :]
+        rest %= mods[:, :, None]
+        a[:, r, c:] = row
+        piv_cols.append(c)
+        r += 1
+    return a[:, :r], piv_cols, primes
+
+
+def _residues(num, primes: tuple[int, ...]) -> np.ndarray:
+    """m.num reduced modulo each prime, as a (k, rows, cols) int64 stack."""
+    q = math.prod(primes)
+    # one pass of Python remainders, the rest in int64
+    red = np.array([[x % q for x in r] for r in num], dtype=np.int64)
+    return red[None] % np.array(primes, dtype=np.int64)[:, None, None]
+
+
+def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]] | None:
+    """Certified RREF of a rational m from its RREFs modulo RREF_PRIMES;
+    None when the primes run out first.
+
+    The primes go in pairs, whose product still fits an int64.  Of the
+    primes seen, those whose RREF has the largest rank, and among those
+    the earliest pivot columns c, are combined by CRT entry by entry; a
+    better pivot set drops the ones before it.  After each pair the
+    non-pivot columns are rebuilt by rational reconstruction
+    (:func:`_reconstruct`), the pivot columns being the identity, and the
+    candidate R stands only if :func:`_certified` proves it the RREF of
+    m: it checks the echelon form and m[:, c] R = m exactly, and the rank
+    |c| of m modulo the kept primes supplies the lower bound.  So no
+    answer rests on a prime.
+    """
+    num = m.num
+    best = None  # (-rank, pivot columns) of the kept primes
+    residues: list[int] = []
+    modulus = 1
+    for i in range(0, len(RREF_PRIMES), 2):
+        batch = RREF_PRIMES[i : i + 2]
+        reduced, piv_cols, kept = _rref_mod(_residues(num, batch), list(batch))
+        key = (-len(piv_cols), piv_cols)
+        if best is None or key < best:
+            best, residues, modulus = key, [], 1
+        elif key > best:
+            continue
+        pivots = set(piv_cols)
+        free_cols = [c for c in range(m.cols) if c not in pivots]
+        block = reduced[:, :, free_cols]
+        if len(kept) == 2:  # CRT of the pair, still below 2^62
+            p, q = kept
+            lift = (block[1] - block[0]) % q * pow(p, -1, q) % q
+            block, prime = block[0] + p * lift, p * q
+        else:
+            block, prime = block[0], kept[0]
+        values = block.ravel().tolist()
+        if residues:
+            inv = pow(modulus, -1, prime)
+            residues = [u + modulus * ((v - u) * inv % prime) for u, v in zip(residues, values)]
+        else:
+            residues = values
+        modulus *= prime
+        found = _reconstruct(residues, modulus)
+        if found is None:
+            continue
+        values, den = found
+        width = len(free_cols)
+        rows = [values[k * width : (k + 1) * width] for k in range(len(piv_cols))]
+        if not _certified(num, piv_cols, free_cols, rows, den):
+            continue
+        out = []
+        for k, row in enumerate(rows):
+            full = [0] * m.cols
+            full[piv_cols[k]] = den
+            for c, v in zip(free_cols, row):
+                full[c] = v
+            out.append(full)
+        return _exact(out, m.cols, den), piv_cols
+    return None
+
+
+def _reconstruct(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
+    """Numerators over one denominator D whose ratios are the residues
+    modulo modulus, each numerator and D at most sqrt(modulus / 2); None
+    if there are none.
+
+    D runs along the entries: an entry u with u D reduced (symmetric)
+    already within the bound needs nothing more, and otherwise the
+    rational reconstruction n / d of u D (Wang, Guy & Davenport 1982)
+    multiplies D by d.  Fractions within the bound are unique, so once
+    the modulus passes 2 N D of the true RREF the result is that RREF.
+    """
+    bound = math.isqrt((modulus - 1) // 2)
+    half = modulus // 2
+    den = 1
+    values: list[int] = []
+    for u in residues:
+        x = u * den % modulus
+        if x > half:
+            x -= modulus
+        if abs(x) > bound:
+            found = _rational(x % modulus, modulus, bound)
+            if found is None:
+                return None
+            x, d = found
+            den *= d
+            if den > bound:
+                return None
+            values = [v * d for v in values]
+        values.append(x)
+    return values, den
+
+
+def _rational(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """n, d with n = u d modulo modulus, |n| <= bound and 0 < d <= bound,
+    or None: the half-extended Euclidean algorithm on (modulus, u)."""
+    r0, r1 = modulus, u
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or math.gcd(t1, modulus) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _certified(num, piv_cols, free_cols, rows, den) -> bool:
+    """Whether R, the identity on the pivot columns and rows / den on the
+    free ones, is the RREF of num, given that num has rank len(piv_cols)
+    modulo some prime.
+
+    R must be in reduced echelon form with those pivots (each row zero
+    left of its pivot), and num[:, free] * den == num[:, piv] * rows must
+    hold exactly, which is num == num[:, piv] R.  Then the rows of num lie
+    in the row space of R, so rank num <= |piv|; the modular rank gives
+    rank num >= |piv|, so both row spaces are equal, and the RREF of a
+    row space is unique.
+    """
+    for c, row in zip(piv_cols, rows):
+        if any(v for f, v in zip(free_cols, row) if f < c):
+            return False
+    cols = list(zip(*rows)) if rows else [()] * len(free_cols)
+    for r in num:
+        left = [r[c] for c in piv_cols]
+        for c, col in zip(free_cols, cols):
+            if r[c] * den != sum(map(operator.mul, left, col)):
+                return False
+    return True
 
 
 def solve_exact(a: Matrix, b: Matrix) -> Matrix | None:
@@ -565,51 +788,42 @@ def is_invertible(m: Matrix) -> bool:
     """Whether m is square of full rank (the empty matrix is).
 
     Exact over Q: a full :func:`rank_lower_bound` proves full rank, and
-    any smaller bound, which an unlucky prime can give, is settled by the
-    exact :func:`rank`.  Over floats it is ``rank(m) == m.rows`` by
+    below the size rule the bound is the exact rank; above it a smaller
+    bound, which an unlucky prime can give, is settled by the exact
+    :func:`rank`.  Over floats it is ``rank(m) == m.rows`` by
     :func:`numeric_rank`, so a numerically-zero matrix is singular
     whatever its noise spectrum.
     """
     if not m.is_square:
         return False
-    if m.field == RATIONAL and rank_lower_bound(m) == m.rows:
-        return True
+    if m.field == RATIONAL:
+        bound = rank_lower_bound(m)
+        if bound == m.rows or not uses_primes(m):
+            return bound == m.rows
     return rank(m) == m.rows
 
 
 def rank_lower_bound(m: Matrix) -> int:
-    """Rank of the numerator of a rational m modulo :data:`RANK_PRIME`.
+    """A lower bound on the rank of a rational m, cheaper than the rank.
 
-    Reducing mod p maps every minor of ``m.num`` to that minor mod p, so
-    a minor that vanishes over Q vanishes mod p and the result is at most
-    rank m; it falls short only when p divides every nonzero minor of
-    the largest size.  So the bound proves a rank only where it meets an
-    upper bound known from elsewhere.  Gaussian elimination on Python
-    integers below p, column by column, each eliminated row losing its
-    leading column.
+    At or above the size rule (:data:`MODULAR_MIN_DIM`) it is the rank of
+    ``m.num`` modulo :data:`RANK_PRIME`.  Reducing mod p maps every minor
+    to that minor mod p, so a minor that vanishes over Q vanishes mod p
+    and the result is at most rank m; it falls short only when p divides
+    every nonzero minor of the largest size.  So the bound proves a rank
+    only where it meets an upper bound known from elsewhere.  Below the
+    rule, where the modular elimination costs about what Bareiss does,
+    it is the exact Bareiss rank, its own lower bound.
     """
     if m.field != RATIONAL:
         raise FieldMismatch("rank_lower_bound requires the rational field")
-    p = RANK_PRIME
-    rows = [[x % p for x in r] for r in m.num]
-    found = 0
-    for _ in range(m.cols):
-        if not rows:
-            break
-        i = next((i for i, r in enumerate(rows) if r[0]), None)
-        if i is None:
-            rows = [r[1:] for r in rows]
-            continue
-        pivot = rows.pop(i)
-        found += 1
-        inv = pow(pivot[0], -1, p)
-        tail = pivot[1:]
-        reduced = []
-        for r in rows:
-            f = r[0] * inv % p
-            reduced.append([(a - f * b) % p for a, b in zip(r[1:], tail)] if f else r[1:])
-        rows = reduced
-    return found
+    if not uses_primes(m):
+        return _bareiss_rank(m)
+    return len(_rref_mod(_residues(m.num, (RANK_PRIME,)), [RANK_PRIME])[1])
+
+
+def _bareiss_rank(m: Matrix) -> int:
+    return len(_bareiss_echelon([list(r) for r in m.num], m.cols)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +832,11 @@ def rank_lower_bound(m: Matrix) -> int:
 
 
 def rank(m: Matrix) -> int:
-    """Matrix rank: exact elimination over Q, :func:`numeric_rank` of the
-    singular values over floats."""
+    """Matrix rank: over Q the pivot count of the certified RREF at or
+    above the size rule and the Bareiss rank below it, over floats the
+    :func:`numeric_rank` of the singular values."""
     if m.field == RATIONAL:
-        return len(_bareiss_echelon([list(r) for r in m.num], m.cols)[1])
+        return len(_rref_exact(m)[1]) if uses_primes(m) else _bareiss_rank(m)
     if m.rows == 0 or m.cols == 0:
         return 0
     return numeric_rank(np.linalg.svd(m.data, compute_uv=False), m.shape)[0]

@@ -171,8 +171,14 @@ class TestUnluckyPrime:
     The k loop stops on rank_lower_bound only when it meets the previous
     exact rank, and is_invertible trusts it only at full rank; otherwise
     both take the exact rank.  With the modulus 2 or 3 many bounds fall
-    short, so the exact fallback must carry every answer.
+    short, so the exact fallback must carry every answer.  The primes of
+    the multi-modular elimination are patched to the first primes from
+    that modulus on: they lose pivots and run out, so the certificate and
+    the Bareiss fallback must carry every elimination at or above the
+    size rule.
     """
+
+    TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
     @staticmethod
     def corpus():
@@ -186,6 +192,10 @@ class TestUnluckyPrime:
                     dim, (h >> 8) % (dim + 1), (h >> 16) % (dim + 1), seed=mix_seed(0x9A2, i)
                 )
             )
+        # at or above the size rule, where eliminations run modulo the primes
+        for i in range(4):
+            dim = linalg.MODULAR_MIN_DIM + i
+            pairs.append(gen_pair_oblique_rational(dim, dim // 2 - 1, dim // 2 + 1, seed=i))
         return pairs
 
     @staticmethod
@@ -209,18 +219,31 @@ class TestUnluckyPrime:
 
             return wrapper
 
+        modular = []
+
+        def recorded(*args):
+            found = real_modular(*args)
+            modular.append(found is not None)
+            return found
+
+        real_modular = linalg._rref_modular
         monkeypatch.setattr(fitting_module, "rank", counted(fitting_module.rank))
         monkeypatch.setattr(linalg, "rank", counted(linalg.rank))
+        monkeypatch.setattr(linalg, "_rref_modular", recorded)
         pairs = self.corpus()
         want = [self.outcome(pair) for pair in pairs]
         assert all(checks and all(checks.values()) for *_, checks in want)
         default_calls = len(exact_ranks)
         for prime in (2, 3):
             monkeypatch.setattr(linalg, "RANK_PRIME", prime)
+            monkeypatch.setattr(linalg, "RREF_PRIMES", self.TINY_PRIMES[self.TINY_PRIMES.index(prime) :])
             exact_ranks.clear()
+            modular.clear()
             assert [self.outcome(pair) for pair in pairs] == want
             # the small modulus did drop ranks, so the fallback was taken
             assert len(exact_ranks) > default_calls
+            # some modular eliminations were certified, others fell back
+            assert True in modular and False in modular
 
 
 class TestInvariants:

@@ -16,6 +16,7 @@ import pathlib
 
 import pytest
 
+from projpair import linalg
 from projpair.cli import run_cli
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -35,6 +36,21 @@ def test_corpus_size():
 
 @pytest.mark.parametrize("name", [c for c in CASES if c.startswith("r")])
 def test_rational_report_byte_identical(capsys, name):
+    code, out = verify_json(capsys, name)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("primes", [None, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)])
+@pytest.mark.parametrize("name", [c for c in CASES if c.startswith("r")])
+def test_rational_report_through_the_primes(capsys, monkeypatch, name, primes):
+    """With the size rule lowered to one row and column every exact
+    elimination runs modulo the primes: the default ones, or the first
+    primes, which lose pivots and run out.  No answer may move."""
+    monkeypatch.setattr(linalg, "MODULAR_MIN_DIM", 1)
+    if primes:
+        monkeypatch.setattr(linalg, "RANK_PRIME", primes[0])
+        monkeypatch.setattr(linalg, "RREF_PRIMES", primes)
     code, out = verify_json(capsys, name)
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

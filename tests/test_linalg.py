@@ -1,8 +1,10 @@
 """Matrix and subspace layer, checked against independent oracles."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from projpair.errors import (
     NotInvariant,
     ProjpairError,
 )
+from projpair import linalg
 from projpair.linalg import (
+    MODULAR_MIN_DIM,
     RANK_PRIME,
+    RREF_PRIMES,
     RANK_REL_TOL,
     Matrix,
     Subspace,
@@ -27,6 +32,7 @@ from projpair.linalg import (
     rank,
     rank_lower_bound,
     restrict_operator,
+    row_and_kernel,
     solve_exact,
     subspace_intersection,
     subspace_sum,
@@ -502,18 +508,207 @@ class TestRankLowerBound:
         assert rank_lower_bound(m) == rank(m)
 
     def test_prime_on_the_diagonal(self):
-        m = Matrix.diag([1, RANK_PRIME], RATIONAL)
-        assert rank_lower_bound(m) == 1
-        assert rank(m) == 2
+        # at the size rule the bound is the rank modulo RANK_PRIME
+        ones = [1] * (MODULAR_MIN_DIM - 1)
+        m = Matrix.diag(ones + [RANK_PRIME], RATIONAL)
+        assert rank_lower_bound(m) == MODULAR_MIN_DIM - 1
+        assert rank(m) == MODULAR_MIN_DIM
         assert is_invertible(m)
         # the same numerator over the denominator RANK_PRIME
-        scaled = Matrix.diag([Fraction(1, RANK_PRIME), 1], RATIONAL)
-        assert scaled.num == m.num and rank_lower_bound(scaled) == 1
+        scaled = Matrix.diag([Fraction(1, RANK_PRIME)] * len(ones) + [1], RATIONAL)
+        assert scaled.num == m.num and rank_lower_bound(scaled) == MODULAR_MIN_DIM - 1
         assert is_invertible(scaled)
+        # below it the bound is the exact rank
+        small = Matrix.diag([1, RANK_PRIME], RATIONAL)
+        assert rank_lower_bound(small) == rank(small) == 2
 
     def test_float_rejected(self):
         with pytest.raises(FieldMismatch):
             rank_lower_bound(Matrix.identity(2, FLOAT))
+
+
+# The first primes: with these moduli many pivots vanish and short
+# moduli stop rational reconstruction, so the Bareiss fallback runs too.
+TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+@contextlib.contextmanager
+def bareiss_only():
+    """Every exact elimination by Bareiss: the oracle of the modular path."""
+    with mock.patch.object(linalg, "MODULAR_MIN_DIM", 10**9):
+        yield
+
+
+@contextlib.contextmanager
+def tiny_primes():
+    with mock.patch.object(linalg, "RANK_PRIME", TINY_PRIMES[0]), mock.patch.object(
+        linalg, "RREF_PRIMES", TINY_PRIMES
+    ):
+        yield
+
+
+def exact_outcome(m):
+    """Everything the exact path derives from eliminations of m."""
+    rref, piv_cols = _rref_exact(m)
+    _, k, free_cols = row_and_kernel(m)
+    x = Matrix([[(i * 7 + j) % 5 - 2 for j in range(2)] for i in range(m.cols)], RATIONAL)
+    e0 = Matrix([[int(i == 0)] for i in range(m.rows)], RATIONAL)
+    out = [
+        (rref, piv_cols),
+        rank(m),
+        (k, free_cols),
+        (Subspace(m).basis, Subspace(m).pivots),
+        solve_exact(m, m * x),
+        solve_exact(m, e0),
+    ]
+    if m.is_square:
+        out.append(m.inverse() if is_invertible(m) else None)
+    return out
+
+
+@st.composite
+def rule_matrices(draw):
+    """Rational matrices on both sides of the size rule: square, wide and
+    tall; zero, of low rank or generic; sparse or dense; with integer
+    entries of up to 120 bits and small denominators."""
+    sizes = st.sampled_from((MODULAR_MIN_DIM - 2, MODULAR_MIN_DIM, MODULAR_MIN_DIM + 3, 2 * MODULAR_MIN_DIM))
+    n, m = draw(sizes), draw(sizes)
+    kind = draw(st.sampled_from(("zero", "low_rank", "generic")))
+    bits = draw(st.sampled_from((2, 30, 120)))
+    density = draw(st.sampled_from((0.3, 1.0)))
+    den = draw(st.sampled_from((1, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(rows, cols):
+        return Matrix(
+            [
+                [
+                    Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, den))
+                    if rng.random() < density
+                    else 0
+                    for _ in range(cols)
+                ]
+                for _ in range(rows)
+            ],
+            RATIONAL,
+        )
+
+    if kind == "zero":
+        return Matrix.zeros(n, m, RATIONAL)
+    if kind == "low_rank":
+        r = draw(st.integers(1, min(n, m) - 1))
+        return entries(n, r) * entries(r, m)
+    return entries(n, m)
+
+
+def integer_matrix(rows):
+    return Matrix(rows, RATIONAL)
+
+
+class TestMultiModular:
+    """The certified multi-modular elimination against the Bareiss oracle,
+    under the default primes and under tiny ones."""
+
+    @given(rule_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bareiss(self, m):
+        got = exact_outcome(m)
+        with bareiss_only():
+            want = exact_outcome(m)
+        assert got == want
+        with tiny_primes():
+            assert exact_outcome(m) == want
+            assert rank_lower_bound(m) <= want[1]
+        assert rank_lower_bound(m) <= want[1]
+
+    @staticmethod
+    def unlucky(modulus, rule=MODULAR_MIN_DIM):
+        """[[modulus, 0], [0, B]] with B of rank 6 and small entries: the
+        first pivot vanishes modulo every prime that divides modulus."""
+        rng = random.Random(1202)
+        left = rand_int_matrix(rng, rule, 6, bound=3)
+        b = left * rand_int_matrix(rng, 6, rule + 1, bound=3)
+        rows = [[modulus] + [0] * (rule + 1)]
+        rows += [[0] + list(r) for r in b.num]
+        return integer_matrix(rows)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_first_pivot_divisible_by_leading_primes(self, batch):
+        """The first listed prime (and in the second case its partner in
+        the first pair) loses the first pivot; the primes with the earliest
+        pivots win, and the modular answer is the Bareiss one."""
+        m = self.unlucky(math.prod(RREF_PRIMES[:batch]))
+        assert m.num[0][0] % RREF_PRIMES[0] == 0
+        with bareiss_only():
+            want = exact_outcome(m)
+        assert linalg._rref_modular(m) == want[0]
+        assert exact_outcome(m) == want
+        # the bound modulo RANK_PRIME misses that pivot, the rank does not
+        assert rank_lower_bound(m) == want[1] - 1
+
+    def test_primes_run_out(self):
+        # 120-bit entries of rank 11: RREF entries far beyond the product of
+        # the tiny primes, so the modular path gives up and Bareiss answers
+        rng = random.Random(1203)
+        big = lambda r, c: Matrix(
+            [[rng.randint(-(2**120), 2**120) for _ in range(c)] for _ in range(r)], RATIONAL
+        )
+        m = big(12, 11) * big(11, 13)
+        with tiny_primes():
+            assert linalg._rref_modular(m) is None
+            got = exact_outcome(m)
+        with bareiss_only():
+            assert got == exact_outcome(m)
+
+    def test_certificate_rejects_forgeries(self):
+        m = self.unlucky(5)
+        rref, piv_cols = linalg._rref_bareiss(m)
+        free_cols = [c for c in range(m.cols) if c not in piv_cols]
+        rows = [[r[c] for c in free_cols] for r in rref.num]
+        den = rref.den
+
+        def certified(piv, free, rows):
+            return linalg._certified(m.num, piv, free, rows, den)
+
+        assert certified(piv_cols, free_cols, rows)
+        # a perturbed entry of R
+        forged = [list(r) for r in rows]
+        forged[2][-1] += 1
+        assert not certified(piv_cols, free_cols, forged)
+        # a lost pivot: too few rows for the row space of m
+        assert not certified(piv_cols[:-1], sorted(free_cols + piv_cols[-1:]), [
+            r[:] + [0] for r in rows[:-1]
+        ])
+        # a later pivot set of the same size with the same rows is not in
+        # echelon form, or fails the product
+        shifted = piv_cols[:-1] + [free_cols[-1]]
+        free_shifted = sorted(set(range(m.cols)) - set(shifted))
+        moved = [
+            [(den if c == piv_cols[-1] and k == len(rows) - 1 else r[c]) for c in free_shifted]
+            for k, r in enumerate(rref.num)
+        ]
+        assert not certified(shifted, free_shifted, moved)
+
+    def test_forged_candidate_is_rejected_and_replaced(self, monkeypatch):
+        """A wrong reconstruction fails the certificate, and the next primes
+        still give the true RREF."""
+        m = self.unlucky(1)
+        real = linalg._reconstruct
+        forged = []
+
+        def forge(residues, modulus):
+            found = real(residues, modulus)
+            if found is not None and not forged:
+                values, den = found
+                forged.append(values)
+                return [values[0] + 1] + values[1:], den
+            return found
+
+        monkeypatch.setattr(linalg, "_reconstruct", forge)
+        got = linalg._rref_modular(m)
+        assert forged, "no candidate was forged"
+        with bareiss_only():
+            assert got == _rref_exact(m)
 
 
 @pytest.fixture(scope="module")
