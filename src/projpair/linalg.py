@@ -2,23 +2,30 @@
 
 The rational backend is the oracle of the whole package.  A rational
 matrix is one integer numerator matrix over one common denominator, kept
-canonical, so sums, products, transposes, comparisons and the
-fraction-free elimination (Bareiss, then an integer back-substitution)
-behind rank, kernels, solving and determinants all run on Python
+canonical, so sums, products, transposes and comparisons run on Python
 integers; Fractions appear only where a single entry, a trace, a
-determinant or the ``data`` view leaves the module.  Results are exact
-with controlled coefficient growth.  Where a yes/no fact needs only a
-lower bound on a rank, :func:`rank_lower_bound` takes the rank of the
-numerator modulo one fixed prime instead, in small integers: it never
-exceeds the rank over Q, so it proves full rank (:func:`is_invertible`)
-or a rank already known as an upper bound, and anything short of that
-falls back to the exact elimination.  A float matrix holds one read-only
-float64 ndarray, so its arithmetic runs in numpy and BLAS; it mirrors
-the same API through SVD thresholding.  Every float rank decision, float
-subspace bases included, comes from the one rule :func:`numeric_rank`,
-the fixed cutoff :data:`RANK_REL_TOL` anchored at unit scale, and every
-float comparison from the ``compare_abs_tol`` of a
-:class:`TolerancePolicy`.
+determinant or the ``data`` view leaves the module.  Every exact rank,
+kernel, column space, solve and inverse comes from one reduced row
+echelon form, chosen by one size rule on the shape (:func:`uses_primes`).
+A matrix with at least :data:`MODULAR_MIN_DIM` rows and columns is
+eliminated modulo the 31-bit :data:`RREF_PRIMES` in int64 arrays, rebuilt
+by CRT and rational reconstruction, and accepted only when an exact
+product certifies it; should the primes run out, Bareiss answers.  A
+smaller one goes through fraction-free Bareiss elimination and an
+integer back-substitution, as do determinants.  So results are exact and
+no answer rests on a prime.  Where a yes/no fact needs only a lower bound
+on a rank, :func:`rank_lower_bound` takes, under the rule, the rank of
+the numerator modulo :data:`RANK_PRIME`: it never exceeds the rank over
+Q, so it proves full rank (:func:`is_invertible`) or a rank already known
+as an upper bound, and anything short of that falls back to the exact
+rank.  Below the rule it is the exact rank.
+
+A float matrix holds one read-only float64 ndarray, so its arithmetic
+runs in numpy and BLAS; it mirrors the same API through SVD
+thresholding.  Every float rank decision, float subspace bases included,
+comes from the one rule :func:`numeric_rank`, the fixed cutoff
+:data:`RANK_REL_TOL` anchored at unit scale, and every float comparison
+from the ``compare_abs_tol`` of a :class:`TolerancePolicy`.
 
 A subspace is a basis in a form that makes coordinates a read: over Q
 the basis is the identity on recorded pivot rows, over floats it is
@@ -555,15 +562,21 @@ def _rref_bareiss(m: Matrix) -> tuple[Matrix, list[int]]:
     return _exact(num, m.cols, den), piv_cols
 
 
-def _rref_mod(a: np.ndarray, primes: list[int]):
-    """Gauss-Jordan RREF of a stack of residue matrices, one per prime.
+def _rref_mod(num, primes: tuple[int, ...]):
+    """Gauss-Jordan RREF of the integer rows num modulo each of a few
+    primes, one int64 layer per prime, eliminated together.
 
-    a is (k, rows, cols) int64 with layer i reduced modulo primes[i]; it
-    is overwritten.  All layers share one pivot set: at each column the
-    layers that have no pivot where another has one are dropped, since
-    their prime cannot give the earliest pivots.  Returns the surviving
-    layers' nonzero rows, the pivot columns and the surviving primes.
+    All layers share one pivot set: at each column the layers that have
+    no pivot where another has one are dropped, since their prime cannot
+    give the earliest pivots.  Returns the surviving layers' nonzero
+    rows, as a (layers, rank, cols) array, the pivot columns and the
+    surviving primes.
     """
+    q = math.prod(primes)
+    # one pass of Python remainders, the rest in int64
+    red = np.array([[x % q for x in r] for r in num], dtype=np.int64)
+    a = red[None] % np.array(primes, dtype=np.int64)[:, None, None]
+    primes = list(primes)
     mods = np.array(primes, dtype=np.int64)[:, None]
     nrows, ncols = a.shape[1:]
     piv_cols: list[int] = []
@@ -598,14 +611,6 @@ def _rref_mod(a: np.ndarray, primes: list[int]):
     return a[:, :r], piv_cols, primes
 
 
-def _residues(num, primes: tuple[int, ...]) -> np.ndarray:
-    """m.num reduced modulo each prime, as a (k, rows, cols) int64 stack."""
-    q = math.prod(primes)
-    # one pass of Python remainders, the rest in int64
-    red = np.array([[x % q for x in r] for r in num], dtype=np.int64)
-    return red[None] % np.array(primes, dtype=np.int64)[:, None, None]
-
-
 def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]] | None:
     """Certified RREF of a rational m from its RREFs modulo RREF_PRIMES;
     None when the primes run out first.
@@ -626,8 +631,7 @@ def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]] | None:
     residues: list[int] = []
     modulus = 1
     for i in range(0, len(RREF_PRIMES), 2):
-        batch = RREF_PRIMES[i : i + 2]
-        reduced, piv_cols, kept = _rref_mod(_residues(num, batch), list(batch))
+        reduced, piv_cols, kept = _rref_mod(num, RREF_PRIMES[i : i + 2])
         key = (-len(piv_cols), piv_cols)
         if best is None or key < best:
             best, residues, modulus = key, [], 1
@@ -819,7 +823,7 @@ def rank_lower_bound(m: Matrix) -> int:
         raise FieldMismatch("rank_lower_bound requires the rational field")
     if not uses_primes(m):
         return _bareiss_rank(m)
-    return len(_rref_mod(_residues(m.num, (RANK_PRIME,)), [RANK_PRIME])[1])
+    return len(_rref_mod(m.num, (RANK_PRIME,))[1])
 
 
 def _bareiss_rank(m: Matrix) -> int:

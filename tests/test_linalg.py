@@ -601,10 +601,6 @@ def rule_matrices(draw):
     return entries(n, m)
 
 
-def integer_matrix(rows):
-    return Matrix(rows, RATIONAL)
-
-
 class TestMultiModular:
     """The certified multi-modular elimination against the Bareiss oracle,
     under the default primes and under tiny ones."""
@@ -630,7 +626,7 @@ class TestMultiModular:
         b = left * rand_int_matrix(rng, 6, rule + 1, bound=3)
         rows = [[modulus] + [0] * (rule + 1)]
         rows += [[0] + list(r) for r in b.num]
-        return integer_matrix(rows)
+        return Matrix(rows, RATIONAL)
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_first_pivot_divisible_by_leading_primes(self, batch):
@@ -650,10 +646,7 @@ class TestMultiModular:
         # 120-bit entries of rank 11: RREF entries far beyond the product of
         # the tiny primes, so the modular path gives up and Bareiss answers
         rng = random.Random(1203)
-        big = lambda r, c: Matrix(
-            [[rng.randint(-(2**120), 2**120) for _ in range(c)] for _ in range(r)], RATIONAL
-        )
-        m = big(12, 11) * big(11, 13)
+        m = rand_int_matrix(rng, 12, 11, bound=2**120) * rand_int_matrix(rng, 11, 13, bound=2**120)
         with tiny_primes():
             assert linalg._rref_modular(m) is None
             got = exact_outcome(m)
@@ -675,19 +668,23 @@ class TestMultiModular:
         forged = [list(r) for r in rows]
         forged[2][-1] += 1
         assert not certified(piv_cols, free_cols, forged)
-        # a lost pivot: too few rows for the row space of m
-        assert not certified(piv_cols[:-1], sorted(free_cols + piv_cols[-1:]), [
-            r[:] + [0] for r in rows[:-1]
-        ])
-        # a later pivot set of the same size with the same rows is not in
-        # echelon form, or fails the product
-        shifted = piv_cols[:-1] + [free_cols[-1]]
-        free_shifted = sorted(set(range(m.cols)) - set(shifted))
-        moved = [
-            [(den if c == piv_cols[-1] and k == len(rows) - 1 else r[c]) for c in free_shifted]
-            for k, r in enumerate(rref.num)
+        # a lost pivot: the other rows of R are too few for the row space of m
+        free_lost = sorted(free_cols + piv_cols[-1:])
+        assert not certified(piv_cols[:-1], free_lost, [[r[c] for c in free_lost] for r in rref.num[:-1]])
+        # the same row space with the identity on a later pivot set: the
+        # product holds, but the last row is not zero left of its pivot
+        later = next(f for f in free_cols if f > piv_cols[-1] and rref.num[-1][f])
+        shifted = piv_cols[:-1] + [later]
+        moved = Matrix([[r[c] for c in shifted] for r in rref.data], RATIONAL).inverse() * rref
+        free_moved = [c for c in range(m.cols) if c not in shifted]
+        rows_moved = [[r[c] for c in free_moved] for r in moved.num]
+        assert linalg._certified(m.num, shifted, free_moved, rows_moved, moved.den) is False
+        product_only = [
+            r[c] * moved.den == sum(r[p] * x for p, x in zip(shifted, col))
+            for r in m.num
+            for c, col in zip(free_moved, zip(*rows_moved))
         ]
-        assert not certified(shifted, free_shifted, moved)
+        assert all(product_only)
 
     def test_forged_candidate_is_rejected_and_replaced(self, monkeypatch):
         """A wrong reconstruction fails the certificate, and the next primes
