@@ -572,12 +572,11 @@ def _rref_mod(num, primes: tuple[int, ...]):
     rows, as a (layers, rank, cols) array, the pivot columns and the
     surviving primes.
     """
-    q = math.prod(primes)
-    # one pass of Python remainders, the rest in int64
-    red = np.array([[x % q for x in r] for r in num], dtype=np.int64)
-    a = red[None] % np.array(primes, dtype=np.int64)[:, None, None]
     primes = list(primes)
     mods = np.array(primes, dtype=np.int64)[:, None]
+    q = math.prod(primes)
+    # one pass of Python remainders, the rest in int64
+    a = np.array([[x % q for x in r] for r in num], dtype=np.int64)[None] % mods[:, :, None]
     nrows, ncols = a.shape[1:]
     piv_cols: list[int] = []
     r = 0
@@ -662,9 +661,9 @@ def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]] | None:
         if not _certified(num, piv_cols, free_cols, rows, den):
             continue
         out = []
-        for k, row in enumerate(rows):
+        for pivot, row in zip(piv_cols, rows):
             full = [0] * m.cols
-            full[piv_cols[k]] = den
+            full[pivot] = den
             for c, v in zip(free_cols, row):
                 full[c] = v
             out.append(full)

@@ -220,13 +220,13 @@ class TestUnluckyPrime:
             return wrapper
 
         modular = []
+        real_modular = linalg._rref_modular
 
         def recorded(*args):
             found = real_modular(*args)
             modular.append(found is not None)
             return found
 
-        real_modular = linalg._rref_modular
         monkeypatch.setattr(fitting_module, "rank", counted(fitting_module.rank))
         monkeypatch.setattr(linalg, "rank", counted(linalg.rank))
         monkeypatch.setattr(linalg, "_rref_modular", recorded)

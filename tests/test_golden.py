@@ -41,7 +41,9 @@ def test_rational_report_byte_identical(capsys, name):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("primes", [None, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)])
+@pytest.mark.parametrize(
+    "primes", [None, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)], ids=["own_primes", "tiny_primes"]
+)
 @pytest.mark.parametrize("name", [c for c in CASES if c.startswith("r")])
 def test_rational_report_through_the_primes(capsys, monkeypatch, name, primes):
     """With the size rule lowered to one row and column every exact

@@ -553,11 +553,12 @@ def exact_outcome(m):
     _, k, free_cols = row_and_kernel(m)
     x = Matrix([[(i * 7 + j) % 5 - 2 for j in range(2)] for i in range(m.cols)], RATIONAL)
     e0 = Matrix([[int(i == 0)] for i in range(m.rows)], RATIONAL)
+    span = Subspace(m)
     out = [
         (rref, piv_cols),
         rank(m),
         (k, free_cols),
-        (Subspace(m).basis, Subspace(m).pivots),
+        (span.basis, span.pivots),
         solve_exact(m, m * x),
         solve_exact(m, e0),
     ]
