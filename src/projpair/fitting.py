@@ -15,16 +15,6 @@ and the consistency of M_Y and S_Y give S B_Y = B_Y S_Y, and with S_Y
 invertible Y = S^k Y lies inside im S^k; (c) F + Y is the whole space.
 Then dim F <= n - r and dim Y <= r for r = rank S^k add up to n, so
 F = ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
-
-Over the rationals two yes/no answers come from lower bounds on ranks
-(:func:`~projpair.linalg.rank_lower_bound`): the k loop stops when the
-bound on rank S^(k+1) reaches the exact rank S^k, and S_Y is invertible
-when its bound is full.  Either equality is a proof.  Under the size
-rule of :func:`~projpair.linalg.uses_primes` the bound is a rank modulo
-a prime, and one that falls short, as an unlucky prime can make it, is
-settled by the exact rank; below the rule it is the exact rank itself.
-So no answer rests on the prime, and no small matrix is eliminated
-twice.
 """
 
 from __future__ import annotations
@@ -41,10 +31,8 @@ from .linalg import (
     kernel_basis,
     numeric_rank,
     rank,
-    rank_lower_bound,
     restrict_operator,
     subspace_sum,
-    uses_primes,
 )
 from .pairs import ProjectionPair, derived_ops
 from .scalars import FLOAT, RATIONAL
@@ -84,13 +72,10 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
 
     k is the least exponent with rank S^k = rank S^(k+1); k = 0 means S
     is invertible and F is trivial.  Over Q every entry of rank_sequence
-    is an exact rank, and stabilization is proved by b = rank S^k for the
-    lower bound b of :func:`~projpair.linalg.rank_lower_bound`, since b
-    <= rank S^(k+1) <= rank S^k; when a modular bound falls short the
-    exact rank of S^(k+1) decides.  Over
-    floats the invariance of F and Y can fail past tolerance, which
-    surfaces as :class:`RestrictionFailure`; over the rationals the
-    commutation of S with P and Q makes the restrictions exact.
+    is an exact rank.  Over floats the invariance of F and Y can fail
+    past tolerance, which surfaces as :class:`RestrictionFailure`; over
+    the rationals the commutation of S with P and Q makes the
+    restrictions exact.
     """
     ops = derived_ops(pair)
     n = pair.dim
@@ -101,12 +86,7 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     k = 0
     while True:
         if pair.field == RATIONAL:
-            # rank_p S^(k+1) <= rank S^(k+1) <= rank S^k: equality proves
-            # stabilization; below the size rule the bound is the exact
-            # rank, above it a short bound is settled by the exact rank
-            r = rank_lower_bound(next_power)
-            if r < ranks[-1] and uses_primes(next_power):
-                r = rank(next_power)
+            r = rank(next_power)
         else:
             sv = np.linalg.svd(next_power.to_numpy(), compute_uv=False)
             r, margin = numeric_rank(sv, next_power.shape)

@@ -6,19 +6,14 @@ canonical, so sums, products, transposes and comparisons run on Python
 integers; Fractions appear only where a single entry, a trace, a
 determinant or the ``data`` view leaves the module.  Every exact rank,
 kernel, column space, solve and inverse comes from one reduced row
-echelon form, chosen by one size rule on the shape (:func:`uses_primes`).
+echelon form, chosen by one size rule on the shape (:func:`_uses_primes`).
 A matrix with at least :data:`MODULAR_MIN_DIM` rows and columns is
 eliminated modulo the 31-bit :data:`RREF_PRIMES` in int64 arrays, rebuilt
 by CRT and rational reconstruction, and accepted only when an exact
 product certifies it; should the primes run out, Bareiss answers.  A
 smaller one goes through fraction-free Bareiss elimination and an
 integer back-substitution, as do determinants.  So results are exact and
-no answer rests on a prime.  Where a yes/no fact needs only a lower bound
-on a rank, :func:`rank_lower_bound` takes, under the rule, the rank of
-the numerator modulo :data:`RANK_PRIME`: it never exceeds the rank over
-Q, so it proves full rank (:func:`is_invertible`) or a rank already known
-as an upper bound, and anything short of that falls back to the exact
-rank.  Below the rule it is the exact rank.
+no answer rests on a prime.
 
 A float matrix holds one read-only float64 ndarray, so its arithmetic
 runs in numpy and BLAS; it mirrors the same API through SVD
@@ -80,23 +75,16 @@ __all__ = [
     "solve_exact",
     "numeric_rank",
     "is_invertible",
-    "rank_lower_bound",
-    "uses_primes",
-    "RANK_PRIME",
     "RREF_PRIMES",
     "MODULAR_MIN_DIM",
     "RANK_REL_TOL",
 ]
 
-# The modulus of rank_lower_bound: a prime below 2^31, so the product of
-# two reduced entries stays below 2^62.
-RANK_PRIME = 2147483629
-
 # The moduli of the multi-modular elimination, in the order it takes
 # them: 31-bit primes, so that the product of two reduced entries, and
 # of two of the primes, fits an int64.
 RREF_PRIMES = (
-    RANK_PRIME, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
+    2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
     2147483497, 2147483489, 2147483477, 2147483423, 2147483399, 2147483353,
     2147483323, 2147483269, 2147483249, 2147483237, 2147483179, 2147483171,
     2147483137, 2147483123, 2147483077, 2147483069, 2147483059, 2147483053,
@@ -521,14 +509,14 @@ def _rref_exact(m: Matrix) -> tuple[Matrix, list[int]]:
     below it, or when the primes run out, that of :func:`_rref_bareiss`.
     Either way the answer is exact and the same.
     """
-    if uses_primes(m):
+    if _uses_primes(m):
         found = _rref_modular(m)
         if found is not None:
             return found
     return _rref_bareiss(m)
 
 
-def uses_primes(m: Matrix) -> bool:
+def _uses_primes(m: Matrix) -> bool:
     """The size rule: whether an exact elimination of m runs modulo
     :data:`RREF_PRIMES`, that is, whether m has at least
     :data:`MODULAR_MIN_DIM` rows and columns."""
@@ -788,41 +776,11 @@ def numeric_rank(sv: np.ndarray, shape: tuple[int, int]) -> tuple[int, float]:
 
 
 def is_invertible(m: Matrix) -> bool:
-    """Whether m is square of full rank (the empty matrix is).
-
-    Exact over Q: a full :func:`rank_lower_bound` proves full rank, and
-    below the size rule the bound is the exact rank; above it a smaller
-    bound, which an unlucky prime can give, is settled by the exact
-    :func:`rank`.  Over floats it is ``rank(m) == m.rows`` by
-    :func:`numeric_rank`, so a numerically-zero matrix is singular
-    whatever its noise spectrum.
-    """
-    if not m.is_square:
-        return False
-    if m.field == RATIONAL:
-        bound = rank_lower_bound(m)
-        if bound == m.rows or not uses_primes(m):
-            return bound == m.rows
-    return rank(m) == m.rows
-
-
-def rank_lower_bound(m: Matrix) -> int:
-    """A lower bound on the rank of a rational m, cheaper than the rank.
-
-    At or above the size rule (:data:`MODULAR_MIN_DIM`) it is the rank of
-    ``m.num`` modulo :data:`RANK_PRIME`.  Reducing mod p maps every minor
-    to that minor mod p, so a minor that vanishes over Q vanishes mod p
-    and the result is at most rank m; it falls short only when p divides
-    every nonzero minor of the largest size.  So the bound proves a rank
-    only where it meets an upper bound known from elsewhere.  Below the
-    rule, where the modular elimination costs about what Bareiss does,
-    it is the exact Bareiss rank, its own lower bound.
-    """
-    if m.field != RATIONAL:
-        raise FieldMismatch("rank_lower_bound requires the rational field")
-    if not uses_primes(m):
-        return _bareiss_rank(m)
-    return len(_rref_mod(m.num, (RANK_PRIME,))[1])
+    """Whether m is square of full rank (the empty matrix is), by the
+    exact :func:`rank` over Q and by :func:`numeric_rank` over floats, so
+    a numerically-zero float matrix is singular whatever its noise
+    spectrum."""
+    return m.is_square and rank(m) == m.rows
 
 
 def _bareiss_rank(m: Matrix) -> int:
@@ -839,7 +797,7 @@ def rank(m: Matrix) -> int:
     above the size rule and the Bareiss rank below it, over floats the
     :func:`numeric_rank` of the singular values."""
     if m.field == RATIONAL:
-        return len(_rref_exact(m)[1]) if uses_primes(m) else _bareiss_rank(m)
+        return len(_rref_exact(m)[1]) if _uses_primes(m) else _bareiss_rank(m)
     if m.rows == 0 or m.cols == 0:
         return 0
     return numeric_rank(np.linalg.svd(m.data, compute_uv=False), m.shape)[0]

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from projpair import fitting as fitting_module
 from projpair import linalg
 from projpair.errors import RestrictionFailure
 from projpair.fitting import fitting_decomposition, verify_fitting
@@ -165,17 +164,28 @@ class TestJordanExponents:
         assert not lowered.checks["rank_stabilized"]
 
 
-class TestUnluckyPrime:
-    """A modulus that drops ranks changes no answer.
+def record_modular(monkeypatch):
+    """Record, per multi-modular elimination, whether it certified an RREF
+    (True) or left the matrix to Bareiss (False)."""
+    calls = []
+    real = linalg._rref_modular
 
-    The k loop stops on rank_lower_bound only when it meets the previous
-    exact rank, and is_invertible trusts it only at full rank; otherwise
-    both take the exact rank.  With the modulus 2 or 3 many bounds fall
-    short, so the exact fallback must carry every answer.  The primes of
-    the multi-modular elimination are patched to the first primes from
-    that modulus on: they lose pivots and run out, so the certificate and
-    the Bareiss fallback must carry every elimination at or above the
-    size rule.
+    def recorded(*args):
+        found = real(*args)
+        calls.append(found is not None)
+        return found
+
+    monkeypatch.setattr(linalg, "_rref_modular", recorded)
+    return calls
+
+
+class TestUnluckyPrime:
+    """Moduli that drop ranks change no answer.
+
+    The primes of the multi-modular elimination are patched to the first
+    primes from 2 or 3 on: they lose pivots and run out, so the
+    certificate and the Bareiss fallback must carry every elimination at
+    or above the size rule.
     """
 
     TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -192,7 +202,13 @@ class TestUnluckyPrime:
                     dim, (h >> 8) % (dim + 1), (h >> 16) % (dim + 1), seed=mix_seed(0x9A2, i)
                 )
             )
-        # at or above the size rule, where eliminations run modulo the primes
+        return pairs + TestUnluckyPrime.at_the_rule()
+
+    @staticmethod
+    def at_the_rule():
+        """Oblique pairs at or above the size rule, where eliminations run
+        modulo the primes."""
+        pairs = []
         for i in range(4):
             dim = linalg.MODULAR_MIN_DIM + i
             pairs.append(gen_pair_oblique_rational(dim, dim // 2 - 1, dim // 2 + 1, seed=i))
@@ -210,40 +226,38 @@ class TestUnluckyPrime:
         )
 
     def test_small_moduli_change_no_answer(self, monkeypatch):
-        exact_ranks = []
-
-        def counted(real):
-            def wrapper(*args, **kwargs):
-                exact_ranks.append(1)
-                return real(*args, **kwargs)
-
-            return wrapper
-
-        modular = []
-        real_modular = linalg._rref_modular
-
-        def recorded(*args):
-            found = real_modular(*args)
-            modular.append(found is not None)
-            return found
-
-        monkeypatch.setattr(fitting_module, "rank", counted(fitting_module.rank))
-        monkeypatch.setattr(linalg, "rank", counted(linalg.rank))
-        monkeypatch.setattr(linalg, "_rref_modular", recorded)
+        modular = record_modular(monkeypatch)
         pairs = self.corpus()
         want = [self.outcome(pair) for pair in pairs]
         assert all(checks and all(checks.values()) for *_, checks in want)
-        default_calls = len(exact_ranks)
         for prime in (2, 3):
-            monkeypatch.setattr(linalg, "RANK_PRIME", prime)
             monkeypatch.setattr(linalg, "RREF_PRIMES", self.TINY_PRIMES[self.TINY_PRIMES.index(prime) :])
-            exact_ranks.clear()
             modular.clear()
             assert [self.outcome(pair) for pair in pairs] == want
-            # the small modulus did drop ranks, so the fallback was taken
-            assert len(exact_ranks) > default_calls
             # some modular eliminations were certified, others fell back
             assert True in modular and False in modular
+
+
+class TestSizeRule:
+    """At or above the size rule the k loop takes certified modular ranks;
+    pure Bareiss is their oracle."""
+
+    def test_k_loop_matches_bareiss(self, monkeypatch):
+        """k, the rank sequence, F, Y and every verifier check at d = 12-15,
+        with k = 4 and 5 among them, are those of pure Bareiss."""
+        pairs = [TestJordanExponents.with_invertible_part(m) for m in (4, 5)]
+        pairs += TestUnluckyPrime.at_the_rule()
+        assert min(pair.dim for pair in pairs) >= linalg.MODULAR_MIN_DIM
+        certified = record_modular(monkeypatch)
+        outcome = TestUnluckyPrime.outcome
+        got = [outcome(pair) for pair in pairs]
+        assert [k for k, *_ in got[:2]] == [4, 5]
+        assert all(all(checks.values()) for *_, checks in got)
+        assert certified and all(certified)
+        certified.clear()
+        monkeypatch.setattr(linalg, "MODULAR_MIN_DIM", 10**9)
+        assert [outcome(pair) for pair in pairs] == got
+        assert certified == []
 
 
 class TestInvariants:

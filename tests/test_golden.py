@@ -51,7 +51,6 @@ def test_rational_report_through_the_primes(capsys, monkeypatch, name, primes):
     primes, which lose pivots and run out.  No answer may move."""
     monkeypatch.setattr(linalg, "MODULAR_MIN_DIM", 1)
     if primes:
-        monkeypatch.setattr(linalg, "RANK_PRIME", primes[0])
         monkeypatch.setattr(linalg, "RREF_PRIMES", primes)
     code, out = verify_json(capsys, name)
     assert code == 0

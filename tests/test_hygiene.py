@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-and every attribute the benchmark tracer patches exists."""
+only linalg knows the size rule of the exact eliminations, and every
+attribute the benchmark tracer patches exists."""
 
 import ast
 import importlib
@@ -13,8 +14,10 @@ SRC = ROOT / "src" / "projpair"
 MODULES = sorted(SRC.glob("*.py"))
 
 
-def imported_names(tree: ast.Module) -> dict[str, int]:
-    """Names bound by import statements, with their line numbers.
+def imported_names(tree: ast.Module, bound: bool = True) -> dict[str, int]:
+    """Names bound by import statements, with their line numbers; with
+    ``bound=False`` the names imported instead (``from m import a as b``
+    imports ``a``).
 
     ``from __future__`` imports are directives, not bindings, and are
     skipped.
@@ -23,11 +26,12 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+                name = alias.name.partition(".")[0]
+                names[alias.asname if bound and alias.asname else name] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 if alias.name != "*":
-                    names[alias.asname or alias.name] = node.lineno
+                    names[alias.asname if bound and alias.asname else alias.name] = node.lineno
     return names
 
 
@@ -74,6 +78,22 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def knows_size_rule(name: str) -> bool:
+    """Whether a name belongs to linalg's choice between the multi-modular
+    and the Bareiss elimination: the rule, its constants, the eliminations."""
+    return name in {"uses_primes", "_uses_primes", "MODULAR_MIN_DIM", "RREF_PRIMES"} or (
+        name.startswith(("_rref_", "_bareiss_"))
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "linalg"], ids=lambda p: p.name)
+def test_size_rule_stays_in_linalg(path):
+    """Callers take exact ranks and bases; which elimination answers is
+    linalg's business alone."""
+    names = imported_names(ast.parse(path.read_text(encoding="utf-8")), bound=False)
+    assert sorted(name for name in names if knows_size_rule(name)) == []
 
 
 def test_checker_flags_unused_and_spares_used():

@@ -20,7 +20,6 @@ from projpair.errors import (
 from projpair import linalg
 from projpair.linalg import (
     MODULAR_MIN_DIM,
-    RANK_PRIME,
     RREF_PRIMES,
     RANK_REL_TOL,
     Matrix,
@@ -30,7 +29,6 @@ from projpair.linalg import (
     kernel_basis,
     numeric_rank,
     rank,
-    rank_lower_bound,
     restrict_operator,
     row_and_kernel,
     solve_exact,
@@ -475,17 +473,8 @@ class TestExactKernels:
             assert (other.num, other.den) == (a.num, a.den)
 
 
-@st.composite
-def small_integer_matrices(draw):
-    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    row = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
-    rows = draw(st.lists(row, min_size=n, max_size=n))
-    return Matrix(rows, RATIONAL) if n else Matrix.zeros(0, m, RATIONAL)
-
-
-class TestRankLowerBound:
-    """The rank modulo RANK_PRIME never exceeds the rank over Q, and
-    is_invertible falls back to the exact rank when the bound falls short."""
+class TestIsInvertible:
+    """is_invertible is full exact rank, whatever prime divides a pivot."""
 
     @given(rational_matrices())
     @example(Matrix.zeros(0, 3, RATIONAL))
@@ -494,37 +483,23 @@ class TestRankLowerBound:
     @example(NEGATIVE_PIVOTS)
     @example(RANK_ONE)
     @settings(max_examples=150, deadline=None)
-    def test_at_most_rank(self, m):
-        bound = rank_lower_bound(m)
-        assert 0 <= bound <= rank(m)
-        if m.is_square:
-            assert is_invertible(m) == (rank(m) == m.rows)
-
-    @given(small_integer_matrices())
-    @settings(max_examples=150, deadline=None)
-    def test_exact_on_small_integers(self, m):
-        # every minor is below Hadamard's bound (5 * 3^2)^(5/2) < 14000 <
-        # RANK_PRIME, so no nonzero minor vanishes modulo the prime
-        assert rank_lower_bound(m) == rank(m)
+    def test_matches_rank(self, m):
+        assert is_invertible(m) == (m.is_square and rank(m) == m.rows)
 
     def test_prime_on_the_diagonal(self):
-        # at the size rule the bound is the rank modulo RANK_PRIME
+        # at the size rule the first modulus of the elimination divides a pivot
+        p = RREF_PRIMES[0]
         ones = [1] * (MODULAR_MIN_DIM - 1)
-        m = Matrix.diag(ones + [RANK_PRIME], RATIONAL)
-        assert rank_lower_bound(m) == MODULAR_MIN_DIM - 1
+        m = Matrix.diag(ones + [p], RATIONAL)
         assert rank(m) == MODULAR_MIN_DIM
         assert is_invertible(m)
-        # the same numerator over the denominator RANK_PRIME
-        scaled = Matrix.diag([Fraction(1, RANK_PRIME)] * len(ones) + [1], RATIONAL)
-        assert scaled.num == m.num and rank_lower_bound(scaled) == MODULAR_MIN_DIM - 1
+        # the same numerator over the denominator p
+        scaled = Matrix.diag([Fraction(1, p)] * len(ones) + [1], RATIONAL)
+        assert scaled.num == m.num and rank(scaled) == MODULAR_MIN_DIM
         assert is_invertible(scaled)
-        # below it the bound is the exact rank
-        small = Matrix.diag([1, RANK_PRIME], RATIONAL)
-        assert rank_lower_bound(small) == rank(small) == 2
-
-    def test_float_rejected(self):
-        with pytest.raises(FieldMismatch):
-            rank_lower_bound(Matrix.identity(2, FLOAT))
+        # below the rule
+        small = Matrix.diag([1, p], RATIONAL)
+        assert rank(small) == 2 and is_invertible(small)
 
 
 # The first primes: with these moduli many pivots vanish and short
@@ -541,9 +516,7 @@ def bareiss_only():
 
 @contextlib.contextmanager
 def tiny_primes():
-    with mock.patch.object(linalg, "RANK_PRIME", TINY_PRIMES[0]), mock.patch.object(
-        linalg, "RREF_PRIMES", TINY_PRIMES
-    ):
+    with mock.patch.object(linalg, "RREF_PRIMES", TINY_PRIMES):
         yield
 
 
@@ -615,8 +588,6 @@ class TestMultiModular:
         assert got == want
         with tiny_primes():
             assert exact_outcome(m) == want
-            assert rank_lower_bound(m) <= want[1]
-        assert rank_lower_bound(m) <= want[1]
 
     @staticmethod
     def unlucky(modulus, rule=MODULAR_MIN_DIM):
@@ -640,8 +611,6 @@ class TestMultiModular:
             want = exact_outcome(m)
         assert linalg._rref_modular(m) == want[0]
         assert exact_outcome(m) == want
-        # the bound modulo RANK_PRIME misses that pivot, the rank does not
-        assert rank_lower_bound(m) == want[1] - 1
 
     def test_primes_run_out(self):
         # 120-bit entries of rank 11: RREF entries far beyond the product of
