@@ -2,12 +2,17 @@
 
 The rational backend is the oracle of the whole package.  A rational
 matrix is one integer numerator matrix over one common denominator, kept
-canonical, so sums, products, transposes and comparisons run on Python
+canonical, so sums, products, transposes and comparisons run on
 integers; Fractions appear only where a single entry, a trace, a
-determinant or the ``data`` view leaves the module.  Every exact rank,
-kernel, column space, solve and inverse comes from one reduced row
-echelon form, chosen by one size rule on the shape (:func:`_uses_primes`).
-A matrix with at least :data:`MODULAR_MIN_DIM` rows and columns is
+determinant or the ``data`` view leaves the module.  One size rule on
+the shape, at least :data:`MODULAR_MIN_DIM` rows and columns, chooses
+the exact kernels.  A product whose rows, inner dimension and columns
+all reach it cuts each entry into 16-bit two's-complement limbs and
+multiplies the stacked limb planes in one float64 GEMM, exact while
+inner * min(limbs of A, limbs of B) < 2**21 (:func:`_limb_product`);
+a smaller one is a schoolbook sum over Python integers.  Every exact
+rank, kernel, column space, solve and inverse comes from one reduced
+row echelon form.  A matrix at the rule (:func:`_uses_primes`) is
 eliminated modulo the 31-bit :data:`RREF_PRIMES` in int64 arrays, rebuilt
 by CRT and rational reconstruction, and accepted only when an exact
 product certifies it; should the primes run out, Bareiss answers.  A
@@ -94,7 +99,8 @@ RREF_PRIMES = (
 
 # The size rule of the exact path: a rational matrix with at least this
 # many rows and columns is eliminated modulo RREF_PRIMES and certified,
-# a smaller one by Bareiss.
+# a smaller one by Bareiss; a product whose rows, inner dimension and
+# columns all reach it runs on 16-bit limbs in one float64 GEMM.
 MODULAR_MIN_DIM = 12
 
 # The relative singular-value cutoff of numeric_rank.
@@ -263,6 +269,19 @@ class Matrix:
         return _make(tuple(tuple(-x for x in r) for r in self.num), self.cols, self.den)
 
     def __mul__(self, other):
+        """The matrix product, or a scalar multiple when other is not a
+        Matrix.
+
+        Over Q the product is num_a num_b over den_a den_b, canonicalized.
+        The integer product is a schoolbook sum of Python-integer products
+        unless all of rows, inner dimension and columns reach the size
+        rule (:data:`MODULAR_MIN_DIM`); then :func:`_limb_product` cuts
+        the entries into 16-bit two's-complement limbs, stacks A's limb
+        planes as (limbs * rows) x inner and B's as inner x (limbs *
+        cols), and multiplies them in one float64 GEMM, which is exact
+        while inner * min(limbs of A, limbs of B) < 2**21.  Over floats
+        it is one ndarray product.
+        """
         if isinstance(other, Matrix):
             check_same_field(self.field, other.field)
             if self.cols != other.rows:
@@ -271,12 +290,12 @@ class Matrix:
                 )
             if self.field == FLOAT:
                 return _wrap(self.data @ other.data)
-            b_cols = other.transpose().num
-            return _exact(
-                [[sum(map(operator.mul, a_row, b_col)) for b_col in b_cols] for a_row in self.num],
-                other.cols,
-                self.den * other.den,
-            )
+            if min(self.rows, self.cols, other.cols) >= MODULAR_MIN_DIM:
+                num = _limb_product(self.num, other.num, self.rows, self.cols, other.cols)
+            else:
+                b_cols = other.transpose().num
+                num = [[sum(map(operator.mul, a_row, b_col)) for b_col in b_cols] for a_row in self.num]
+            return _exact(num, other.cols, self.den * other.den)
         return self._scaled(other)
 
     def __rmul__(self, other):
@@ -452,6 +471,55 @@ def _exact(num, cols: int, den: int = 1) -> Matrix:
 
 def _scaled_num(num: tuple, k: int):
     return num if k == 1 else tuple(tuple(x * k for x in r) for r in num)
+
+
+def _limb_product(a_num, b_num, rows: int, inner: int, cols: int) -> list[list[int]]:
+    """The integer product of the rows a_num (rows x inner) and b_num
+    (inner x cols), both nonempty, as rows of Python integers.
+
+    Each entry of A is cut into L_A two's-complement 16-bit limbs, little
+    end first, so x = sum_s x_s 2**(16 s) with every limb unsigned but
+    the top one, which carries the sign; likewise B with L_B limbs.  A's
+    limb planes stacked as an (L_A rows) x inner matrix, times B's laid
+    out as inner x (L_B cols), give in one float64 GEMM every
+    sum_k a_s[i, k] b_t[k, j].  Each is an integer below inner * 2**32 in
+    absolute value, and their sums along s + t = u below
+    inner * min(L_A, L_B) * 2**32; while that is below 2**53, that is
+    inner * min(L_A, L_B) < 2**21, every partial sum is exact in float64,
+    in any order BLAS takes.  The anti-diagonal sums are carried into
+    16-bit digits in int64.  An entry is below inner * 2**(16 (L_A + L_B)
+    - 2) in absolute value, so L_A + L_B digits and one more per 16 bits
+    of inner hold it as a signed little-endian integer, read back by
+    int.from_bytes.
+    """
+    la = (max(map(int.bit_length, itertools.chain.from_iterable(a_num))) + 16) // 16
+    lb = (max(map(int.bit_length, itertools.chain.from_iterable(b_num))) + 16) // 16
+    assert inner * min(la, lb) < 2**21, "limb product sums would leave float64's exact range"
+
+    def limbs(num, width):
+        buf = b"".join([x.to_bytes(2 * width, "little", signed=True) for r in num for x in r])
+        planes = np.frombuffer(buf, "<u2").astype(np.float64).reshape(-1, width)
+        planes[:, -1] = np.frombuffer(buf, "<i2")[width - 1 :: width]
+        return planes
+
+    a = limbs(a_num, la).reshape(rows, inner, la).transpose(2, 0, 1).reshape(la * rows, inner)
+    b = limbs(b_num, lb).reshape(inner, cols, lb).transpose(0, 2, 1).reshape(inner, lb * cols)
+    prod = (a @ b).reshape(la, rows, lb, cols)
+    ndigits = la + lb + (inner.bit_length() + 15) // 16
+    sums = np.zeros((rows, ndigits, cols))
+    for s in range(la):
+        sums[:, s : s + lb] += prod[s]
+    digits = sums.transpose(1, 0, 2).astype(np.int64, order="C")
+    carry = 0
+    for v in digits:
+        v += carry
+        carry = v >> 16
+        v &= 0xFFFF
+    buf = digits.transpose(1, 2, 0).astype("<u2").tobytes()
+    width = 2 * ndigits
+    from_bytes = int.from_bytes
+    flat = [from_bytes(buf[o : o + width], "little", signed=True) for o in range(0, len(buf), width)]
+    return [flat[i : i + cols] for i in range(0, rows * cols, cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,9 @@ def test_rational_report_byte_identical(capsys, name):
 def test_rational_report_through_the_primes(capsys, monkeypatch, name, primes):
     """With the size rule lowered to one row and column every exact
     elimination runs modulo the primes: the default ones, or the first
-    primes, which lose pivots and run out.  No answer may move."""
+    primes, which lose pivots and run out.  Every product with rows,
+    inner dimension and columns then runs through 16-bit limbs in one
+    float64 GEMM.  No answer may move."""
     monkeypatch.setattr(linalg, "MODULAR_MIN_DIM", 1)
     if primes:
         monkeypatch.setattr(linalg, "RREF_PRIMES", primes)

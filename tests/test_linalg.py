@@ -350,6 +350,49 @@ def assert_canonical(m, want_rows, shape):
     assert all(type(x) is Fraction for r in m.data for x in r)
 
 
+def limb_calls():
+    """Patch that counts the products that take 16-bit limbs."""
+    return mock.patch.object(linalg, "_limb_product", wraps=linalg._limb_product)
+
+
+# Entries at the edges of 16-bit two's-complement limbs and of int64.
+LIMB_EDGES = (
+    0, 1, -1, 2**15 - 1, -(2**15 - 1), 2**15, -(2**15), 2**16, -(2**16), 2**16 - 1, -(2**63), 2**64 - 1
+)
+
+
+def limb_pair(rows, inner, cols, a_values, b_values, den=(1, 1)):
+    """(a, b) of shapes rows x inner and inner x cols: numerators that
+    cycle through the given values, row by row, over den[0] and den[1]."""
+
+    def operand(n, m, values, den):
+        entries = [Fraction(values[k % len(values)], den) for k in range(n * m)]
+        return Matrix([entries[i : i + m] for i in range(0, n * m, m)], RATIONAL)
+
+    return operand(rows, inner, a_values, den[0]), operand(inner, cols, b_values, den[1])
+
+
+@st.composite
+def limb_pairs(draw):
+    """Operands at or above the size rule, rectangular too, each all zero
+    or with entries from the limb edges and of a drawn width up to 600
+    bits: random ones and those next to a power of two, where the top
+    limb and the carry are tight."""
+    rows, inner, cols = draw(st.integers(12, 24)), draw(st.integers(12, 40)), draw(st.integers(12, 24))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def values(count):
+        if draw(st.integers(0, 5)) == 0:
+            return [0]
+        bits = draw(st.one_of(st.sampled_from((1, 15, 16, 17, 31, 63, 64, 65, 127)), st.integers(1, 600)))
+        tight = [2**bits - 1, -(2**bits), -(2**bits) + 1]
+        pool = list(LIMB_EDGES) + tight * 4 + [rng.randint(-(2**bits), 2**bits) for _ in range(12)]
+        return [rng.choice(pool) for _ in range(count)]
+
+    den = (draw(st.sampled_from((1, 6))), draw(st.sampled_from((1, 10, 2**70))))
+    return limb_pair(rows, inner, cols, values(rows * inner), values(inner * cols), den)
+
+
 NEGATIVE_PIVOTS = Matrix([[-2, 4, 1], [6, -3, 0], [-4, 8, 2]], RATIONAL)
 RANK_ONE = Matrix([[2, -4, 6], [-1, 2, -3], [0, 0, 0]], RATIONAL)
 WIDE = Matrix(
@@ -361,6 +404,7 @@ WIDE = Matrix(
 class TestExactKernels:
     """The integer-scaled product and RREF against plain Fraction loops."""
 
+    @pytest.mark.parametrize("rule", [MODULAR_MIN_DIM, 1], ids=["own_rule", "rule_1"])
     @given(multipliable_pairs())
     @example((Matrix([[Fraction(-7, 3)]], RATIONAL), Matrix([[Fraction(3, -7)]], RATIONAL)))
     @example((Matrix([[], []], RATIONAL), Matrix([], RATIONAL)))
@@ -369,13 +413,36 @@ class TestExactKernels:
     @example((WIDE, WIDE))
     @example((NEGATIVE_PIVOTS, RANK_ONE))
     @settings(max_examples=150, deadline=None)
-    def test_product_matches_fraction_sum(self, pair):
+    def test_product_matches_fraction_sum(self, rule, pair):
+        """Under the size rule as it is, and lowered to 1, where every
+        product with rows, inner dimension and columns takes limbs."""
         a, b = pair
-        got = a * b
+        with mock.patch.object(linalg, "MODULAR_MIN_DIM", rule), limb_calls() as limbs:
+            got = a * b
+        assert limbs.called == (min(a.rows, a.cols, b.cols) >= rule)
         want = matmul_fraction_sum(a, b)
         assert got.shape == want.shape
         assert got == want
         assert all(type(x) is Fraction for r in got.data for x in r)
+
+    @given(limb_pairs())
+    @example(limb_pair(12, 12, 12, [2**15 - 1], [2**15 - 1]))
+    @example(limb_pair(12, 40, 24, [-(2**15)], [-(2**15)]))
+    @example(limb_pair(24, 40, 12, [-(2**63)], [-(2**63)]))
+    @example(limb_pair(13, 17, 19, [2**64 - 1], [-(2**63), 2**64 - 1]))
+    @example(limb_pair(12, 20, 15, [0], [2**600 - 1, -(2**600)]))
+    @example(limb_pair(15, 12, 12, [1, -1], [2**599 + 1, -(2**600) + 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_limb_product_at_the_size_rule(self, pair):
+        """Products at natural sizes, square and rectangular, with entries
+        at the edges of 16-bit limbs and of up to 600 bits, go through
+        limbs and equal the per-entry Fraction sum, in canonical form."""
+        a, b = pair
+        with limb_calls() as limbs:
+            got = a * b
+        assert limbs.call_count == 1
+        want = matmul_fraction_sum(a, b)
+        assert_canonical(got, want.data, want.shape)
 
     @given(rational_matrices())
     @example(Matrix([[Fraction(-7, 3)]], RATIONAL))
