@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigensolverFailure, FieldMismatch, ProjpairError
-from .fitting import fitting_decomposition
+from .fitting import FittingDecomposition, fitting_decomposition
 from .linalg import (
     Matrix,
     Subspace,
@@ -153,18 +153,20 @@ def trace_power(pair: ProjectionPair, n: int) -> Scalar:
     return trace(derived_ops(pair).M ** n)
 
 
-def _odd_power_traces(m: Matrix, ns: tuple[int, ...]) -> dict[int, Scalar]:
-    """Traces of m^n for the given odd n, from the powers m^2 .. m^h only,
-    h = (max n + 1) / 2.
+def _odd_power_traces(m: Matrix, s: Matrix, ns: tuple[int, ...]) -> dict[int, Scalar]:
+    """Traces of m^n for the given odd n, where s = I - m^2, from the
+    powers m^2 .. m^h only, h = (max n + 1) / 2.
 
-    tr m^n = tr(m^a m^(n-a)) = sum_ij (m^a)_ij (m^(n-a))_ji with a = (n +
-    1) / 2 is one dot product (:func:`trace_product`), so no power beyond
-    h is formed: n = 1, 3, 5, 7 take m^2, m^3 and m^4.
+    m^2 is read off s as I - s, so the report, which holds S, S_F and
+    S_Y, never squares M, M_F or M_Y again.  tr m^n = tr(m^a m^(n-a)) =
+    sum_ij (m^a)_ij (m^(n-a))_ji with a = (n + 1) / 2 is one dot product
+    (:func:`trace_product`), so no power beyond h is formed: n = 1, 3,
+    5, 7 take m^2 and the products m^3 and m^4.
     """
     if not ns:
         return {}
-    powers = [None, m]
-    for _ in range((max(ns) + 1) // 2 - 1):
+    powers = [None, m, Matrix.identity(m.rows, m.field) - s]
+    for _ in range((max(ns) + 1) // 2 - 2):
         powers.append(powers[-1] * m)
     return {
         n: trace(m) if n == 1 else trace_product(powers[(n + 1) // 2], powers[n // 2])
@@ -236,15 +238,21 @@ class IndexReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _mixed_image_dims(f: Subspace, pair: ProjectionPair) -> tuple[int, int]:
-    """dim((I-P)F + QF) and dim(PF + (I-Q)F) for a subspace F given by its
-    basis B, from the two products P B and Q B: (I-P)B = B - P B and
-    (I-Q)B = B - Q B."""
-    if f.dim == 0:
+def _mixed_image_dims(fd: FittingDecomposition) -> tuple[int, int]:
+    """dim((I-P)F + QF) and dim(PF + (I-Q)F), read from the blocks P_F
+    and Q_F of the Fitting split.
+
+    With B the basis of F, P B = B P_F and Q B = B Q_F
+    (:func:`restrict_operator` makes them exact over Q, and
+    :func:`verify_fitting` proves them), so (I-P)F + QF is the column
+    space of B [I - P_F | Q_F].  B has independent columns, so its
+    dimension is the rank of the dim F x 2 dim F matrix [I - P_F | Q_F],
+    and no product with P or Q is formed; likewise PF + (I-Q)F.
+    """
+    if fd.F.dim == 0:
         return 0, 0
-    b = f.basis
-    pb, qb = pair.P * b, pair.Q * b
-    return rank((b - pb).hstack(qb)), rank(pb.hstack(b - qb))
+    eye = Matrix.identity(fd.F.dim, fd.P_F.field)
+    return rank((eye - fd.P_F).hstack(fd.Q_F)), rank(fd.P_F.hstack(eye - fd.Q_F))
 
 
 def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> IndexReport:
@@ -253,8 +261,9 @@ def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> I
     Each operator is computed once: of the derived operators only M and
     S are built (:func:`derived_ops`; U, V and their certificate are
     not), the eight eigenspace dimensions come from
-    :func:`eigenspace_dims` with no eigenspace basis built, and the
-    traces from powers of M up to half the largest n.
+    :func:`eigenspace_dims` with no eigenspace basis built, the traces
+    from powers of M up to half the largest n with M^2 = I - S, and the
+    mixed images from the blocks P_F and Q_F.
 
     Verdicts, in the order the equalities are derived:
 
@@ -288,14 +297,14 @@ def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> I
     fd = fitting_decomposition(pair)
     dims = eigenspace_dims(pair)
 
-    traces = _odd_power_traces(ops.M, ns)
-    traces_mf = _odd_power_traces(fd.M_F, ns)
-    traces_my = _odd_power_traces(fd.M_Y, ns)
+    traces = _odd_power_traces(ops.M, ops.S, ns)
+    traces_mf = _odd_power_traces(fd.M_F, fd.S_F, ns)
+    traces_my = _odd_power_traces(fd.M_Y, fd.S_Y, ns)
     trace_mf = trace(fd.M_F)
     trace_pf = trace(fd.P_F)
     trace_qf = trace(fd.Q_F)
 
-    codim_raw, codim_mirror_raw = _mixed_image_dims(fd.F, pair)
+    codim_raw, codim_mirror_raw = _mixed_image_dims(fd)
     gap = fd.F.dim - codim_raw
     gap_mirror = fd.F.dim - codim_mirror_raw
 

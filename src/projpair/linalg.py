@@ -7,10 +7,12 @@ integers; Fractions appear only where a single entry, a trace, a
 determinant or the ``data`` view leaves the module.  One size rule on
 the shape, at least :data:`MODULAR_MIN_DIM` rows and columns, chooses
 the exact kernels.  A product whose rows, inner dimension and columns
-all reach it cuts each entry into 16-bit two's-complement limbs and
-multiplies the stacked limb planes in one float64 GEMM, exact while
+all reach it multiplies the operands' 16-bit two's-complement limb
+planes, which each matrix cuts once, on first use, and keeps in its
+read-only ``planes`` slot (:func:`_limb_planes`): one float64 GEMM per
+limb plane of B adds into one buffer of digit sums, exact while
 inner * min(limbs of A, limbs of B) < 2**21 (:func:`_limb_product`);
-a smaller one is a schoolbook sum over Python integers.  Every exact
+a smaller product is a schoolbook sum over Python integers.  Every exact
 rank, kernel, column space, solve and inverse comes from one reduced
 row echelon form.  A matrix at the rule (:func:`_uses_primes`) is
 eliminated modulo the 31-bit :data:`RREF_PRIMES` in int64 arrays, rebuilt
@@ -100,7 +102,7 @@ RREF_PRIMES = (
 # The size rule of the exact path: a rational matrix with at least this
 # many rows and columns is eliminated modulo RREF_PRIMES and certified,
 # a smaller one by Bareiss; a product whose rows, inner dimension and
-# columns all reach it runs on 16-bit limbs in one float64 GEMM.
+# columns all reach it runs on 16-bit limb planes in float64 GEMMs.
 MODULAR_MIN_DIM = 12
 
 # The relative singular-value cutoff of numeric_rank.
@@ -114,13 +116,16 @@ class Matrix:
     tuples of int) over one denominator ``den``, kept canonical (``den >=
     1`` and ``gcd(den, *entries) == 1``, so the zero matrix has ``den ==
     1``) and therefore equal exactly when ``num`` and ``den`` are.  Its
-    ``data`` is a view as rows of Fractions, built on first use and
-    cached.  A float matrix holds one read-only float64 ndarray in
-    ``data``.  All operations return new matrices; mixing fields raises
+    ``data`` is a view as rows of Fractions, and its ``planes`` the
+    read-only float64 array of ``num``'s 16-bit limbs that products at
+    the size rule multiply (:func:`_limb_planes`); each is built on
+    first use and kept, and neither takes part in ``==`` or ``hash``.
+    A float matrix holds one read-only float64 ndarray in ``data``.  All
+    operations return new matrices; mixing fields raises
     :class:`FieldMismatch`.
     """
 
-    __slots__ = ("rows", "cols", "field", "num", "den", "data")
+    __slots__ = ("rows", "cols", "field", "num", "den", "data", "planes")
 
     def __init__(self, data: Iterable[Iterable], field: str, *, _raw: bool = False):
         if field == FLOAT:
@@ -144,14 +149,18 @@ class Matrix:
 
     def __getattr__(self, name):
         # Python calls this only for a slot that was never set: the
-        # rational ``data`` view before its first use, which is built
-        # here and cached, or ``num``/``den`` of a float matrix.
-        if name != "data" or self.field == FLOAT:
+        # rational ``data`` view or limb ``planes`` before their first
+        # use, which are built here and kept, or ``num``/``den``/
+        # ``planes`` of a float matrix.
+        if self.field == FLOAT or name not in ("data", "planes"):
             raise AttributeError(name)
-        den = self.den
-        data = tuple(tuple(Fraction(x, den) for x in r) for r in self.num)
-        object.__setattr__(self, "data", data)
-        return data
+        if name == "planes":
+            value = _limb_planes(self)
+        else:
+            den = self.den
+            value = tuple(tuple(Fraction(x, den) for x in r) for r in self.num)
+        object.__setattr__(self, name, value)
+        return value
 
     # -- constructors ---------------------------------------------------
 
@@ -275,12 +284,11 @@ class Matrix:
         Over Q the product is num_a num_b over den_a den_b, canonicalized.
         The integer product is a schoolbook sum of Python-integer products
         unless all of rows, inner dimension and columns reach the size
-        rule (:data:`MODULAR_MIN_DIM`); then :func:`_limb_product` cuts
-        the entries into 16-bit two's-complement limbs, stacks A's limb
-        planes as (limbs * rows) x inner and B's as inner x (limbs *
-        cols), and multiplies them in one float64 GEMM, which is exact
-        while inner * min(limbs of A, limbs of B) < 2**21.  Over floats
-        it is one ndarray product.
+        rule (:data:`MODULAR_MIN_DIM`); then :func:`_limb_product`
+        multiplies the two operands' 16-bit limb ``planes``, each cut
+        once per matrix, in float64 GEMMs, which are exact while inner *
+        min(limbs of A, limbs of B) < 2**21.  Over floats it is one
+        ndarray product.
         """
         if isinstance(other, Matrix):
             check_same_field(self.field, other.field)
@@ -291,7 +299,7 @@ class Matrix:
             if self.field == FLOAT:
                 return _wrap(self.data @ other.data)
             if min(self.rows, self.cols, other.cols) >= MODULAR_MIN_DIM:
-                num = _limb_product(self.num, other.num, self.rows, self.cols, other.cols)
+                num = _limb_product(self.planes, other.planes)
             else:
                 b_cols = other.transpose().num
                 num = [[sum(map(operator.mul, a_row, b_col)) for b_col in b_cols] for a_row in self.num]
@@ -473,43 +481,52 @@ def _scaled_num(num: tuple, k: int):
     return num if k == 1 else tuple(tuple(x * k for x in r) for r in num)
 
 
-def _limb_product(a_num, b_num, rows: int, inner: int, cols: int) -> list[list[int]]:
-    """The integer product of the rows a_num (rows x inner) and b_num
-    (inner x cols), both nonempty, as rows of Python integers.
-
-    Each entry of A is cut into L_A two's-complement 16-bit limbs, little
-    end first, so x = sum_s x_s 2**(16 s) with every limb unsigned but
-    the top one, which carries the sign; likewise B with L_B limbs.  A's
-    limb planes stacked as an (L_A rows) x inner matrix, times B's laid
-    out as inner x (L_B cols), give in one float64 GEMM every
-    sum_k a_s[i, k] b_t[k, j].  Each is an integer below inner * 2**32 in
-    absolute value, and their sums along s + t = u below
-    inner * min(L_A, L_B) * 2**32; while that is below 2**53, that is
-    inner * min(L_A, L_B) < 2**21, every partial sum is exact in float64,
-    in any order BLAS takes.  The anti-diagonal sums are carried into
-    16-bit digits in int64.  An entry is below inner * 2**(16 (L_A + L_B)
-    - 2) in absolute value, so L_A + L_B digits and one more per 16 bits
-    of inner hold it as a signed little-endian integer, read back by
-    int.from_bytes.
+def _limb_planes(m: Matrix) -> np.ndarray:
+    """The (L, rows, cols) read-only float64 planes of the 16-bit
+    two's-complement limbs of m.num, little end first: each entry is x =
+    sum_s planes[s] 2**(16 s), every limb unsigned but the top one, which
+    carries the sign.  L is the fewest limbs that hold the widest entry
+    and a sign bit; the entries are cut by int.to_bytes and read by one
+    np.frombuffer, as <u2 and the top limb as <i2.
     """
-    la = (max(map(int.bit_length, itertools.chain.from_iterable(a_num))) + 16) // 16
-    lb = (max(map(int.bit_length, itertools.chain.from_iterable(b_num))) + 16) // 16
+    width = (max(map(int.bit_length, itertools.chain.from_iterable(m.num)), default=0) + 16) // 16
+    buf = b"".join([x.to_bytes(2 * width, "little", signed=True) for r in m.num for x in r])
+    limbs = np.frombuffer(buf, "<u2").astype(np.float64).reshape(-1, width)
+    limbs[:, -1] = np.frombuffer(buf, "<i2")[width - 1 :: width]
+    planes = np.ascontiguousarray(limbs.T).reshape(width, m.rows, m.cols)
+    planes.setflags(write=False)
+    return planes
+
+
+def _limb_product(a: np.ndarray, b: np.ndarray) -> list[list[int]]:
+    """The integer product of A (rows x inner) and B (inner x cols), given
+    as their limb planes (:func:`_limb_planes`) of L_A and L_B limbs, as
+    rows of Python integers.
+
+    For each limb plane b_t of B one float64 GEMM of A's planes stacked
+    as an (L_A rows) x inner matrix by b_t gives every sum_k a_s[i, k]
+    b_t[k, j], and adds it to digit s + t of one (digits, rows, cols)
+    buffer, so no more than L_A rows cols products are held at once.
+    Each such sum is an integer below inner * 2**32 in absolute value,
+    and a digit's total below inner * min(L_A, L_B) * 2**32; while that
+    is below 2**53, that is inner * min(L_A, L_B) < 2**21, every partial
+    sum is exact in float64, in any order BLAS takes.  The digits are
+    carried into 16 bits each in int64.  An entry is below inner *
+    2**(16 (L_A + L_B) - 2) in absolute value, so L_A + L_B digits and
+    one more per 16 bits of inner hold it as a signed little-endian
+    integer, read back by int.from_bytes.
+    """
+    la, rows, inner = a.shape
+    lb, _, cols = b.shape
     assert inner * min(la, lb) < 2**21, "limb product sums would leave float64's exact range"
-
-    def limbs(num, width):
-        buf = b"".join([x.to_bytes(2 * width, "little", signed=True) for r in num for x in r])
-        planes = np.frombuffer(buf, "<u2").astype(np.float64).reshape(-1, width)
-        planes[:, -1] = np.frombuffer(buf, "<i2")[width - 1 :: width]
-        return planes
-
-    a = limbs(a_num, la).reshape(rows, inner, la).transpose(2, 0, 1).reshape(la * rows, inner)
-    b = limbs(b_num, lb).reshape(inner, cols, lb).transpose(0, 2, 1).reshape(inner, lb * cols)
-    prod = (a @ b).reshape(la, rows, lb, cols)
     ndigits = la + lb + (inner.bit_length() + 15) // 16
-    sums = np.zeros((rows, ndigits, cols))
-    for s in range(la):
-        sums[:, s : s + lb] += prod[s]
-    digits = sums.transpose(1, 0, 2).astype(np.int64, order="C")
+    sums = np.zeros((ndigits, rows, cols))
+    stacked = a.reshape(la * rows, inner)
+    prod = np.empty((la * rows, cols))
+    for t in range(lb):
+        np.matmul(stacked, b[t], out=prod)
+        sums[t : t + la] += prod.reshape(la, rows, cols)
+    digits = sums.astype(np.int64)
     carry = 0
     for v in digits:
         v += carry

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_fitting import jordan_pair
 
-from projpair.errors import FieldMismatch, ProjpairError
+from projpair import linalg
+from projpair.errors import FieldMismatch, ProjpairError, RestrictionFailure
+from projpair.fitting import fitting_decomposition
 from projpair.generators import (
     PrescribedSpec,
     PythagoreanBlock,
@@ -22,6 +25,7 @@ from projpair.generators import (
     random_unimodular,
 )
 from projpair.index import (
+    _mixed_image_dims,
     _odd_power_traces,
     compute_eigenspaces,
     dual_eigenspace,
@@ -297,10 +301,10 @@ class TestOddPowerTraces:
     def test_exact_on_rational_pairs(self):
         rng = random.Random(5)
         for pair in [oblique(i, 1, 8) for i in range(6)] + [jordan_pair(3)]:
-            m = derived_ops(pair).M
+            m, s = derived_ops(pair).M, derived_ops(pair).S
             want = {n: trace(m**n) for n in ODD}
             for ns in odd_subsets(rng, 12):
-                got = _odd_power_traces(m, ns)
+                got = _odd_power_traces(m, s, ns)
                 assert list(got) == list(ns)
                 assert got == {n: want[n] for n in ns}
 
@@ -309,15 +313,68 @@ class TestOddPowerTraces:
         for dim in (1, 5, 16, 40):
             h = mix_seed(0x0DD, dim)
             pair = gen_pair_orthogonal(dim, (h >> 8) % (dim + 1), (h >> 16) % (dim + 1), seed=h)
-            m = derived_ops(pair).M
+            m, s = derived_ops(pair).M, derived_ops(pair).S
             want = {n: trace(m**n) for n in ODD}
             for ns in odd_subsets(rng, 6):
-                for n, value in _odd_power_traces(m, ns).items():
+                for n, value in _odd_power_traces(m, s, ns).items():
                     assert abs(value - want[n]) <= 1e-12 * max(1.0, abs(want[n])), (dim, n)
 
     @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
     def test_empty_block(self, field):
-        assert _odd_power_traces(Matrix.zeros(0, 0, field), (7, 1, 3)) == {7: 0, 1: 0, 3: 0}
+        empty = Matrix.zeros(0, 0, field)
+        assert _odd_power_traces(empty, empty, (7, 1, 3)) == {7: 0, 1: 0, 3: 0}
+
+
+def mixed_images_by_products(fd, pair):
+    """The two mixed-image dims from P B and Q B, B the basis of F: the
+    form the report used before it read them off P_F and Q_F."""
+    if fd.F.dim == 0:
+        return 0, 0
+    b = fd.F.basis
+    pb, qb = pair.P * b, pair.Q * b
+    return rank((b - pb).hstack(qb)), rank(pb.hstack(b - qb))
+
+
+def mixed_edge_pairs():
+    """Jordan pairs (F the whole space, k = 1..5), a pair with F = 0 (P =
+    Q, so S = I) and one with F the whole space at k = 1 (P = I, Q = 0)."""
+    other = gen_pair_oblique_rational(6, 2, 4, seed=29)
+    pairs = {f"jordan{m}": jordan_pair(m) for m in range(1, 6)}
+    pairs["F=0"] = make_pair(other.P, other.P)
+    pairs["F=X"] = make_pair(Matrix.identity(6, RATIONAL), Matrix.zeros(6, 6, RATIONAL))
+    return pairs
+
+
+MIXED_EDGE_PAIRS = mixed_edge_pairs()
+
+
+class TestMixedImageDims:
+    """The mixed images read off the restricted blocks against P B and Q B."""
+
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    @given(
+        dim=st.integers(1, 14),
+        ranks=st.tuples(st.integers(0, 14), st.integers(0, 14)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_products(self, field, dim, ranks, seed):
+        pair = gen_pair_oblique_rational(dim, ranks[0] % (dim + 1), ranks[1] % (dim + 1), seed=seed)
+        x = pair if field == RATIONAL else to_float_pair(pair)
+        try:
+            fd = fitting_decomposition(x)
+        except RestrictionFailure:  # a float split can fail on a valid pair
+            assume(False)
+        assert _mixed_image_dims(fd) == mixed_images_by_products(fd, x)
+
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    @pytest.mark.parametrize("name", sorted(MIXED_EDGE_PAIRS))
+    def test_edge_splits(self, name, field):
+        pair = MIXED_EDGE_PAIRS[name]
+        x = pair if field == RATIONAL else to_float_pair(pair)
+        fd = fitting_decomposition(x)
+        assert fd.F.dim == (0 if name == "F=0" else pair.dim)
+        assert _mixed_image_dims(fd) == mixed_images_by_products(fd, x)
 
 
 class TestIndexReport:
@@ -334,6 +391,38 @@ class TestIndexReport:
             # reading the certificate raises IdentityViolation past tolerance
             residual = ops.certificate.max_residual()
             assert pair.field == FLOAT or residual == 0
+
+    @pytest.mark.parametrize(
+        "pair", [gen_pair_oblique_rational(20, 9, 11, seed=3), jordan_pair(3)], ids=["d20", "jordan3"]
+    )
+    def test_exact_report_squares_m_once(self, pair):
+        """The report's M is squared once, for S = I - M^2; the traces
+        read M^2 back as I - S.  (On jordan3 F is the whole space, so
+        M_F equals M and the split squares that copy itself.)"""
+        derived_ops.cache_clear()
+        operands = []
+        product = Matrix.__mul__
+
+        def spy(a, b):
+            operands.append((a, b))
+            return product(a, b)
+
+        with mock.patch.object(Matrix, "__mul__", spy):
+            index_report(pair, (1, 3, 5, 7))
+        m = derived_ops(pair).M
+        assert sum(a is m and b is m for a, b in operands) == 1
+
+    def test_limb_planes_cut_once_per_matrix(self):
+        """Each matrix of a d = 20 exact report is cut into limb planes at
+        most once, however many products take it."""
+        pair = gen_pair_oblique_rational(20, 9, 11, seed=3)
+        derived_ops.cache_clear()
+        with mock.patch.object(linalg, "_limb_planes", wraps=linalg._limb_planes) as built:
+            report = index_report(pair, (1, 3, 5, 7))
+        assert report.all_verdicts_true
+        operands = [call.args[0] for call in built.call_args_list]
+        assert operands and len({id(m) for m in operands}) == len(operands)
+        assert not any(m.planes.flags.writeable for m in operands)
 
     def test_verdict_names_fixed(self):
         report = index_report(diag_pair())

@@ -355,6 +355,11 @@ def limb_calls():
     return mock.patch.object(linalg, "_limb_product", wraps=linalg._limb_product)
 
 
+def planes_built():
+    """Patch that records each matrix whose limb planes are cut."""
+    return mock.patch.object(linalg, "_limb_planes", wraps=linalg._limb_planes)
+
+
 # Entries at the edges of 16-bit two's-complement limbs and of int64.
 LIMB_EDGES = (
     0, 1, -1, 2**15 - 1, -(2**15 - 1), 2**15, -(2**15), 2**16, -(2**16), 2**16 - 1, -(2**63), 2**64 - 1
@@ -373,12 +378,15 @@ def limb_pair(rows, inner, cols, a_values, b_values, den=(1, 1)):
 
 
 @st.composite
-def limb_pairs(draw):
-    """Operands at or above the size rule, rectangular too, each all zero
-    or with entries from the limb edges and of a drawn width up to 600
-    bits: random ones and those next to a power of two, where the top
-    limb and the carry are tight."""
-    rows, inner, cols = draw(st.integers(12, 24)), draw(st.integers(12, 40)), draw(st.integers(12, 24))
+def limb_pairs(draw, square=False):
+    """Operands at or above the size rule, rectangular too (square ones of
+    12 to 16 rows with square), each all zero or with entries from the
+    limb edges and of a drawn width up to 600 bits: random ones and those
+    next to a power of two, where the top limb and the carry are tight."""
+    if square:
+        rows = inner = cols = draw(st.integers(12, 16))
+    else:
+        rows, inner, cols = draw(st.integers(12, 24)), draw(st.integers(12, 40)), draw(st.integers(12, 24))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     def values(count):
@@ -443,6 +451,62 @@ class TestExactKernels:
         assert limbs.call_count == 1
         want = matmul_fraction_sum(a, b)
         assert_canonical(got, want.data, want.shape)
+
+    @given(limb_pairs(square=True), st.integers(2, 6))
+    @example(limb_pair(12, 12, 12, [2**15 - 1, -(2**15)], [1, -1]), 5)
+    @example(limb_pair(13, 13, 13, [0], [2**64 - 1, -(2**63)]), 2)
+    @settings(max_examples=25, deadline=None)
+    def test_products_that_reuse_an_operand(self, pair, power):
+        """A matrix keeps its limb planes after its first product at the
+        size rule; products that take it again (A A, binary powers, A B
+        then B A), and those of its transpose, negation and scalar
+        multiples, each of which cuts its own, equal the per-entry
+        Fraction sum in canonical form.  B's Fraction view is built
+        before its planes."""
+        a, b = pair
+        b.data
+
+        def check(got, x, y):
+            want = matmul_fraction_sum(x, y)
+            assert_canonical(got, want.data, want.shape)
+
+        with limb_calls() as limbs, planes_built() as built:
+            check(a * a, a, a)
+            want = a
+            for _ in range(power - 1):
+                want = matmul_fraction_sum(want, a)
+            assert_canonical(a**power, want.data, want.shape)
+            check(a * b, a, b)
+            check(b * a, b, a)
+            for derived in (a.transpose(), -a, a * Fraction(-3, 7), Fraction(5, 2) * a, b.transpose()):
+                check(derived * b, derived, b)
+                check(a * derived, a, derived)
+        assert limbs.call_count >= 3 + 2 * 5
+        operands = [call.args[0] for call in built.call_args_list]
+        assert len({id(m) for m in operands}) == len(operands)
+
+    @given(limb_pairs(square=True))
+    @settings(max_examples=10, deadline=None)
+    def test_planes_change_no_comparison(self, pair):
+        """The planes are read-only, rebuild the numerators, and leave ==
+        and hash as they were."""
+        a, _ = pair
+        twin = Matrix(a.data, RATIONAL)
+        assert twin == a and hash(twin) == hash(a)
+        planes = a.planes
+        assert a.planes is planes and not planes.flags.writeable
+        with pytest.raises(ValueError):
+            planes[0, 0, 0] = 1.0
+        width = planes.shape[0]
+        assert planes.shape == (width, a.rows, a.cols)
+        rebuilt = [
+            [sum(int(planes[t, i, j]) << (16 * t) for t in range(width)) for j in range(a.cols)]
+            for i in range(a.rows)
+        ]
+        assert tuple(map(tuple, rebuilt)) == a.num
+        assert twin == a and hash(twin) == hash(a)
+        with pytest.raises(AttributeError):
+            a.to_float().planes
 
     @given(rational_matrices())
     @example(Matrix([[Fraction(-7, 3)]], RATIONAL))
