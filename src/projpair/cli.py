@@ -13,6 +13,10 @@ place as an error, the other files are still verified, and the exit
 code is 2.
 With --json the machine-readable report goes to stdout and the human
 rendering to stderr, so pipelines stay clean either way.
+
+A process imports only what it runs: numpy on first use (float pairs,
+exact matrices at the size rule), the generators and the symbolic
+engine inside ``gen`` and ``lemma``.
 """
 
 from __future__ import annotations
@@ -24,26 +28,10 @@ import sys
 from fractions import Fraction
 
 from .errors import ProjpairError
-from .generators import (
-    PrescribedSpec,
-    PythagoreanBlock,
-    ShearBlock,
-    gen_pair_oblique_rational,
-    gen_pair_orthogonal,
-    gen_prescribed,
-    mix_seed,
-)
 from .index import IndexReport, index_report, spectrum_symmetry_check
 from .pairfile import load_pair, save_pair
 from .pairs import ProjectionPair, derived_ops, to_float_pair
 from .scalars import DEFAULT_POLICY, RATIONAL, TolerancePolicy, scalar_to_json
-from .symbolic import (
-    corpus_identities,
-    evaluate_expr,
-    lemma_suite,
-    parse_expr,
-    verify_identity,
-)
 
 __all__ = ["main", "run_cli"]
 
@@ -145,7 +133,9 @@ def _render_report(rep: IndexReport, label: str | None = None) -> str:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_ns(args.n)
     pol = _policy_from_tol(args.tol)
-    if os.path.isdir(args.input):
+    # a directory is a batch even when it holds one file
+    batch = os.path.isdir(args.input)
+    if batch:
         names = sorted(
             name
             for name in os.listdir(args.input)
@@ -156,8 +146,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         paths = [(name, os.path.join(args.input, name)) for name in names]
     else:
         paths = [(os.path.basename(args.input), args.input)]
-
-    batch = len(paths) > 1
     results = []  # (file name, report, error message): one of the last two is None
     for name, path in paths:
         try:
@@ -196,6 +184,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_blocks(text: str):
+    from .generators import PythagoreanBlock, ShearBlock
+
     blocks = []
     for part in text.split(","):
         part = part.strip()
@@ -217,6 +207,10 @@ def _parse_blocks(text: str):
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import (
+        PrescribedSpec, gen_pair_oblique_rational, gen_pair_orthogonal, gen_prescribed
+    )
+
     if args.kind in ("orthogonal", "oblique"):
         if args.dim is None or args.rank_p is None or args.rank_q is None:
             raise ProjpairError(f"kind={args.kind} needs --dim, --rank-p and --rank-q")
@@ -253,6 +247,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _bridge_pair(base_seed: int, i: int) -> ProjectionPair:
+    from .generators import gen_pair_oblique_rational, mix_seed
+
     h = mix_seed(base_seed, i)
     dim = 1 + h % 6
     rank_p = (h >> 8) % (dim + 1)
@@ -263,6 +259,8 @@ def _bridge_pair(base_seed: int, i: int) -> ProjectionPair:
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
+    from .symbolic import corpus_identities, evaluate_expr, lemma_suite, parse_expr, verify_identity
+
     suite = lemma_suite(args.max_n)
     ok = True
     for result in suite.results:

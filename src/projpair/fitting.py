@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotInvariant, ProjpairError, RestrictionFailure
 from .linalg import (
     Matrix,
     Subspace,
     is_invertible,
     kernel_basis,
+    np,
     numeric_rank,
     rank,
     restrict_operator,

@@ -17,10 +17,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import GenerationExhausted, ProjpairError
-from .linalg import Matrix
+from .linalg import Matrix, np
 from .pairs import ProjectionPair, make_pair
 from .scalars import FLOAT, RATIONAL
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EigensolverFailure, FieldMismatch, ProjpairError
 from .fitting import FittingDecomposition, fitting_decomposition
 from .linalg import (
@@ -32,6 +30,7 @@ from .linalg import (
     Subspace,
     idempotent_bases,
     kernel_basis,
+    np,
     rank,
     subspace_intersection,
     trace,

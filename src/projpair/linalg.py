@@ -42,13 +42,13 @@ and one contains the other.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -66,6 +66,28 @@ from .scalars import (
     check_same_field,
     coerce_scalar,
 )
+
+
+def _numpy_on_first_use():
+    """numpy, executed when code first reads one of its attributes.
+
+    Exact matrices under the size rule never read one, so a process that
+    checks only small rational pairs never pays for the import.  Once
+    loaded, this is the plain numpy module.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _numpy_on_first_use()
 
 __all__ = [
     "Matrix",

@@ -1,7 +1,11 @@
-"""End-to-end CLI behavior through run_cli, no subprocesses needed."""
+"""End-to-end CLI behavior through run_cli; only the cold-start checks,
+which must see what a new process imports, start fresh interpreters."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +77,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--input", str(tmp_path))
         assert code == 2
         assert out.index("== a.json ==") < out.index("== b.json ==\nerror:") < out.index("== c.json ==")
+
+    def test_directory_with_one_file_is_a_batch(self, tmp_path, capsys):
+        path = write_pair(tmp_path, "a.json", seed=3)
+        code, out, err = run(capsys, "verify", "--input", str(tmp_path), "--json")
+        assert code == 0
+        _, single, _ = run(capsys, "verify", "--input", str(path), "--json")
+        assert json.loads(out) == [{"file": "a.json", "report": json.loads(single)}]
+        assert err.startswith("== a.json ==\n")
+
+    def test_directory_with_one_bad_file_reports_it(self, tmp_path, capsys):
+        (tmp_path / "b.json").write_text('{"bad": 1}')
+        code, out, err = run(capsys, "verify", "--input", str(tmp_path), "--json")
+        assert code == 2
+        docs = json.loads(out)
+        assert [set(doc) for doc in docs] == [{"file", "error"}]
+        assert docs[0]["file"] == "b.json"
+        assert docs[0]["error"].startswith("missing keys")
+        assert err.startswith("== b.json ==\nerror: missing keys")
 
     def test_custom_powers(self, tmp_path, capsys):
         path = write_pair(tmp_path)
@@ -265,3 +287,65 @@ class TestParsing:
     def test_no_command_exits_2(self, capsys):
         assert run_cli([]) == 2
         capsys.readouterr()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+# A lazily bound numpy sits in sys.modules as a module that has not run;
+# running numpy's __init__ imports its submodules, so those mark an import.
+NUMPY_RAN = "any(name.startswith('numpy.') for name in sys.modules)"
+
+
+def fresh(code: str, *args: str):
+    """Run ``code`` in a new interpreter that imports projpair from src;
+    return what it prints as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestColdStart:
+    def test_import_loads_no_numpy_generators_or_symbolic(self):
+        loaded = fresh("import json, sys, projpair; print(json.dumps(sorted(sys.modules)))")
+        assert "projpair" in loaded
+        assert not {"numpy", "projpair.symbolic", "projpair.generators"} & set(loaded)
+
+    @pytest.mark.parametrize(
+        "name, numpy_ran", [("r0-oblique-d3", False), ("f8-orthogonal-d6", True)]
+    )
+    def test_verify_imports_numpy_only_for_floats(self, capsys, name, numpy_ran):
+        """A small rational pair runs without numpy; a float pair loads it
+        on first use and gives the same bytes as in this process, where
+        numpy was imported eagerly (test_golden holds those to the .out)."""
+        path = str(GOLDEN / f"{name}.json")
+        code, out, ran = fresh(
+            "import contextlib, io, json, sys\n"
+            "import projpair.cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = projpair.cli.main(['verify', '--input', sys.argv[1], '--json'])\n"
+            f"print(json.dumps([code, out.getvalue(), {NUMPY_RAN}]))",
+            path,
+        )
+        assert (code, ran) == (0, numpy_ran)
+        assert out == run(capsys, "verify", "--input", path, "--json")[1]
+        if not numpy_ran:
+            assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+    def test_public_names_resolve_in_a_fresh_interpreter(self):
+        """Submodules first, then every exported name, none of them
+        imported beforehand; an unknown name is still an AttributeError."""
+        modules, missing, exported, unknown = fresh(
+            "import json, projpair as pp\n"
+            "modules = [m.__name__ for m in (pp.pairs, pp.index, pp.pairfile, pp.errors)]\n"
+            "missing = [name for name in pp.__all__ if not hasattr(pp, name)]\n"
+            "print(json.dumps([modules, missing, sorted(pp._SOURCE) == sorted(pp.__all__),"
+            " hasattr(pp, 'no_such_name')]))"
+        )
+        assert modules == ["projpair.pairs", "projpair.index", "projpair.pairfile", "projpair.errors"]
+        assert missing == []
+        assert exported and not unknown
