@@ -9,12 +9,15 @@ invertible.  Because S commutes with P and Q, both parts are invariant
 under the whole pair, so every operator restricts cleanly: only P and Q
 are restricted, and M and S on each part follow from those two blocks.
 
-The verifier proves the split without a rank of any power of S:
-(a) S^k F = 0 puts F inside ker S^k; (b) the P and Q round trips on Y
-and the consistency of M_Y and S_Y give S B_Y = B_Y S_Y, and with S_Y
-invertible Y = S^k Y lies inside im S^k; (c) F + Y is the whole space.
-Then dim F <= n - r and dim Y <= r for r = rank S^k add up to n, so
-F = ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
+The split computes each fact once and checks none: one elimination of
+S^k (one SVD over floats) gives its rank and F, a rank of S^(k+1) ends
+the loop, and the blocks are read off unchecked (``Subspace._block``).
+The verifier alone proves it, with no rank of a power of S: (a) S^k F =
+0 puts F inside ker S^k; (b) the P and Q round trips on Y, checked by
+:func:`restrict_operator`, and the consistency of M_Y and S_Y give S B_Y
+= B_Y S_Y, and with S_Y invertible Y = S^k Y lies in im S^k; (c) F + Y
+is the whole space.  Then dim F <= n - r and dim Y <= r for r = rank
+S^k add up to n, so F = ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
 """
 
 from __future__ import annotations
@@ -65,72 +68,61 @@ class FittingDecomposition:
     rank_margins: tuple[float, ...] | None = None
 
 
+def _parts_of(power: Matrix) -> tuple[int, float | None, Subspace, Subspace | None]:
+    """Rank, margin, kernel and column space of a power of S: over Q one
+    elimination's kernel and no column space yet, over floats one full SVD."""
+    if power.field == RATIONAL:
+        f = kernel_basis(power)
+        return power.rows - f.dim, None, f, None
+    u, sv, vh = np.linalg.svd(power.to_numpy(), full_matrices=True)
+    r, margin = numeric_rank(sv, power.shape)
+    f = Subspace(Matrix(vh[r:].T, FLOAT), _raw=True)
+    return r, margin, f, Subspace(Matrix(u[:, :r], FLOAT), _raw=True)
+
+
 def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     """Split the space under S, restrict P and Q to both parts and derive
     M and S there.
 
     k is the least exponent with rank S^k = rank S^(k+1); k = 0 means S
     is invertible and F is trivial.  Over Q every entry of rank_sequence
-    is an exact rank.  Over floats the invariance of F and Y can fail
-    past tolerance, which surfaces as :class:`RestrictionFailure`; over
-    the rationals the commutation of S with P and Q makes the
-    restrictions exact.
+    is an exact rank.  The split is returned once :func:`verify_fitting`
+    passes, else :class:`RestrictionFailure` is raised, over floats when
+    the invariance of F or Y fails past tolerance.
     """
-    ops = derived_ops(pair)
-    n = pair.dim
+    ops, n = derived_ops(pair), pair.dim
     ranks = [n]
-    margins: list[float] = []
-    s_power = pair.identity()  # S^k
-    next_power = ops.S  # S^(k+1)
-    k = 0
-    while True:
-        if pair.field == RATIONAL:
-            r = rank(next_power)
-        else:
-            sv = np.linalg.svd(next_power.to_numpy(), compute_uv=False)
-            r, margin = numeric_rank(sv, next_power.shape)
-            margins.append(margin)
-        if r == ranks[-1]:
-            break
+    s_power, k = ops.S, 0  # S^k once k >= 1
+    r, margin, f, y = _parts_of(s_power)
+    margins = [margin]
+    while r < ranks[-1]:
         ranks.append(r)
-        s_power = next_power
         k += 1
         if k > n:  # cannot happen: ranks strictly decrease in [0, n]
             raise ProjpairError("rank sequence failed to stabilize")
         next_power = s_power * ops.S
-
+        if pair.field == RATIONAL:
+            r = rank(next_power)
+        else:
+            r, margin = numeric_rank(np.linalg.svd(next_power.data, compute_uv=False), (n, n))
+            margins.append(margin)
+        if r < ranks[-1]:
+            s_power = next_power
+            f, y = _parts_of(s_power)[2:]
     if k == 0:
-        f = Subspace.zero(n, pair.field)
-        y = Subspace.full(n, pair.field)
-    elif pair.field == RATIONAL:
-        f = kernel_basis(s_power)
+        f, y = Subspace.zero(n, pair.field), Subspace.full(n, pair.field)
+    elif y is None:
         y = Subspace(s_power)
-    else:
-        # kernel and column space from one SVD, so that their dimensions
-        # add up to n; both bases are already orthonormal
-        u, sv, vh = np.linalg.svd(s_power.to_numpy(), full_matrices=True)
-        r, _ = numeric_rank(sv, s_power.shape)
-        f = Subspace(Matrix(vh[r:].T, FLOAT), _raw=True)
-        y = Subspace(Matrix(u[:, :r], FLOAT), _raw=True)
 
     def restrict_all(w: Subspace) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-        """P_W and Q_W by restriction; M_W = P_W - Q_W and S_W = I - M_W^2."""
-        try:
-            p_w = restrict_operator(pair.P, w, pair.pol)
-            q_w = restrict_operator(pair.Q, w, pair.pol)
-        except NotInvariant as exc:
-            raise RestrictionFailure(str(exc)) from exc
+        """P_W and Q_W read off; M_W = P_W - Q_W and S_W = I - M_W^2."""
+        p_w, q_w = w._block(pair.P), w._block(pair.Q)
         m_w = p_w - q_w
         return p_w, q_w, m_w, Matrix.identity(w.dim, pair.field) - m_w * m_w
 
     fd = FittingDecomposition(
-        k,
-        f,
-        y,
-        *restrict_all(f),  # P_F, Q_F, M_F, S_F
-        *restrict_all(y),  # P_Y, Q_Y, M_Y, S_Y
-        rank_sequence=tuple(ranks),
-        rank_margins=tuple(margins) if pair.field == FLOAT else None,
+        k, f, y, *restrict_all(f), *restrict_all(y),  # P, Q, M and S on F, then on Y
+        rank_sequence=tuple(ranks), rank_margins=tuple(margins) if pair.field == FLOAT else None,
     )
     report = verify_fitting(fd, pair)
     if not report.all_passed:
@@ -157,28 +149,29 @@ def _zero_within(m: Matrix, pair: ProjectionPair, scale: float) -> bool:
     return float(m.max_norm()) <= pair.pol.compare_abs_tol * (1.0 + scale)
 
 
+def _norm(m: Matrix) -> float:
+    """|m| for a tolerance scale: exact checks take none, so 0.0 over Q."""
+    return float(m.max_norm()) if m.field == FLOAT else 0.0
+
+
 def _fits(w: Subspace, pair: ProjectionPair, *blocks: Matrix) -> bool:
     """Whether every block is a dim w square over the pair's field."""
     return all(b.shape == (w.dim, w.dim) and b.field == pair.field for b in blocks)
 
 
-def _restriction_roundtrip(
-    t: Matrix, w: Subspace, restricted: Matrix, pair: ProjectionPair
-) -> bool:
-    """basis * restricted must reproduce t * basis (t preserves w)."""
+def _restriction_roundtrip(t: Matrix, w: Subspace, restricted: Matrix, pair: ProjectionPair) -> bool:
+    """t preserves w, by the checked :func:`restrict_operator`, and
+    restricted is its block there."""
     if not _fits(w, pair, restricted) or (w.field, w.ambient_dim) != (pair.field, pair.dim):
         return False
-    if w.dim == 0:
-        return True
-    lhs = w.basis * restricted
-    rhs = t * w.basis
-    scale = float(t.max_norm()) * (1.0 + float(w.basis.max_norm()))
-    return _zero_within(lhs - rhs, pair, scale)
+    try:
+        block = restrict_operator(t, w, pair.pol)
+    except NotInvariant:
+        return False
+    return _zero_within(block - restricted, pair, _norm(t) * (1.0 + _norm(w.basis)))
 
 
-def _m_consistent(
-    w: Subspace, p_w: Matrix, q_w: Matrix, m_w: Matrix, pair: ProjectionPair
-) -> bool:
+def _m_consistent(w: Subspace, p_w: Matrix, q_w: Matrix, m_w: Matrix, pair: ProjectionPair) -> bool:
     """M_W = P_W - Q_W."""
     return _fits(w, pair, p_w, q_w, m_w) and _zero_within(m_w - (p_w - q_w), pair, 1.0)
 
@@ -214,7 +207,7 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
         image = f.basis
         for _ in range(min(k, n)):
             image = ops.S * image
-        killed = _zero_within(image, pair, float(f.basis.max_norm()))
+        killed = _zero_within(image, pair, _norm(f.basis))
     p_on_y = _restriction_roundtrip(pair.P, y, fd.P_Y, pair)
     q_on_y = _restriction_roundtrip(pair.Q, y, fd.Q_Y, pair)
     m_y_ok = _m_consistent(y, fd.P_Y, fd.Q_Y, fd.M_Y, pair)
@@ -223,7 +216,7 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
     # (b): S B_Y = B_Y S_Y with S_Y invertible
     y_in_image = p_on_y and q_on_y and m_y_ok and s_y_ok and s_y_invertible
     s_f_ok = _fits(f, pair, fd.S_F) and k >= 0
-    s_f_norm = float(fd.S_F.max_norm()) if s_f_ok and f.dim else 0.0
+    s_f_norm = _norm(fd.S_F)
     checks = {
         "direct_sum_dims": f.dim + y.dim == n,
         "parts_independent": independent,
@@ -238,8 +231,7 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
         "m_restriction_consistent": m_y_ok and _m_consistent(f, fd.P_F, fd.Q_F, fd.M_F, pair),
         "s_restriction_consistent": s_y_ok and _s_consistent(f, fd.M_F, fd.S_F, pair),
         "s_y_invertible": s_y_invertible,
-        "s_f_nilpotent": s_f_ok
-        and _zero_within(fd.S_F**k, pair, s_f_norm ** max(k, 1)),
+        "s_f_nilpotent": s_f_ok and _zero_within(fd.S_F**k, pair, s_f_norm ** max(k, 1)),
         "k_is_least": k == 0
         or (s_f_ok and not _zero_within(fd.S_F ** (k - 1), pair, s_f_norm ** max(k - 1, 1))),
     }

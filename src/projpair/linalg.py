@@ -32,16 +32,17 @@ from the ``compare_abs_tol`` of a :class:`TolerancePolicy`.
 A subspace is a basis in a form that makes coordinates a read: over Q
 the basis is the identity on recorded pivot rows, over floats it is
 orthonormal (the leading left singular vectors of its spanning
-columns).  Restricting an operator, or testing containment, reads the
-coordinates off (the pivot rows, or B^T times the columns) and checks
-them with one product, exactly over Q and by a residual over floats;
-nothing is solved.  Its dimension is the number of basis
-columns, and two subspaces are equal when they have the same dimension
-and one contains the other.
+columns).  Coordinates are read off (the pivot rows, or B^T times the
+columns), never solved for.  Containment and :func:`restrict_operator`
+check the read with one product, exactly over Q and by a residual over
+floats; ``Subspace._block`` reads an operator's block unchecked.  Its
+dimension is the number of basis columns, and two subspaces are equal
+when they have the same dimension and one contains the other.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -192,8 +193,9 @@ class Matrix:
             return _wrap(np.zeros((rows, cols)))
         return _make(((0,) * cols,) * rows, cols)
 
-    @classmethod
-    def identity(cls, n: int, field: str) -> "Matrix":
+    @staticmethod
+    @functools.lru_cache(maxsize=128)  # immutable, so one shared matrix per (n, field)
+    def identity(n: int, field: str) -> "Matrix":
         if field == FLOAT:
             return _wrap(np.eye(n))
         return _make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
@@ -323,7 +325,7 @@ class Matrix:
             if min(self.rows, self.cols, other.cols) >= MODULAR_MIN_DIM:
                 num = _limb_product(self.planes, other.planes)
             else:
-                b_cols = other.transpose().num
+                b_cols = list(zip(*other.num)) if other.rows else ((),) * other.cols
                 num = [[sum(map(operator.mul, a_row, b_col)) for b_col in b_cols] for a_row in self.num]
             return _exact(num, other.cols, self.den * other.den)
         return self._scaled(other)
@@ -1043,12 +1045,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def _coordinates(self, m: Matrix, tol: float) -> Matrix | None:
+    def _coordinates(self, m: Matrix, pol: TolerancePolicy, *scale_by: Matrix) -> Matrix | None:
         """X with basis * X = m, or None when a column of m is not in self.
 
         Over Q, X is the pivot rows of m, accepted when the product
-        reproduces m exactly (tol is unused).  Over floats, X = basis^T m,
-        accepted when no entry of basis * X - m exceeds tol.
+        reproduces m exactly.  Over floats, X = basis^T m, accepted when
+        no entry of basis * X - m exceeds compare_abs_tol * prod(1 + |x|)
+        over the x of scale_by.
         """
         check_same_field(self.field, m.field)
         if m.rows != self.ambient_dim:
@@ -1059,21 +1062,29 @@ class Subspace:
         b = self.basis.data
         x = b.T @ m.data
         residual = float(np.max(np.abs(b @ x - m.data))) if m.data.size else 0.0
+        tol = pol.compare_abs_tol * math.prod(1.0 + float(s.max_norm()) for s in scale_by)
         return _wrap(x) if residual <= tol else None
+
+    def _block(self, t: Matrix) -> Matrix:
+        """The matrix of a t that preserves self, read and not checked:
+        the pivot rows of t B as t[pivots, :] B over Q, B^T (t B) over floats."""
+        if not self.dim:
+            return Matrix.zeros(0, 0, t.field)
+        if self.field == RATIONAL:
+            return _exact([t.num[i] for i in self.pivots], t.cols, t.den) * self.basis
+        return _wrap(self.basis.data.T @ (t * self.basis).data)
 
     def contains_vector(self, v: Matrix) -> bool:
         if v.rows != self.ambient_dim or v.cols != 1:
             raise DimensionMismatch("vector shape mismatch")
-        tol = DEFAULT_POLICY.compare_abs_tol * (1.0 + float(v.max_norm()))
-        return self._coordinates(v, tol) is not None
+        return self._coordinates(v, DEFAULT_POLICY, v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         """Whether other is a subset of self."""
         self._check_ambient(other)
         if other.dim == 0:
             return True
-        tol = DEFAULT_POLICY.compare_abs_tol * (1.0 + float(other.basis.max_norm()))
-        return self._coordinates(other.basis, tol) is not None
+        return self._coordinates(other.basis, DEFAULT_POLICY, other.basis) is not None
 
     def _check_ambient(self, other: "Subspace") -> None:
         check_same_field(self.field, other.field)
@@ -1124,14 +1135,12 @@ def _top_rows(m: Matrix, k: int) -> Matrix:
     return _exact(m.num[:k], m.cols, m.den)
 
 
-def restrict_operator(
-    t: Matrix, w: Subspace, pol: TolerancePolicy = DEFAULT_POLICY
-) -> Matrix:
-    """Matrix of t acting on w, in the basis of w: the coordinates of
-    t * basis, read off its pivot rows over Q and as basis^T (t * basis)
-    over floats.  Raises :class:`NotInvariant` unless basis * result
-    reproduces t * basis (exactly over Q, within compare_abs_tol * (1 +
-    |t|) * (1 + |basis|) over floats), which signals a logic error upstream.
+def restrict_operator(t: Matrix, w: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> Matrix:
+    """Matrix of t acting on w, in the basis of w, checked: the
+    coordinates of t * basis, read off its pivot rows over Q and as
+    basis^T (t * basis) over floats.  Raises :class:`NotInvariant` unless
+    basis * result reproduces t * basis (exactly over Q, within
+    compare_abs_tol * (1 + |t|) * (1 + |basis|) over floats).
     """
     if not t.is_square:
         raise DimensionMismatch("operator must be square")
@@ -1139,8 +1148,7 @@ def restrict_operator(
         raise DimensionMismatch("subspace ambient dimension does not match operator")
     if w.dim == 0:
         return Matrix.zeros(0, 0, t.field)
-    tol = pol.compare_abs_tol * (1.0 + float(t.max_norm())) * (1.0 + float(w.basis.max_norm()))
-    result = w._coordinates(t * w.basis, tol)
+    result = w._coordinates(t * w.basis, pol, t, w.basis)
     if result is None:
         raise NotInvariant("operator does not preserve the subspace")
     return result

@@ -334,6 +334,21 @@ class TestFloat:
         assert fd_float.rank_sequence == fd_exact.rank_sequence
         assert (fd_float.F.dim, fd_float.Y.dim) == (fd_exact.F.dim, fd_exact.Y.dim)
 
+    @pytest.mark.parametrize(
+        "pair, k",
+        [
+            (make_pair(Matrix([[1, 0], [0, 0]], FLOAT), Matrix([[1, 1], [0, 0]], FLOAT)), 0),
+            (gen_pair_orthogonal(7, 3, 2, seed=9), 1),
+            (to_float_pair(pair_k2_mixed()), 2),
+            (to_float_pair(jordan_pair(3)), 3),
+        ],
+    )
+    def test_one_margin_per_tested_power(self, pair, k):
+        """The k loop ranks S^1 .. S^(k+1), one margin each."""
+        fd = fitting_decomposition(pair)
+        assert fd.k == k
+        assert len(fd.rank_margins) == len(fd.rank_sequence) == k + 1
+
     def test_float_identity_projections(self):
         eye = Matrix.identity(4, FLOAT)
         fd = fitting_decomposition(make_pair(eye, Matrix.zeros(4, 4, FLOAT)))
@@ -417,6 +432,16 @@ class TestCorruptionDetection:
         bad = dataclasses.replace(fd, P_F=Matrix.zeros(fd.F.dim, fd.F.dim, RATIONAL))
         report = verify_fitting(bad, pair)
         assert not report.checks["p_invariant_on_f"]
+
+    def test_corrupt_float_restriction_fails_roundtrip(self):
+        pair = gen_pair_orthogonal(7, 3, 2, seed=9)
+        fd = fitting_decomposition(pair)
+        assert fd.Y.dim > 0
+        bad = dataclasses.replace(fd, P_Y=fd.P_Y + Matrix.identity(fd.Y.dim, FLOAT) * 1e-3)
+        report = verify_fitting(bad, pair)
+        assert report.failures() == [
+            "y_is_eventual_image", "rank_stabilized", "p_invariant_on_y", "m_restriction_consistent"
+        ]
 
     def test_wrong_shape_m_f_fails_without_raising(self):
         pair = pair_k2()

@@ -412,6 +412,30 @@ class TestIndexReport:
         m = derived_ops(pair).M
         assert sum(a is m and b is m for a, b in operands) == 1
 
+    def test_exact_report_pays_each_fact_once(self):
+        """No matrix of a d = 20 exact report is eliminated twice, and the
+        report forms 33 products: the split reads its blocks unchecked
+        and eliminates S^k once for F, and verify_fitting alone checks
+        each restriction, with one product t B and one B x apiece."""
+        pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
+        derived_ops.cache_clear()
+        products, eliminated = [], []
+        product, rref = Matrix.__mul__, linalg._rref_exact
+
+        def spy(a, b):
+            products.append((a, b))
+            return product(a, b)
+
+        def spy_rref(m):
+            eliminated.append(m)
+            return rref(m)
+
+        with mock.patch.object(Matrix, "__mul__", spy), mock.patch.object(linalg, "_rref_exact", spy_rref):
+            report = index_report(pair, (1, 3, 5, 7))
+        assert report.all_verdicts_true and report.fitting_k == 1
+        assert eliminated and len({id(m) for m in eliminated}) == len(eliminated)
+        assert sum(isinstance(b, Matrix) for _, b in products) == 33
+
     def test_limb_planes_cut_once_per_matrix(self):
         """Each matrix of a d = 20 exact report is cut into limb planes at
         most once, however many products take it."""

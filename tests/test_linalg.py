@@ -108,6 +108,17 @@ class TestMatrixBasics:
         d = Matrix.diag([1, 2], RATIONAL)
         assert d.entry(1, 1) == 2 and d.entry(0, 1) == 0
 
+    def test_identity_shared_per_size_and_field(self):
+        """Matrix.identity hands out one immutable matrix per (n, field)."""
+        for field in (RATIONAL, FLOAT):
+            eye = Matrix.identity(4, field)
+            assert Matrix.identity(4, field) is eye
+            assert Matrix.identity(5, field) is not eye
+            with pytest.raises(AttributeError):
+                eye.rows = 5
+        assert Matrix.identity(4, RATIONAL) != Matrix.identity(4, FLOAT)
+        assert not Matrix.identity(4, FLOAT).data.flags.writeable
+
     def test_arithmetic_against_numpy(self):
         rng = random.Random(101)
         for _ in range(20):
@@ -1168,6 +1179,7 @@ class TestPivotForm:
             assert not w.contains(Subspace(t * w.basis))
         else:
             assert restrict_operator(t, w) == want
+            assert w._block(t) == want  # the unchecked read of the same block
             assert w.contains(Subspace(t * w.basis))
 
     @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
@@ -1186,6 +1198,7 @@ class TestPivotForm:
         b = w.basis.to_numpy()
         assert np.max(np.abs(b.T @ b - np.eye(d)), initial=0.0) <= 1e-12
         got = restrict_operator(t, w)
+        assert np.array_equal(w._block(t).to_numpy(), got.to_numpy())
         if d:
             want, *_ = np.linalg.lstsq(b, t.to_numpy() @ b, rcond=None)
             assert np.max(np.abs(got.to_numpy() - want)) <= 1e-12
