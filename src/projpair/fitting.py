@@ -14,15 +14,17 @@ S^k (one SVD over floats) gives its rank and F, a rank of S^(k+1) ends
 the loop, and the blocks are read off unchecked (``Subspace._block``).
 The verifier alone proves it, with no rank of a power of S: (a) S^k F =
 0 puts F inside ker S^k; (b) the P and Q round trips on Y, checked by
-:func:`restrict_operator`, and the consistency of M_Y and S_Y give S B_Y
-= B_Y S_Y, and with S_Y invertible Y = S^k Y lies in im S^k; (c) F + Y
-is the whole space.  Then dim F <= n - r and dim Y <= r for r = rank
-S^k add up to n, so F = ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
+:func:`restrict_operator`, give S B_Y = B_Y S_Y, since S_Y = I - (P_Y -
+Q_Y)^2 by construction, and with S_Y invertible Y = S^k Y lies in im
+S^k; (c) F + Y is the whole space.  Then dim F <= n - r and dim Y <= r
+for r = rank S^k add up to n, so F = ker S^k, Y = im S^k and rank
+S^(k+1) = rank S^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotInvariant, ProjpairError, RestrictionFailure
 from .linalg import (
@@ -44,7 +46,9 @@ __all__ = ["FittingDecomposition", "FittingReport", "fitting_decomposition", "ve
 
 @dataclass(frozen=True)
 class FittingDecomposition:
-    """Stabilization exponent, the two parts, and all eight restrictions.
+    """Stabilization exponent, the two parts, and the restrictions of P
+    and Q to each; M_W = P_W - Q_W and S_W = I - M_W^2 are derived from
+    them on first access and kept, as in :class:`~projpair.pairs.DerivedOps`.
 
     rank_sequence holds rank(S^0) .. rank(S^k); over the rationals it is
     strictly decreasing until it stabilizes.  rank_margins (float field
@@ -58,14 +62,26 @@ class FittingDecomposition:
     Y: Subspace
     P_F: Matrix
     Q_F: Matrix
-    M_F: Matrix
-    S_F: Matrix
     P_Y: Matrix
     Q_Y: Matrix
-    M_Y: Matrix
-    S_Y: Matrix
     rank_sequence: tuple[int, ...]
     rank_margins: tuple[float, ...] | None = None
+
+    @cached_property
+    def M_F(self) -> Matrix:
+        return self.P_F - self.Q_F
+
+    @cached_property
+    def S_F(self) -> Matrix:
+        return Matrix.identity(self.F.dim, self.P_F.field) - self.M_F * self.M_F
+
+    @cached_property
+    def M_Y(self) -> Matrix:
+        return self.P_Y - self.Q_Y
+
+    @cached_property
+    def S_Y(self) -> Matrix:
+        return Matrix.identity(self.Y.dim, self.P_Y.field) - self.M_Y * self.M_Y
 
 
 def _parts_of(power: Matrix) -> tuple[int, float | None, Subspace, Subspace | None]:
@@ -81,8 +97,7 @@ def _parts_of(power: Matrix) -> tuple[int, float | None, Subspace, Subspace | No
 
 
 def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
-    """Split the space under S, restrict P and Q to both parts and derive
-    M and S there.
+    """Split the space under S and restrict P and Q to both parts.
 
     k is the least exponent with rank S^k = rank S^(k+1); k = 0 means S
     is invertible and F is trivial.  Over Q every entry of rank_sequence
@@ -97,9 +112,7 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     margins = [margin]
     while r < ranks[-1]:
         ranks.append(r)
-        k += 1
-        if k > n:  # cannot happen: ranks strictly decrease in [0, n]
-            raise ProjpairError("rank sequence failed to stabilize")
+        k += 1  # at most n times: the ranks strictly decrease in [0, n]
         next_power = s_power * ops.S
         if pair.field == RATIONAL:
             r = rank(next_power)
@@ -113,15 +126,8 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
         f, y = Subspace.zero(n, pair.field), Subspace.full(n, pair.field)
     elif y is None:
         y = Subspace(s_power)
-
-    def restrict_all(w: Subspace) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-        """P_W and Q_W read off; M_W = P_W - Q_W and S_W = I - M_W^2."""
-        p_w, q_w = w._block(pair.P), w._block(pair.Q)
-        m_w = p_w - q_w
-        return p_w, q_w, m_w, Matrix.identity(w.dim, pair.field) - m_w * m_w
-
     fd = FittingDecomposition(
-        k, f, y, *restrict_all(f), *restrict_all(y),  # P, Q, M and S on F, then on Y
+        k, f, y, f._block(pair.P), f._block(pair.Q), y._block(pair.P), y._block(pair.Q),
         rank_sequence=tuple(ranks), rank_margins=tuple(margins) if pair.field == FLOAT else None,
     )
     report = verify_fitting(fd, pair)
@@ -171,28 +177,18 @@ def _restriction_roundtrip(t: Matrix, w: Subspace, restricted: Matrix, pair: Pro
     return _zero_within(block - restricted, pair, _norm(t) * (1.0 + _norm(w.basis)))
 
 
-def _m_consistent(w: Subspace, p_w: Matrix, q_w: Matrix, m_w: Matrix, pair: ProjectionPair) -> bool:
-    """M_W = P_W - Q_W."""
-    return _fits(w, pair, p_w, q_w, m_w) and _zero_within(m_w - (p_w - q_w), pair, 1.0)
-
-
-def _s_consistent(w: Subspace, m_w: Matrix, s_w: Matrix, pair: ProjectionPair) -> bool:
-    """S_W = I - M_W^2."""
-    return _fits(w, pair, m_w, s_w) and _zero_within(
-        s_w - (Matrix.identity(w.dim, pair.field) - m_w * m_w), pair, 1.0
-    )
-
-
 def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingReport:
     """Re-check every decomposition invariant from its defining property.
 
     No rank of a power of S is taken and no part is rebuilt.  Facts
     (a)-(c) of the module docstring are ``f_is_eventual_kernel``,
     ``y_is_eventual_image`` and ``parts_independent``; together they are
-    ``rank_stabilized``.  ``k_is_least`` asks for k = 0 or S_F^(k-1) !=
+    ``rank_stabilized``; M_W and S_W are derived from P_W and Q_W, so
+    (b) checks neither.  ``k_is_least`` asks for k = 0 or S_F^(k-1) !=
     0.  A check fails, rather than raises, when a matrix it touches has
-    the wrong shape; each verdict lands in the report so tests can
-    corrupt a decomposition and watch the right check fail.
+    the wrong shape, so S_W is read only once P_W and Q_W fit; each
+    verdict lands in the report so tests can corrupt a decomposition and
+    watch the right check fail.
     """
     ops = derived_ops(pair)
     n = pair.dim
@@ -210,13 +206,11 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
         killed = _zero_within(image, pair, _norm(f.basis))
     p_on_y = _restriction_roundtrip(pair.P, y, fd.P_Y, pair)
     q_on_y = _restriction_roundtrip(pair.Q, y, fd.Q_Y, pair)
-    m_y_ok = _m_consistent(y, fd.P_Y, fd.Q_Y, fd.M_Y, pair)
-    s_y_ok = _s_consistent(y, fd.M_Y, fd.S_Y, pair)
-    s_y_invertible = _fits(y, pair, fd.S_Y) and is_invertible(fd.S_Y)
+    s_y_invertible = _fits(y, pair, fd.P_Y, fd.Q_Y) and is_invertible(fd.S_Y)
     # (b): S B_Y = B_Y S_Y with S_Y invertible
-    y_in_image = p_on_y and q_on_y and m_y_ok and s_y_ok and s_y_invertible
-    s_f_ok = _fits(f, pair, fd.S_F) and k >= 0
-    s_f_norm = _norm(fd.S_F)
+    y_in_image = p_on_y and q_on_y and s_y_invertible
+    s_f_ok = _fits(f, pair, fd.P_F, fd.Q_F) and k >= 0
+    s_f_norm = _norm(fd.S_F) if s_f_ok else 0.0
     checks = {
         "direct_sum_dims": f.dim + y.dim == n,
         "parts_independent": independent,
@@ -228,8 +222,6 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
         "q_invariant_on_f": _restriction_roundtrip(pair.Q, f, fd.Q_F, pair),
         "p_invariant_on_y": p_on_y,
         "q_invariant_on_y": q_on_y,
-        "m_restriction_consistent": m_y_ok and _m_consistent(f, fd.P_F, fd.Q_F, fd.M_F, pair),
-        "s_restriction_consistent": s_y_ok and _s_consistent(f, fd.M_F, fd.S_F, pair),
         "s_y_invertible": s_y_invertible,
         "s_f_nilpotent": s_f_ok and _zero_within(fd.S_F**k, pair, s_f_norm ** max(k, 1)),
         "k_is_least": k == 0

@@ -15,9 +15,9 @@ inner * min(limbs of A, limbs of B) < 2**21 (:func:`_limb_product`);
 a smaller product is a schoolbook sum over Python integers.  Every exact
 rank, kernel, column space, solve and inverse comes from one reduced
 row echelon form.  A matrix at the rule (:func:`_uses_primes`) is
-eliminated modulo the 31-bit :data:`RREF_PRIMES` in int64 arrays, rebuilt
-by CRT and rational reconstruction, and accepted only when an exact
-product certifies it; should the primes run out, Bareiss answers.  A
+eliminated modulo the consecutive 31-bit primes below 2**31 - 1
+(:func:`_prime`) in int64 arrays, rebuilt by CRT and rational
+reconstruction, and accepted once an exact product certifies it.  A
 smaller one goes through fraction-free Bareiss elimination and an
 integer back-substitution, as do determinants.  So results are exact and
 no answer rests on a prime.
@@ -105,25 +105,12 @@ __all__ = [
     "solve_exact",
     "numeric_rank",
     "is_invertible",
-    "RREF_PRIMES",
     "MODULAR_MIN_DIM",
     "RANK_REL_TOL",
 ]
 
-# The moduli of the multi-modular elimination, in the order it takes
-# them: 31-bit primes, so that the product of two reduced entries, and
-# of two of the primes, fits an int64.
-RREF_PRIMES = (
-    2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
-    2147483497, 2147483489, 2147483477, 2147483423, 2147483399, 2147483353,
-    2147483323, 2147483269, 2147483249, 2147483237, 2147483179, 2147483171,
-    2147483137, 2147483123, 2147483077, 2147483069, 2147483059, 2147483053,
-    2147483033, 2147483029, 2147482951, 2147482949, 2147482943, 2147482937,
-    2147482921, 2147482877,
-)
-
 # The size rule of the exact path: a rational matrix with at least this
-# many rows and columns is eliminated modulo RREF_PRIMES and certified,
+# many rows and columns is eliminated modulo the primes and certified,
 # a smaller one by Bareiss; a product whose rows, inner dimension and
 # columns all reach it runs on 16-bit limb planes in float64 GEMMs.
 MODULAR_MIN_DIM = 12
@@ -614,22 +601,44 @@ def _rref_exact(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over Q: (its nonzero rows, pivot columns).
 
     At or above the size rule (:data:`MODULAR_MIN_DIM` rows and columns)
-    it is the certified multi-modular RREF of :func:`_rref_modular`;
-    below it, or when the primes run out, that of :func:`_rref_bareiss`.
-    Either way the answer is exact and the same.
+    it is the certified multi-modular RREF of :func:`_rref_modular`,
+    below it that of :func:`_rref_bareiss`.  Either way the answer is
+    exact and the same.
     """
-    if _uses_primes(m):
-        found = _rref_modular(m)
-        if found is not None:
-            return found
-    return _rref_bareiss(m)
+    return _rref_modular(m) if _uses_primes(m) else _rref_bareiss(m)
 
 
 def _uses_primes(m: Matrix) -> bool:
-    """The size rule: whether an exact elimination of m runs modulo
-    :data:`RREF_PRIMES`, that is, whether m has at least
+    """The size rule: whether an exact elimination of m runs modulo the
+    primes of :func:`_prime`, that is, whether m has at least
     :data:`MODULAR_MIN_DIM` rows and columns."""
     return min(m.rows, m.cols) >= MODULAR_MIN_DIM
+
+
+_PRIMES: list[int] = []  # the moduli of _prime found so far
+
+
+def _prime(i: int) -> int:
+    """The i-th modulus (from 0) of the multi-modular elimination, the
+    primes below 2**31 - 1 counting down, so that two reduced entries, or
+    two of the primes, multiply within an int64.  Each is the next odd
+    number down that passes Miller-Rabin to bases 2, 3, 5 and 7, which no
+    composite below 3.2e9 does (Pomerance, Selfridge & Wagstaff 1980).
+    """
+    while len(_PRIMES) <= i:
+        below = _PRIMES[-1] if _PRIMES else 2**31 - 1
+        _PRIMES.append(next(n for n in range(below - 2, 7, -2) if _strong_probable_prime(n)))
+    return _PRIMES[i]
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Whether the odd n > 7 is a strong probable prime to bases 2, 3, 5 and 7."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2**s d with d odd
+    for a in (2, 3, 5, 7):
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 def _rref_bareiss(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -707,9 +716,9 @@ def _rref_mod(num, primes: tuple[int, ...]):
     return a[:, :r], piv_cols, primes
 
 
-def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]] | None:
-    """Certified RREF of a rational m from its RREFs modulo RREF_PRIMES;
-    None when the primes run out first.
+def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Certified RREF of a rational m from its RREFs modulo the primes of
+    :func:`_prime`, taken until one candidate is certified.
 
     The primes go in pairs, whose product still fits an int64.  Of the
     primes seen, those whose RREF has the largest rank, and among those
@@ -726,8 +735,8 @@ def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]] | None:
     best = None  # (-rank, pivot columns) of the kept primes
     residues: list[int] = []
     modulus = 1
-    for i in range(0, len(RREF_PRIMES), 2):
-        reduced, piv_cols, kept = _rref_mod(num, RREF_PRIMES[i : i + 2])
+    for i in itertools.count(0, 2):
+        reduced, piv_cols, kept = _rref_mod(num, (_prime(i), _prime(i + 1)))
         key = (-len(piv_cols), piv_cols)
         if best is None or key < best:
             best, residues, modulus = key, [], 1
@@ -765,7 +774,6 @@ def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]] | None:
                 full[c] = v
             out.append(full)
         return _exact(out, m.cols, den), piv_cols
-    return None
 
 
 def _reconstruct(residues: list[int], modulus: int) -> tuple[list[int], int] | None:

@@ -17,6 +17,7 @@ from projpair.generators import (
 from projpair.linalg import Matrix, Subspace
 from projpair.pairs import derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL
+from test_linalg import primes_after
 
 F5 = Fraction(1, 25)
 
@@ -165,27 +166,32 @@ class TestJordanExponents:
 
 
 def record_modular(monkeypatch):
-    """Record, per multi-modular elimination, whether it certified an RREF
-    (True) or left the matrix to Bareiss (False)."""
-    calls = []
-    real = linalg._rref_modular
+    """Record the matrices that the multi-modular elimination certifies
+    and those at the size rule that reach Bareiss: (modular, bareiss)."""
+    modular, bareiss = [], []
+    real_modular, real_bareiss = linalg._rref_modular, linalg._rref_bareiss
 
-    def recorded(*args):
-        found = real(*args)
-        calls.append(found is not None)
-        return found
+    def recorded(m):
+        modular.append(m)
+        return real_modular(m)
+
+    def bareiss_at_the_rule(m):
+        if linalg._uses_primes(m):
+            bareiss.append(m)
+        return real_bareiss(m)
 
     monkeypatch.setattr(linalg, "_rref_modular", recorded)
-    return calls
+    monkeypatch.setattr(linalg, "_rref_bareiss", bareiss_at_the_rule)
+    return modular, bareiss
 
 
 class TestUnluckyPrime:
     """Moduli that drop ranks change no answer.
 
-    The primes of the multi-modular elimination are patched to the first
-    primes from 2 or 3 on: they lose pivots and run out, so the
-    certificate and the Bareiss fallback must carry every elimination at
-    or above the size rule.
+    The multi-modular elimination is patched to take the first primes
+    from 2 or 3 on before its own: they lose pivots and stop rational
+    reconstruction early, so the certificate must reject their candidates
+    and the elimination climb on, with no Bareiss at or above the size rule.
     """
 
     TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -226,16 +232,17 @@ class TestUnluckyPrime:
         )
 
     def test_small_moduli_change_no_answer(self, monkeypatch):
-        modular = record_modular(monkeypatch)
+        modular, bareiss = record_modular(monkeypatch)
         pairs = self.corpus()
         want = [self.outcome(pair) for pair in pairs]
         assert all(checks and all(checks.values()) for *_, checks in want)
         for prime in (2, 3):
-            monkeypatch.setattr(linalg, "RREF_PRIMES", self.TINY_PRIMES[self.TINY_PRIMES.index(prime) :])
+            tiny = self.TINY_PRIMES[self.TINY_PRIMES.index(prime) :]
+            monkeypatch.setattr(linalg, "_prime", primes_after(tiny))
             modular.clear()
             assert [self.outcome(pair) for pair in pairs] == want
-            # some modular eliminations were certified, others fell back
-            assert True in modular and False in modular
+            # the modular path certified every elimination at the rule
+            assert modular and bareiss == []
 
 
 class TestSizeRule:
@@ -248,12 +255,12 @@ class TestSizeRule:
         pairs = [TestJordanExponents.with_invertible_part(m) for m in (4, 5)]
         pairs += TestUnluckyPrime.at_the_rule()
         assert min(pair.dim for pair in pairs) >= linalg.MODULAR_MIN_DIM
-        certified = record_modular(monkeypatch)
+        certified, bareiss = record_modular(monkeypatch)
         outcome = TestUnluckyPrime.outcome
         got = [outcome(pair) for pair in pairs]
         assert [k for k, *_ in got[:2]] == [4, 5]
         assert all(all(checks.values()) for *_, checks in got)
-        assert certified and all(certified)
+        assert certified and bareiss == []
         certified.clear()
         monkeypatch.setattr(linalg, "MODULAR_MIN_DIM", 10**9)
         assert [outcome(pair) for pair in pairs] == got
@@ -439,17 +446,16 @@ class TestCorruptionDetection:
         assert fd.Y.dim > 0
         bad = dataclasses.replace(fd, P_Y=fd.P_Y + Matrix.identity(fd.Y.dim, FLOAT) * 1e-3)
         report = verify_fitting(bad, pair)
-        assert report.failures() == [
-            "y_is_eventual_image", "rank_stabilized", "p_invariant_on_y", "m_restriction_consistent"
-        ]
+        assert report.failures() == ["y_is_eventual_image", "rank_stabilized", "p_invariant_on_y"]
 
     def test_wrong_shape_m_f_fails_without_raising(self):
+        """M_F = P_F - Q_F does not exist for a P_F of the wrong shape; the
+        checks that would read it fail, and the verifier does not raise."""
         pair = pair_k2()
         fd = fitting_decomposition(pair)
-        bad = dataclasses.replace(fd, M_F=Matrix.zeros(1, 1, RATIONAL))
+        bad = dataclasses.replace(fd, P_F=Matrix.zeros(1, 1, RATIONAL))
         report = verify_fitting(bad, pair)
-        assert not report.checks["m_restriction_consistent"]
-        assert not report.checks["s_restriction_consistent"]
+        assert report.failures() == ["p_invariant_on_f", "s_f_nilpotent", "k_is_least"]
 
     def test_wrong_shape_p_y_fails_without_raising(self):
         pair = pair_k2()
@@ -458,12 +464,14 @@ class TestCorruptionDetection:
         bad = dataclasses.replace(fd, P_Y=Matrix.zeros(d, d, RATIONAL))
         report = verify_fitting(bad, pair)
         assert not report.checks["p_invariant_on_y"]
-        assert not report.checks["m_restriction_consistent"]
+        assert not report.checks["s_y_invertible"]
 
     def test_non_nilpotent_sf_detected(self):
+        """P_F = Q_F makes M_F = 0, so S_F = I."""
         pair = pair_k2()
         fd = fitting_decomposition(pair)
-        bad = dataclasses.replace(fd, S_F=Matrix.identity(fd.F.dim, RATIONAL))
+        bad = dataclasses.replace(fd, P_F=fd.Q_F)
+        assert bad.S_F == Matrix.identity(fd.F.dim, RATIONAL)
         report = verify_fitting(bad, pair)
         assert not report.checks["s_f_nilpotent"]
         assert "s_f_nilpotent" in report.failures()

@@ -18,6 +18,7 @@ import pytest
 
 from projpair import linalg
 from projpair.cli import run_cli
+from test_linalg import primes_after
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -48,12 +49,13 @@ def test_rational_report_byte_identical(capsys, name):
 def test_rational_report_through_the_primes(capsys, monkeypatch, name, primes):
     """With the size rule lowered to one row and column every exact
     elimination runs modulo the primes: the default ones, or the first
-    primes, which lose pivots and run out.  Every product with rows,
-    inner dimension and columns then runs through 16-bit limbs in one
-    float64 GEMM.  No answer may move."""
+    primes ahead of them, which lose pivots and stop rational
+    reconstruction early.  Every product with rows, inner dimension and
+    columns then runs through 16-bit limbs in one float64 GEMM.  No
+    answer may move."""
     monkeypatch.setattr(linalg, "MODULAR_MIN_DIM", 1)
     if primes:
-        monkeypatch.setattr(linalg, "RREF_PRIMES", primes)
+        monkeypatch.setattr(linalg, "_prime", primes_after(primes))
     code, out = verify_json(capsys, name)
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

@@ -82,10 +82,10 @@ def test_no_unused_imports(path):
 
 def knows_size_rule(name: str) -> bool:
     """Whether a name belongs to linalg's choice between the multi-modular
-    and the Bareiss elimination: the rule, its constants, the eliminations."""
-    return name in {"uses_primes", "_uses_primes", "MODULAR_MIN_DIM", "RREF_PRIMES"} or (
-        name.startswith(("_rref_", "_bareiss_"))
-    )
+    and the Bareiss elimination: the rule, its constant, the supply of
+    primes and the eliminations."""
+    rule = {"uses_primes", "_uses_primes", "MODULAR_MIN_DIM", "_prime", "_PRIMES", "_strong_probable_prime"}
+    return name in rule or name.startswith(("_rref_", "_bareiss_"))
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "linalg"], ids=lambda p: p.name)

@@ -413,10 +413,11 @@ class TestIndexReport:
         assert sum(a is m and b is m for a, b in operands) == 1
 
     def test_exact_report_pays_each_fact_once(self):
-        """No matrix of a d = 20 exact report is eliminated twice, and the
-        report forms 33 products: the split reads its blocks unchecked
-        and eliminates S^k once for F, and verify_fitting alone checks
-        each restriction, with one product t B and one B x apiece."""
+        """No matrix of a d = 20 exact report is eliminated or squared
+        twice, and the report forms 31 products: the split reads its
+        blocks unchecked and eliminates S^k once for F, verify_fitting
+        alone checks each restriction, with one product t B and one B x
+        apiece, and M_F and M_Y are squared once, for S_F and S_Y."""
         pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
         derived_ops.cache_clear()
         products, eliminated = [], []
@@ -434,7 +435,9 @@ class TestIndexReport:
             report = index_report(pair, (1, 3, 5, 7))
         assert report.all_verdicts_true and report.fitting_k == 1
         assert eliminated and len({id(m) for m in eliminated}) == len(eliminated)
-        assert sum(isinstance(b, Matrix) for _, b in products) == 33
+        assert sum(isinstance(b, Matrix) for _, b in products) == 31
+        squares = [a for a, b in products if a is b]
+        assert len({id(a) for a in squares}) == len(squares)
 
     def test_limb_planes_cut_once_per_matrix(self):
         """Each matrix of a d = 20 exact report is cut into limb planes at

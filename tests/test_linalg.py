@@ -20,7 +20,6 @@ from projpair.errors import (
 from projpair import linalg
 from projpair.linalg import (
     MODULAR_MIN_DIM,
-    RREF_PRIMES,
     RANK_REL_TOL,
     Matrix,
     Subspace,
@@ -630,7 +629,7 @@ class TestIsInvertible:
 
     def test_prime_on_the_diagonal(self):
         # at the size rule the first modulus of the elimination divides a pivot
-        p = RREF_PRIMES[0]
+        p = linalg._prime(0)
         ones = [1] * (MODULAR_MIN_DIM - 1)
         m = Matrix.diag(ones + [p], RATIONAL)
         assert rank(m) == MODULAR_MIN_DIM
@@ -645,7 +644,8 @@ class TestIsInvertible:
 
 
 # The first primes: with these moduli many pivots vanish and short
-# moduli stop rational reconstruction, so the Bareiss fallback runs too.
+# moduli stop rational reconstruction, so the certificate must reject
+# candidates before the default primes take over.
 TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
@@ -656,9 +656,28 @@ def bareiss_only():
         yield
 
 
+def primes_after(tiny, supply=linalg._prime):
+    """A stand-in for linalg._prime that hands out tiny first and then
+    the default supply."""
+    return lambda i: tiny[i] if i < len(tiny) else supply(i - len(tiny))
+
+
 @contextlib.contextmanager
 def tiny_primes():
-    with mock.patch.object(linalg, "RREF_PRIMES", TINY_PRIMES):
+    with mock.patch.object(linalg, "_prime", primes_after(TINY_PRIMES)):
+        yield
+
+
+@contextlib.contextmanager
+def no_bareiss_at_the_rule():
+    """Fail if Bareiss eliminates a matrix at the size rule."""
+    real = linalg._rref_bareiss
+
+    def guarded(m):
+        assert not linalg._uses_primes(m), f"Bareiss eliminated a {m.rows}x{m.cols} matrix"
+        return real(m)
+
+    with mock.patch.object(linalg, "_rref_bareiss", guarded):
         yield
 
 
@@ -747,23 +766,45 @@ class TestMultiModular:
         """The first listed prime (and in the second case its partner in
         the first pair) loses the first pivot; the primes with the earliest
         pivots win, and the modular answer is the Bareiss one."""
-        m = self.unlucky(math.prod(RREF_PRIMES[:batch]))
-        assert m.num[0][0] % RREF_PRIMES[0] == 0
+        m = self.unlucky(math.prod(map(linalg._prime, range(batch))))
+        assert m.num[0][0] % linalg._prime(0) == 0
         with bareiss_only():
             want = exact_outcome(m)
         assert linalg._rref_modular(m) == want[0]
         assert exact_outcome(m) == want
 
-    def test_primes_run_out(self):
-        # 120-bit entries of rank 11: RREF entries far beyond the product of
-        # the tiny primes, so the modular path gives up and Bareiss answers
+    def test_primes_do_not_run_out(self, monkeypatch):
+        """120-bit factors of rank 11: RREF entries far beyond the product
+        of 32 primes (86 of the default ones), so the modular path climbs
+        through the supply, from its start or after the tiny primes, until
+        the certificate holds; Bareiss never runs at the rule, and agrees."""
         rng = random.Random(1203)
         m = rand_int_matrix(rng, 12, 11, bound=2**120) * rand_int_matrix(rng, 11, 13, bound=2**120)
-        with tiny_primes():
-            assert linalg._rref_modular(m) is None
-            got = exact_outcome(m)
+        want = linalg._rref_bareiss(m)
         with bareiss_only():
-            assert got == exact_outcome(m)
+            want_outcome = exact_outcome(m)
+        for tiny in ((), TINY_PRIMES):
+            taken = []
+            supply = primes_after(tiny)
+            monkeypatch.setattr(linalg, "_prime", lambda i: taken.append(i) or supply(i))
+            with no_bareiss_at_the_rule():
+                assert linalg._rref_modular(m) == want
+                assert max(taken) + 1 - len(tiny) > 32
+                assert exact_outcome(m) == want_outcome
+
+    def test_prime_supply(self):
+        """The moduli are the consecutive primes below 2**31 - 1, counting
+        down, by trial division; the first 32 are the moduli the
+        elimination has always taken, from 2147483629 to 2147482877."""
+        primes = [linalg._prime(i) for i in range(64)]
+        assert primes[0] == 2147483629 and primes[31] == 2147482877
+
+        def is_prime(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert all(map(is_prime, primes))
+        for above, below in zip([2**31 - 1] + primes, primes):
+            assert not any(map(is_prime, range(below + 2, above, 2)))
 
     def test_certificate_rejects_forgeries(self):
         m = self.unlucky(5)
