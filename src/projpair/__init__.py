@@ -18,7 +18,7 @@ _SOURCE = {
     **dict.fromkeys(("RATIONAL", "FLOAT", "TolerancePolicy", "DEFAULT_POLICY"), "scalars"),
     **dict.fromkeys(
         ("Matrix", "Subspace", "rank", "kernel_basis", "subspace_sum",
-         "subspace_intersection", "restrict_operator", "trace"),
+         "subspace_intersection", "restrict_operator"),
         "linalg",
     ),
     **dict.fromkeys(
@@ -34,9 +34,8 @@ _SOURCE = {
         ("FittingDecomposition", "fitting_decomposition", "verify_fitting"), "fitting"
     ),
     **dict.fromkeys(
-        ("EigenspaceSet", "IndexReport", "eigenspace", "dual_eigenspace",
-         "compute_eigenspaces", "eigenspace_dims", "trace_power", "index_report",
-         "spectrum_symmetry_check"),
+        ("EigenspaceSet", "IndexReport", "compute_eigenspaces", "eigenspace_dims",
+         "trace_power", "index_report", "spectrum_symmetry_check"),
         "index",
     ),
     **dict.fromkeys(
@@ -48,6 +47,7 @@ _SOURCE = {
     **dict.fromkeys(("load_pair", "loads_pair", "save_pair", "dumps_pair"), "pairfile"),
     "ProjpairError": "errors",
 }
+__all__ = list(_SOURCE)
 
 
 def __getattr__(name: str):
@@ -68,59 +68,3 @@ def __dir__():
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "RATIONAL",
-    "FLOAT",
-    "TolerancePolicy",
-    "DEFAULT_POLICY",
-    "Matrix",
-    "Subspace",
-    "rank",
-    "kernel_basis",
-    "subspace_sum",
-    "subspace_intersection",
-    "restrict_operator",
-    "trace",
-    "ProjectionPair",
-    "DerivedOps",
-    "CentralizerElement",
-    "make_pair",
-    "derived_ops",
-    "check_lemma1",
-    "check_lemma2",
-    "check_lemma3",
-    "commutator_witness",
-    "to_float_pair",
-    "NCPoly",
-    "parse_expr",
-    "expand",
-    "verify_identity",
-    "lemma_suite",
-    "FittingDecomposition",
-    "fitting_decomposition",
-    "verify_fitting",
-    "EigenspaceSet",
-    "IndexReport",
-    "eigenspace",
-    "dual_eigenspace",
-    "compute_eigenspaces",
-    "eigenspace_dims",
-    "trace_power",
-    "index_report",
-    "spectrum_symmetry_check",
-    "PrescribedSpec",
-    "PythagoreanBlock",
-    "ShearBlock",
-    "gen_pair_orthogonal",
-    "gen_pair_oblique_rational",
-    "gen_prescribed",
-    "expected_dimensions",
-    "random_unimodular",
-    "mix_seed",
-    "load_pair",
-    "loads_pair",
-    "save_pair",
-    "dumps_pair",
-    "ProjpairError",
-]

@@ -13,9 +13,8 @@ per step, so a failure pinpoints the exact link that broke.
 The report needs only the eight dimensions, and :func:`eigenspace_dims`
 takes them from ranks of products of row-space and kernel bases of P,
 P - I, Q and Q - I, the four bases of each idempotent from one
-elimination of it.  :func:`compute_eigenspaces`, :func:`eigenspace` and
-:func:`dual_eigenspace` build the bases, by kernels and their
-intersections, for callers that need the vectors.
+elimination of it.  :func:`compute_eigenspaces` builds the bases, by
+kernels and their intersections, for callers that need the vectors.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .linalg import (
     np,
     rank,
     subspace_intersection,
-    trace,
     trace_product,
 )
 from .pairs import ProjectionPair, derived_ops
@@ -44,8 +42,6 @@ __all__ = [
     "IndexReport",
     "SpectrumReport",
     "compute_eigenspaces",
-    "dual_eigenspace",
-    "eigenspace",
     "eigenspace_dims",
     "index_report",
     "spectrum_symmetry_check",
@@ -67,23 +63,6 @@ def _joint_eigenspaces(p: Matrix, q: Matrix) -> dict[tuple[int, int], Subspace]:
     return {
         (a, b): subspace_intersection(ker_p[a], ker_q[b]) for a in (0, 1) for b in (0, 1)
     }
-
-
-def _check_labels(a: int, b: int) -> None:
-    if a not in (0, 1) or b not in (0, 1):
-        raise ProjpairError(f"eigenvalue labels must be 0 or 1, got ({a}, {b})")
-
-
-def eigenspace(pair: ProjectionPair, a: int, b: int) -> Subspace:
-    """Joint eigenspace ker(P - aI) intersect ker(Q - bI), a, b in {0, 1}."""
-    _check_labels(a, b)
-    return _joint_eigenspaces(pair.P, pair.Q)[a, b]
-
-
-def dual_eigenspace(pair: ProjectionPair, a: int, b: int) -> Subspace:
-    """Joint eigenspace of the transposed pair; the finite-dimensional dual."""
-    _check_labels(a, b)
-    return _joint_eigenspaces(pair.P.transpose(), pair.Q.transpose())[a, b]
 
 
 @dataclass(frozen=True)
@@ -149,7 +128,7 @@ def trace_power(pair: ProjectionPair, n: int) -> Scalar:
     """tr (P - Q)^n for n >= 1, exact over the rationals."""
     if n < 1:
         raise ProjpairError(f"power must be >= 1, got {n}")
-    return trace(derived_ops(pair).M ** n)
+    return (derived_ops(pair).M ** n).trace()
 
 
 def _odd_power_traces(m: Matrix, s: Matrix, ns: tuple[int, ...]) -> dict[int, Scalar]:
@@ -168,7 +147,7 @@ def _odd_power_traces(m: Matrix, s: Matrix, ns: tuple[int, ...]) -> dict[int, Sc
     for _ in range((max(ns) + 1) // 2 - 2):
         powers.append(powers[-1] * m)
     return {
-        n: trace(m) if n == 1 else trace_product(powers[(n + 1) // 2], powers[n // 2])
+        n: m.trace() if n == 1 else trace_product(powers[(n + 1) // 2], powers[n // 2])
         for n in ns
     }
 
@@ -299,9 +278,9 @@ def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> I
     traces = _odd_power_traces(ops.M, ops.S, ns)
     traces_mf = _odd_power_traces(fd.M_F, fd.S_F, ns)
     traces_my = _odd_power_traces(fd.M_Y, fd.S_Y, ns)
-    trace_mf = trace(fd.M_F)
-    trace_pf = trace(fd.P_F)
-    trace_qf = trace(fd.Q_F)
+    trace_mf = fd.M_F.trace()
+    trace_pf = fd.P_F.trace()
+    trace_qf = fd.Q_F.trace()
 
     codim_raw, codim_mirror_raw = _mixed_image_dims(fd)
     gap = fd.F.dim - codim_raw

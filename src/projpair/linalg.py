@@ -3,8 +3,8 @@
 The rational backend is the oracle of the whole package.  A rational
 matrix is one integer numerator matrix over one common denominator, kept
 canonical, so sums, products, transposes and comparisons run on
-integers; Fractions appear only where a single entry, a trace, a
-determinant or the ``data`` view leaves the module.  One size rule on
+integers; Fractions appear only where a single entry, a trace or the
+``data`` view leaves the module.  One size rule on
 the shape, at least :data:`MODULAR_MIN_DIM` rows and columns, chooses
 the exact kernels.  A product whose rows, inner dimension and columns
 all reach it multiplies the operands' 16-bit two's-complement limb
@@ -19,8 +19,8 @@ eliminated modulo the consecutive 31-bit primes below 2**31 - 1
 (:func:`_prime`) in int64 arrays, rebuilt by CRT and rational
 reconstruction, and accepted once an exact product certifies it.  A
 smaller one goes through fraction-free Bareiss elimination and an
-integer back-substitution, as do determinants.  So results are exact and
-no answer rests on a prime.
+integer back-substitution.  So results are exact and no answer rests on
+a prime.
 
 A float matrix holds one read-only float64 ndarray, so its arithmetic
 runs in numpy and BLAS; it mirrors the same API through SVD
@@ -100,7 +100,6 @@ __all__ = [
     "subspace_sum",
     "subspace_intersection",
     "restrict_operator",
-    "trace",
     "trace_product",
     "solve_exact",
     "numeric_rank",
@@ -194,14 +193,6 @@ class Matrix:
             return _wrap(np.diag(np.array(vals, dtype=np.float64)))
         n = len(vals)
         return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)], field)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], field: str, rows: int | None = None) -> "Matrix":
-        if not columns:
-            if rows is None:
-                raise DimensionMismatch("need explicit row count for an empty column list")
-            return cls.zeros(rows, 0, field)
-        return cls(columns, field).transpose()
 
     # -- basic queries --------------------------------------------------
 
@@ -369,19 +360,6 @@ class Matrix:
             return float(np.trace(self.data))
         return Fraction(sum(self.num[i][i] for i in range(self.rows)), self.den)
 
-    def det(self) -> Scalar:
-        """Exact determinant over Q (Bareiss); float falls back to numpy."""
-        if not self.is_square:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        if self.rows == 0:
-            return Fraction(1) if self.field == RATIONAL else 1.0
-        if self.field == FLOAT:
-            return float(np.linalg.det(self.data))
-        rows, piv_cols, sign = _bareiss_echelon([list(r) for r in self.num], self.cols)
-        if len(piv_cols) < self.rows:
-            return Fraction(0)
-        return Fraction(sign * rows[-1][-1], self.den**self.rows)
-
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
@@ -414,11 +392,6 @@ class Matrix:
             # + 0.0 turns -0.0 into 0.0, which compares equal to it
             return hash((self.field, self.shape, (self.data + 0.0).tobytes()))
         return hash((self.field, self.cols, self.den, self.num))
-
-    def approx_equal(self, other: "Matrix", tol: float) -> bool:
-        if not isinstance(other, Matrix) or self.shape != other.shape:
-            return False
-        return bool(np.all(np.abs(self.to_numpy() - other.to_numpy()) <= tol))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, {self.field})"
@@ -555,17 +528,14 @@ def _limb_product(a: np.ndarray, b: np.ndarray) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_echelon(
-    rows: list[list[int]], ncols: int
-) -> tuple[list[list[int]], list[int], int]:
-    """In-place fraction-free row echelon; returns (rows, pivot_cols, sign).
+def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """In-place fraction-free row echelon; returns (rows, pivot_cols).
 
     One-step Bareiss: every interior division is exact, which keeps the
     intermediate entries at the size of minors instead of exploding.
     """
     nrows = len(rows)
     prev = 1
-    sign = 1
     piv_cols: list[int] = []
     r = 0
     for c in range(ncols):
@@ -578,9 +548,7 @@ def _bareiss_echelon(
                 break
         if piv is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
+        rows[r], rows[piv] = rows[piv], rows[r]
         pivot = rows[r][c]
         row_r = rows[r]
         for i in range(r + 1, nrows):
@@ -594,7 +562,7 @@ def _bareiss_echelon(
         prev = pivot
         piv_cols.append(c)
         r += 1
-    return rows, piv_cols, sign
+    return rows, piv_cols
 
 
 def _rref_exact(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -648,7 +616,7 @@ def _rref_bareiss(m: Matrix) -> tuple[Matrix, list[int]]:
     its entries.  Each row, cleared of its content and signed so that its
     pivot is positive, is then brought over the lcm of the pivots.
     """
-    rows, piv_cols, _ = _bareiss_echelon([list(r) for r in m.num], m.cols)
+    rows, piv_cols = _bareiss_echelon([list(r) for r in m.num], m.cols)
     for i in range(len(piv_cols) - 1, 0, -1):
         c = piv_cols[i]
         row_i = rows[i]
@@ -1082,11 +1050,6 @@ class Subspace:
             return _exact([t.num[i] for i in self.pivots], t.cols, t.den) * self.basis
         return _wrap(self.basis.data.T @ (t * self.basis).data)
 
-    def contains_vector(self, v: Matrix) -> bool:
-        if v.rows != self.ambient_dim or v.cols != 1:
-            raise DimensionMismatch("vector shape mismatch")
-        return self._coordinates(v, DEFAULT_POLICY, v) is not None
-
     def contains(self, other: "Subspace") -> bool:
         """Whether other is a subset of self."""
         self._check_ambient(other)
@@ -1160,11 +1123,6 @@ def restrict_operator(t: Matrix, w: Subspace, pol: TolerancePolicy = DEFAULT_POL
     if result is None:
         raise NotInvariant("operator does not preserve the subspace")
     return result
-
-
-def trace(m: Matrix) -> Scalar:
-    """Sum of the diagonal entries; exact over the rationals."""
-    return m.trace()
 
 
 def trace_product(a: Matrix, b: Matrix) -> Scalar:

@@ -47,7 +47,10 @@ def _entry_rational(value: object, where: str) -> Fraction:
 def _entry_float(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise PairFileError(f"{where}: float entries must be JSON numbers, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer too wide for a float
+        raise PairFileError(f"{where}: entry beyond the float range") from None
     if not math.isfinite(out):
         raise PairFileError(f"{where}: non-finite entry {value!r}")
     return out
@@ -75,7 +78,7 @@ def loads_pair(text: str, pol: TolerancePolicy = DEFAULT_POLICY) -> ProjectionPa
     """Parse a pair from JSON text and validate it end to end."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise PairFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise PairFileError("top level must be a JSON object")

@@ -20,6 +20,7 @@ explicit commutator, which forces tr M^n = tr M for odd n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -171,8 +172,9 @@ def make_pair(
             if residual != 0:
                 raise NotIdempotent(name, residual)
         else:
-            bound = pol.compare_abs_tol * (1.0 + float(m.max_norm()) ** 2)
-            if float(residual) > bound:
+            norm = float(m.max_norm())
+            # a product that overflowed (an inf or nan residual) certifies nothing
+            if not math.isfinite(residual) or residual > pol.compare_abs_tol * (1.0 + norm * norm):
                 raise NotIdempotent(name, residual)
     return ProjectionPair(P.rows, P, Q, P.field, pol)
 

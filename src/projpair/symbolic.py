@@ -48,17 +48,6 @@ def _mul_words(a: str, b: str) -> str:
     return a + b
 
 
-def reduce_word(word: str) -> str:
-    """Fully reduce an arbitrary word over {p, q} (used by tests as oracle)."""
-    out: list[str] = []
-    for ch in word:
-        if ch not in ("p", "q"):
-            raise ValueError(f"invalid letter {ch!r}")
-        if not out or out[-1] != ch:
-            out.append(ch)
-    return "".join(out)
-
-
 class NCPoly:
     """Integer-coefficient polynomial over reduced words in p and q."""
 

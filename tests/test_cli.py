@@ -4,6 +4,7 @@ which must see what a new process imports, start fresh interpreters."""
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from projpair.cli import _bridge_pair, run_cli
 from projpair.generators import gen_pair_oblique_rational
 from projpair.pairfile import save_pair
 from projpair.pairs import derived_ops
+from test_pairfile import MALFORMED
 
 
 def run(capsys, *args):
@@ -273,6 +275,34 @@ class TestTolerance:
     def test_finite_tolerance_accepted(self, capsys, command):
         code, *_ = run(capsys, command, "--input", self.GOLDEN_FLOAT, "--tol", "1e-6")
         assert code == 0
+
+
+class TestMalformedFiles:
+    """A file the reader rejects is an input error (exit 2), never a crash,
+    and in a batch it does not hide the reports of the other files."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2(self, tmp_path, capsys, command, case):
+        bad = tmp_path / "bad.json"
+        bad.write_text(MALFORMED[case])
+        code, _, err = run(capsys, command, "--input", str(bad))
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_batch_still_reports_the_good_file(self, tmp_path, capsys, case):
+        (tmp_path / "a.json").write_text(MALFORMED[case])
+        shutil.copy(GOLDEN / "r0-oblique-d3.json", tmp_path / "b.json")
+        code, out, err = run(capsys, "verify", "--input", str(tmp_path), "--json")
+        assert code == 2
+        bad, good = json.loads(out)
+        assert set(bad) == {"file", "error"} and bad["file"] == "a.json"
+        want = json.loads((GOLDEN / "r0-oblique-d3.out").read_text(encoding="utf-8"))
+        assert good == {"file": "b.json", "report": want}
+        assert "== b.json ==" in err
 
 
 class TestParsing:

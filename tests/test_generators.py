@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import projpair.generators as gens
@@ -19,7 +20,7 @@ from projpair.generators import (
 )
 from projpair.index import compute_eigenspaces, trace_power
 from projpair.linalg import Matrix, rank
-from projpair.scalars import FLOAT, RATIONAL
+from projpair.scalars import RATIONAL
 
 
 class TestMixSeed:
@@ -53,14 +54,14 @@ class TestOrthogonal:
 
     def test_symmetric_and_correct_rank(self):
         pair = gen_pair_orthogonal(7, 3, 5, seed=2)
-        assert pair.P.approx_equal(pair.P.transpose(), 1e-12)
+        assert np.allclose(pair.P.to_numpy(), pair.P.to_numpy().T, rtol=0, atol=1e-12)
         assert rank(pair.P) == 3
         assert rank(pair.Q) == 5
 
     def test_rank_edges(self):
         pair = gen_pair_orthogonal(4, 0, 4, seed=9)
         assert pair.P.is_zero()
-        assert pair.Q.approx_equal(Matrix.identity(4, FLOAT), 1e-9)
+        assert np.allclose(pair.Q.to_numpy(), np.eye(4), rtol=0, atol=1e-9)
 
     def test_rank_validation(self):
         with pytest.raises(ProjpairError):
@@ -209,9 +210,10 @@ class TestPrescribed:
 
 class TestRandomUnimodular:
     def test_determinant_is_unit(self):
+        # an integer matrix with an integer inverse has determinant +-1
         for i in range(15):
             g = random_unimodular(1 + i % 6, seed=i)
-            assert g.det() in (Fraction(1), Fraction(-1))
+            assert g.den == 1 and g.inverse().den == 1
 
     def test_integer_entries_both_ways(self):
         g = random_unimodular(5, seed=8)
@@ -226,7 +228,7 @@ class TestRandomUnimodular:
 
     def test_size_one(self):
         g = random_unimodular(1, seed=0)
-        assert g.det() in (Fraction(1), Fraction(-1))
+        assert g.den == 1 and g.inverse().den == 1
 
     def test_size_validation(self):
         with pytest.raises(ProjpairError):

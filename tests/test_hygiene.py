@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-only linalg knows the size rule of the exact eliminations, and every
-attribute the benchmark tracer patches exists."""
+only linalg knows the size rule of the exact eliminations, every
+attribute the benchmark tracer patches exists, and the package exports
+exactly what its modules export."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from test_cli import fresh
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "projpair"
@@ -46,7 +48,8 @@ def _annotations(tree: ast.Module):
 
 
 def used_names(tree: ast.Module) -> set[str]:
-    """Names read anywhere, in quoted annotations, or listed in __all__."""
+    """Names read anywhere, in quoted annotations, or listed in a literal
+    list assigned to __all__ (a computed one is read as an expression)."""
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for annotation in _annotations(tree):
         if annotation is None:
@@ -56,7 +59,7 @@ def used_names(tree: ast.Module) -> set[str]:
                 quoted = ast.parse(node.value, mode="eval")
                 used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= set(ast.literal_eval(node.value))
@@ -102,8 +105,9 @@ def test_checker_flags_unused_and_spares_used():
         "import os.path\n"
         "import json as j\n"
         "from typing import Sequence, Iterable\n"
-        "from .a import Exported, Quoted\n"
+        "from .a import Exported, Quoted, Computed\n"
         "__all__ = ['Exported']\n"
+        "__all__ = list(Computed)\n"
         "def f(x: 'Quoted') -> Sequence:\n"
         "    return os.path.join(x)\n"
     )
@@ -134,3 +138,33 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_names_are_module_exports():
+    """Each name the package resolves is exported by its defining module:
+    listed in that module's __all__, or public where it has none."""
+    import projpair
+
+    stray = []
+    for name, source in projpair._SOURCE.items():
+        module = importlib.import_module(f"projpair.{source}")
+        exported = getattr(module, "__all__", None) or [n for n in vars(module) if not n.startswith("_")]
+        if name not in exported:
+            stray.append((source, name))
+    assert stray == []
+
+
+def test_star_import_binds_exactly_all():
+    """In a fresh interpreter ``from projpair import *`` binds every name
+    of ``projpair.__all__`` and no other, each the defining module's object."""
+    extra, missing, foreign = fresh(
+        "import importlib, json\n"
+        "ns = {}\n"
+        "exec('from projpair import *', ns)\n"
+        "import projpair as pp\n"
+        "names = set(ns) - {'__builtins__'}\n"
+        "foreign = [n for n in pp.__all__ if n in ns and ns[n] is not\n"
+        "           getattr(importlib.import_module('projpair.' + pp._SOURCE[n]), n)]\n"
+        "print(json.dumps([sorted(names - set(pp.__all__)), sorted(set(pp.__all__) - names), foreign]))"
+    )
+    assert (extra, missing, foreign) == ([], [], [])

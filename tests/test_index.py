@@ -28,14 +28,12 @@ from projpair.index import (
     _mixed_image_dims,
     _odd_power_traces,
     compute_eigenspaces,
-    dual_eigenspace,
-    eigenspace,
     eigenspace_dims,
     index_report,
     spectrum_symmetry_check,
     trace_power,
 )
-from projpair.linalg import Matrix, rank, subspace_intersection, trace
+from projpair.linalg import Matrix, Subspace, rank, subspace_intersection
 from projpair.pairs import commutator_witness, derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL
 
@@ -95,22 +93,13 @@ class TestEigenspaces:
         dims = compute_eigenspaces(shear_pair()).dims()
         assert dims["e11"] == 1 and dims["e00"] == 0
         assert dims["et11"] == 0 and dims["et00"] == 1
-        space = dual_eigenspace(shear_pair(), 0, 0)
-        assert space.contains_vector(Matrix([[0], [1]], RATIONAL))
-
-    def test_label_validation(self):
-        pair = diag_pair()
-        with pytest.raises(ProjpairError):
-            eigenspace(pair, 2, 0)
-        with pytest.raises(ProjpairError):
-            dual_eigenspace(pair, 0, -1)
+        space = compute_eigenspaces(shear_pair()).Et00
+        assert space.contains(Subspace(Matrix([[0], [1]], RATIONAL)))
 
     def test_one_and_zero_spaces_meet_trivially(self):
         for i in range(10):
-            pair = oblique(i)
-            e10 = eigenspace(pair, 1, 0)
-            e01 = eigenspace(pair, 0, 1)
-            assert subspace_intersection(e10, e01).dim == 0
+            spaces = compute_eigenspaces(oblique(i))
+            assert subspace_intersection(spaces.E10, spaces.E01).dim == 0
 
     def test_float_agrees_with_exact(self):
         for i in range(8):
@@ -302,7 +291,7 @@ class TestOddPowerTraces:
         rng = random.Random(5)
         for pair in [oblique(i, 1, 8) for i in range(6)] + [jordan_pair(3)]:
             m, s = derived_ops(pair).M, derived_ops(pair).S
-            want = {n: trace(m**n) for n in ODD}
+            want = {n: (m**n).trace() for n in ODD}
             for ns in odd_subsets(rng, 12):
                 got = _odd_power_traces(m, s, ns)
                 assert list(got) == list(ns)
@@ -314,7 +303,7 @@ class TestOddPowerTraces:
             h = mix_seed(0x0DD, dim)
             pair = gen_pair_orthogonal(dim, (h >> 8) % (dim + 1), (h >> 16) % (dim + 1), seed=h)
             m, s = derived_ops(pair).M, derived_ops(pair).S
-            want = {n: trace(m**n) for n in ODD}
+            want = {n: (m**n).trace() for n in ODD}
             for ns in odd_subsets(rng, 6):
                 for n, value in _odd_power_traces(m, s, ns).items():
                     assert abs(value - want[n]) <= 1e-12 * max(1.0, abs(want[n])), (dim, n)

@@ -22,6 +22,15 @@ GOOD = json.dumps(
 )
 
 
+# Files whose rejection once escaped as a traceback: an integer too wide
+# for a float, nesting too deep, and an entry whose square overflows.
+MALFORMED = {
+    "wide": '{"dim": 1, "field": "float", "P": [[' + "9" * 401 + ']], "Q": [[0.0]]}',
+    "deep": "[" * 100000,
+    "square": '{"dim": 1, "field": "float", "P": [[1e308]], "Q": [[0.0]]}',
+}
+
+
 def corrupt(**overrides):
     doc = json.loads(GOOD)
     doc.update(overrides)
@@ -122,6 +131,14 @@ class TestRejections:
         bad = '{"dim": 1, "field": "float", "P": [[Infinity]], "Q": [[0.0]]}'
         with pytest.raises(PairFileError, match="non-finite"):
             loads_pair(bad)
+
+    def test_integer_beyond_float_range(self):
+        with pytest.raises(PairFileError, match=r"P\[0\]\[0\]: entry beyond the float range"):
+            loads_pair(MALFORMED["wide"])
+
+    def test_nesting_too_deep(self):
+        with pytest.raises(PairFileError, match="not valid JSON"):
+            loads_pair(MALFORMED["deep"])
 
     def test_non_idempotent_content_fails_loudly(self):
         with pytest.raises(NotIdempotent):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from projpair.errors import (
@@ -12,7 +13,7 @@ from projpair.errors import (
     SingularS,
 )
 from projpair.generators import gen_pair_oblique_rational, gen_pair_orthogonal, mix_seed
-from projpair.linalg import Matrix
+from projpair.linalg import Matrix, is_invertible
 from projpair.pairs import (
     CentralizerElement,
     ProjectionPair,
@@ -75,6 +76,13 @@ class TestMakePair:
         bad = Matrix([[1.0 + 1e-4, 0.0], [0.0, 0.0]], FLOAT)
         with pytest.raises(NotIdempotent):
             make_pair(bad, Matrix.zeros(2, 2, FLOAT))
+
+    def test_float_entries_whose_squares_overflow(self):
+        # an overflowed P^2 certifies nothing; an exact one passes whatever the entries
+        zero = Matrix.zeros(2, 2, FLOAT)
+        with np.errstate(over="ignore"), pytest.raises(NotIdempotent):
+            make_pair(Matrix([[1e308, 0.0], [0.0, 0.0]], FLOAT), zero)
+        assert make_pair(Matrix([[1.0, 1e200], [0.0, 0.0]], FLOAT), zero).dim == 2
 
     def test_tight_policy_rejects_what_default_allows(self):
         m = Matrix([[1.0 + 5e-10, 0.0], [0.0, 0.0]], FLOAT)
@@ -214,7 +222,7 @@ class TestLemmaChecks:
         while found < 10:
             pair = oblique_pair(i)
             i += 1
-            if derived_ops(pair).S.det() == 0:
+            if not is_invertible(derived_ops(pair).S):
                 continue
             for t in (CentralizerElement.identity(), CentralizerElement.m_squared()):
                 assert check_lemma3(pair, t).is_zero()

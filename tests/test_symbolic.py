@@ -17,7 +17,6 @@ from projpair.symbolic import (
     expand,
     lemma_suite,
     parse_expr,
-    reduce_word,
     verify_identity,
 )
 
@@ -46,15 +45,6 @@ words_st = st.text(alphabet="pq", min_size=0, max_size=6)
 
 
 class TestWords:
-    @given(words_st)
-    @settings(max_examples=200)
-    def test_reduce_matches_oracle(self, word):
-        assert reduce_word(word) == reduce_oracle(word)
-
-    def test_reduce_rejects_bad_letters(self):
-        with pytest.raises(ValueError):
-            reduce_word("px")
-
     @given(words_st, words_st)
     @settings(max_examples=200)
     def test_product_of_monomials(self, w1, w2):
