@@ -22,8 +22,7 @@ _SOURCE = {
         "linalg",
     ),
     **dict.fromkeys(
-        ("ProjectionPair", "DerivedOps", "CentralizerElement", "make_pair", "derived_ops",
-         "check_lemma1", "check_lemma2", "check_lemma3", "commutator_witness",
+        ("ProjectionPair", "DerivedOps", "make_pair", "derived_ops", "check_lemma3",
          "to_float_pair"),
         "pairs",
     ),

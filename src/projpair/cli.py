@@ -60,7 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--rank-p", dest="rank_p", type=int, default=None)
     p_gen.add_argument("--rank-q", dest="rank_q", type=int, default=None)
-    p_gen.add_argument("--entry-bound", dest="entry_bound", type=int, default=3)
+    p_gen.add_argument(
+        "--entry-bound", dest="entry_bound", type=int, default=None,
+        help="largest |entry| of the factors (oblique kind only)",
+    )
     p_gen.add_argument("--d10", type=int, default=0)
     p_gen.add_argument("--d01", type=int, default=0)
     p_gen.add_argument("--d11", type=int, default=0)
@@ -70,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="",
         help="extra 2x2 blocks, e.g. 'pyth:2:1,shear:1/3' (prescribed kind only)",
     )
-    p_gen.add_argument("--conjugate", action="store_true")
+    p_gen.add_argument(
+        "--conjugate", action="store_true", help="unimodular change of basis (prescribed kind only)"
+    )
     p_gen.add_argument("--out", required=True)
 
     p_lemma = sub.add_parser("lemma", help="symbolic identity suite + numeric bridge")
@@ -211,17 +216,21 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         PrescribedSpec, gen_pair_oblique_rational, gen_pair_orthogonal, gen_prescribed
     )
 
+    if args.entry_bound is not None and args.kind != "oblique":
+        raise ProjpairError("--entry-bound only applies to kind=oblique")
     if args.kind in ("orthogonal", "oblique"):
         if args.dim is None or args.rank_p is None or args.rank_q is None:
             raise ProjpairError(f"kind={args.kind} needs --dim, --rank-p and --rank-q")
-        if args.blocks or args.d10 or args.d01 or args.d11 or args.d00:
-            raise ProjpairError("--d10/--d01/--d11/--d00/--blocks only apply to kind=prescribed")
+        if args.blocks or args.d10 or args.d01 or args.d11 or args.d00 or args.conjugate:
+            raise ProjpairError(
+                "--d10/--d01/--d11/--d00/--blocks/--conjugate only apply to kind=prescribed"
+            )
         if args.kind == "orthogonal":
             pair = gen_pair_orthogonal(args.dim, args.rank_p, args.rank_q, args.seed)
         else:
-            pair = gen_pair_oblique_rational(
-                args.dim, args.rank_p, args.rank_q, args.seed, args.entry_bound
-            )
+            # unset, the generator's own default bound applies
+            bound = {} if args.entry_bound is None else {"entry_bound": args.entry_bound}
+            pair = gen_pair_oblique_rational(args.dim, args.rank_p, args.rank_q, args.seed, **bound)
         note = ""
     else:
         if args.rank_p is not None or args.rank_q is not None:
@@ -261,6 +270,9 @@ def _bridge_pair(base_seed: int, i: int) -> ProjectionPair:
 def _cmd_lemma(args: argparse.Namespace) -> int:
     from .symbolic import corpus_identities, evaluate_expr, lemma_suite, parse_expr, verify_identity
 
+    samples = args.numeric_samples
+    if samples < 0:
+        raise ProjpairError(f"--numeric-samples must be >= 0, got {samples}")
     suite = lemma_suite(args.max_n)
     ok = True
     for result in suite.results:
@@ -278,7 +290,6 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
     # Numeric soundness bridge: every identity that the rewriter calls
     # zero must also vanish when the raw expression trees are evaluated
     # on actual idempotent matrices, with no rewriting involved.
-    samples = args.numeric_samples
     parsed = [(name, parse_expr(lhs), parse_expr(rhs)) for name, lhs, rhs in texts]
     bridge_failures = 0
     for i in range(samples):

@@ -38,10 +38,6 @@ class SingularS(ProjpairError):
     """I - M^2 is not invertible, so the inverse-based identity does not apply."""
 
 
-class IdentityViolation(ProjpairError):
-    """A structural identity failed: exactly over Q, beyond tolerance over floats."""
-
-
 class RestrictionFailure(ProjpairError):
     """Invariance check failed while restricting operators (float field only)."""
 

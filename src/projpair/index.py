@@ -236,9 +236,10 @@ def _mixed_image_dims(fd: FittingDecomposition) -> tuple[int, int]:
 def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> IndexReport:
     """Verify the whole trace/dimension chain on one pair.
 
-    Each operator is computed once: of the derived operators only M and
-    S are built (:func:`derived_ops`; U, V and their certificate are
-    not), the eight eigenspace dimensions come from
+    The powers in ``odd_ns`` must be odd, at least 1 and distinct
+    (:class:`ProjpairError` otherwise).  Each operator is computed once:
+    of the derived operators only M and S are built (:func:`derived_ops`;
+    U and V are not), the eight eigenspace dimensions come from
     :func:`eigenspace_dims` with no eigenspace basis built, the traces
     from powers of M up to half the largest n with M^2 = I - S, and the
     mixed images from the blocks P_F and Q_F.
@@ -270,6 +271,8 @@ def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> I
     for n in ns:
         if n < 1 or n % 2 == 0:
             raise ProjpairError(f"powers must be odd and >= 1, got {n}")
+    if len(set(ns)) != len(ns):
+        raise ProjpairError(f"powers must be distinct, got {ns}")
 
     ops = derived_ops(pair)
     fd = fitting_decomposition(pair)

@@ -16,7 +16,9 @@ stated in operator notation; the derived atoms are macros expanded to
 their definitions in p and q before reduction.
 
 Identities involving (I - M^2)^{-1} are out of reach of this ring (no
-inverses); those are verified numerically on concrete pairs instead.
+inverses); the one the trace argument uses is checked numerically by
+:func:`projpair.pairs.check_lemma3`, on the invertible-S pairs of
+acceptance criterion 3.
 """
 
 from __future__ import annotations

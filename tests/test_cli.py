@@ -12,7 +12,7 @@ import pytest
 
 from projpair.cli import _bridge_pair, run_cli
 from projpair.generators import gen_pair_oblique_rational
-from projpair.pairfile import save_pair
+from projpair.pairfile import load_pair, save_pair
 from projpair.pairs import derived_ops
 from test_pairfile import MALFORMED
 
@@ -110,6 +110,12 @@ class TestVerify:
         assert code == 2
         assert "n must be odd and >= 1, got 2" in err
 
+    def test_repeated_power_rejected(self, tmp_path, capsys):
+        path = write_pair(tmp_path)
+        code, out, err = run(capsys, "verify", "--input", str(path), "--n", "3,3,1", "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: powers must be distinct")
+
     def test_corrupt_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{this is not json")
@@ -192,6 +198,36 @@ class TestGen:
         assert code == 2
         assert "does not match the prescribed total" in err
 
+    @pytest.mark.parametrize(
+        "kind_args, option",
+        [
+            (("--kind", "oblique", "--dim", "4", "--rank-p", "2", "--rank-q", "2",
+              "--conjugate"), "--conjugate"),
+            (("--kind", "orthogonal", "--dim", "4", "--rank-p", "2", "--rank-q", "2",
+              "--conjugate"), "--conjugate"),
+            (("--kind", "orthogonal", "--dim", "4", "--rank-p", "2", "--rank-q", "2",
+              "--entry-bound", "-2"), "--entry-bound"),
+            (("--kind", "prescribed", "--d10", "1", "--entry-bound", "2"), "--entry-bound"),
+        ],
+        ids=["oblique-conjugate", "orthogonal-conjugate", "orthogonal-bound", "prescribed-bound"],
+    )
+    def test_option_of_another_kind_rejected(self, tmp_path, capsys, kind_args, option):
+        out_path = tmp_path / "x.json"
+        code, out, err = run(capsys, "gen", *kind_args, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and option in err
+        assert not out_path.exists()
+
+    def test_entry_bound_reaches_the_oblique_generator(self, tmp_path, capsys):
+        out_path = tmp_path / "x.json"
+        args = ("gen", "--kind", "oblique", "--dim", "4", "--rank-p", "2", "--rank-q", "2")
+        code, _, err = run(capsys, *args, "--entry-bound", "0", "--out", str(out_path))
+        assert code == 2 and "entry_bound must be >= 1" in err
+        # unset, the generator's default applies: the same file as without the option
+        assert run(capsys, *args, "--seed", "5", "--out", str(out_path))[0] == 0
+        pair = load_pair(out_path)
+        assert pair == gen_pair_oblique_rational(4, 2, 2, seed=5)
+
     def test_bad_block_syntax(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gen", "--kind", "prescribed", "--d10", "1",
@@ -210,20 +246,30 @@ class TestLemma:
         assert "witness_m_minus_m7" in out
 
     def test_bridge_builds_exchange_operators(self, capsys):
-        """The bridge evaluates U and V, which derived_ops builds and
-        certifies on first access."""
+        """The bridge evaluates U and V, which derived_ops builds on first
+        access, and the exchange identities hold exactly on its pairs."""
         derived_ops.cache_clear()
         code, out, _ = run(capsys, "lemma", "--numeric-samples", "3")
         assert code == 0 and "PASS numeric bridge:" in out
         for i in range(3):
-            ops = derived_ops(_bridge_pair(0xB71D6E, i))
-            assert "_exchange" in vars(ops)
-            assert ops.certificate.max_residual() == 0
+            pair = _bridge_pair(0xB71D6E, i)
+            ops = derived_ops(pair)
+            assert "U" in vars(ops) and "V" in vars(ops)
+            eye, Q, U, V = pair.identity(), pair.Q, ops.U, ops.V
+            assert Q * U == U * pair.P
+            assert U * V == ops.S and V * U == ops.S
+            assert eye - U == (eye - 2 * Q) * ops.M
 
     def test_bridge_can_be_skipped(self, capsys):
         code, out, _ = run(capsys, "lemma", "--max-n", "5", "--numeric-samples", "0")
         assert code == 0
         assert "numeric bridge" not in out
+
+    def test_negative_samples_rejected(self, capsys):
+        # range(-1) is empty: the bridge would be skipped without a word
+        code, out, err = run(capsys, "lemma", "--numeric-samples", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --numeric-samples must be >= 0")
 
     def test_bad_max_n(self, capsys):
         code, _, err = run(capsys, "lemma", "--max-n", "4")

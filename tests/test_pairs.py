@@ -1,32 +1,16 @@
-"""Pair validation, derived operators, and the commutator machinery."""
+"""Pair validation, derived operators, and the inverse commutator lemma."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from projpair.errors import (
-    DimensionMismatch,
-    FieldMismatch,
-    IdentityViolation,
-    NotIdempotent,
-    SingularS,
-)
+from projpair.errors import DimensionMismatch, FieldMismatch, NotIdempotent, SingularS
 from projpair.generators import gen_pair_oblique_rational, gen_pair_orthogonal, mix_seed
 from projpair.linalg import Matrix, is_invertible
-from projpair.pairs import (
-    CentralizerElement,
-    ProjectionPair,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    commutator,
-    commutator_witness,
-    derived_ops,
-    make_pair,
-    to_float_pair,
-)
-from projpair.scalars import DEFAULT_POLICY, FLOAT, RATIONAL, TolerancePolicy
+from projpair.pairs import check_lemma3, derived_ops, make_pair, to_float_pair
+from projpair.scalars import FLOAT, RATIONAL, TolerancePolicy
+from projpair.symbolic import evaluate_expr, lemma_suite, parse_expr
 
 
 def oblique_pair(i, max_dim=6):
@@ -99,7 +83,6 @@ class TestDerivedOps:
             eye = pair.identity()
             assert ops.M == pair.P - pair.Q
             assert ops.S == eye - ops.M * ops.M
-            assert ops.certificate.max_residual() == 0.0
             # the exchange identities behind the whole argument
             assert pair.Q * ops.U == ops.U * pair.P
             assert ops.U * ops.V == ops.S
@@ -113,108 +96,52 @@ class TestDerivedOps:
     def test_float_certificate_small(self):
         pair = gen_pair_orthogonal(6, 2, 3, seed=4)
         ops = derived_ops(pair)
-        assert ops.certificate.max_residual() < 1e-10
-
-
-def unchecked_pair(field, q22=2, pol=DEFAULT_POLICY):
-    """P = [[1, 1], [0, 0]] and Q = diag(0, q22), built past make_pair.
-
-    With q22 = 2, Q is not idempotent, M^2 = [[1, -1], [0, 4]] fails to
-    commute with P and Q by 2, and QU - UP is not zero.
-    """
-    p = Matrix([[1, 1], [0, 0]], RATIONAL)
-    q = Matrix.diag([0, q22], RATIONAL)
-    if field == FLOAT:
-        p, q = p.to_float(), q.to_float()
-    return ProjectionPair(2, p, q, field, pol)
-
-
-class TestIdentityGate:
-    """One rule for every identity check: exactly zero over Q, within
-    the pair's scaled comparison tolerance over floats."""
-
-    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
-    def test_broken_identities_raise(self, field):
-        pair = unchecked_pair(field)
-        with pytest.raises(IdentityViolation, match="^derived-operator identities"):
-            derived_ops(pair).U
-        with pytest.raises(IdentityViolation, match="^centralizer commutation"):
-            CentralizerElement.m_squared().materialize(pair)
-
-    def test_messages(self):
-        with pytest.raises(IdentityViolation, match="^centralizer commutation failed exactly$"):
-            CentralizerElement.m_squared().materialize(unchecked_pair(RATIONAL))
-        # the residual 2 against 1e-8 * (1 + dim * |M^2|^2) = 1e-8 * (1 + 2 * 16)
-        with pytest.raises(
-            IdentityViolation,
-            match=r"^centralizer commutation residual 2\.000e\+00 exceeds 3\.300e-07$",
+        eye, U, V = pair.identity(), ops.U, ops.V
+        for residual in (
+            pair.Q * U - U * pair.P,
+            U * V - ops.S,
+            V * U - ops.S,
+            (eye - U) - (eye - 2 * pair.Q) * ops.M,
         ):
-            CentralizerElement.m_squared().materialize(unchecked_pair(FLOAT))
-
-    def test_float_residual_judged_by_the_pair_policy(self):
-        # Q = diag(0, 1e-12) leaves [M^2, P] about 1e-12 from zero: within
-        # the default tolerance, far beyond a 1e-20 one
-        loose = unchecked_pair(FLOAT, q22=Fraction(1, 10**12))
-        CentralizerElement.m_squared().materialize(loose)
-        tight = unchecked_pair(FLOAT, q22=Fraction(1, 10**12), pol=TolerancePolicy(1e-20))
-        with pytest.raises(IdentityViolation, match="^centralizer commutation residual"):
-            CentralizerElement.m_squared().materialize(tight)
-        # over Q the same residual is never forgiven, nor one below the
-        # smallest float
-        with pytest.raises(IdentityViolation, match="^centralizer commutation failed exactly$"):
-            CentralizerElement.m_squared().materialize(
-                unchecked_pair(RATIONAL, q22=Fraction(1, 10**12))
-            )
-        with pytest.raises(IdentityViolation, match="^derived-operator identities failed exactly$"):
-            derived_ops(unchecked_pair(RATIONAL, q22=Fraction(1, 10**400))).U
+            assert residual.max_norm() < 1e-10
 
 
-class TestCentralizer:
-    def test_identity_and_m_squared(self):
-        pair = oblique_pair(5)
-        ops = derived_ops(pair)
-        eye = pair.identity()
-        assert CentralizerElement.identity().materialize(pair) == eye
-        assert CentralizerElement.m_squared().materialize(pair) == ops.M * ops.M
+def lemma3_ts(pair):
+    """T = I, M^2 and I + M^2: polynomials in M^2, which commute with P and Q."""
+    eye = pair.identity()
+    m2 = eye - derived_ops(pair).S
+    return eye, m2, eye + m2
 
-    def test_geometric_sum_telescopes(self):
-        # T_n * M * (I - M^2) = M - M^n is the telescoping behind the witness
-        pair = oblique_pair(7)
-        ops = derived_ops(pair)
-        for n in (3, 5, 7, 9):
-            t = CentralizerElement.geometric_sum(n).materialize(pair)
-            assert t * ops.M * ops.S == ops.M - ops.M**n
 
-    def test_geometric_sum_validation(self):
-        with pytest.raises(ValueError):
-            CentralizerElement.geometric_sum(2)
-        with pytest.raises(ValueError):
-            CentralizerElement.geometric_sum(1)
-
-    def test_materialized_elements_commute(self):
-        for i in range(10):
-            pair = oblique_pair(i)
-            t = CentralizerElement((2, -1, 3)).materialize(pair)
-            assert commutator(t, pair.P).is_zero()
-            assert commutator(t, pair.Q).is_zero()
+def suite_holds_on(pair, prefix, max_n=7):
+    """Evaluate each lemma_suite identity whose name starts with prefix on
+    the pair's own I, P, Q, M, S, U, V, as the bridge of ``projpair lemma``
+    does, and return how many vanished (all of them, or an assert fails)."""
+    ops = derived_ops(pair)
+    eye = pair.identity()
+    atoms = {"I": eye, "P": pair.P, "Q": pair.Q, "M": ops.M, "S": ops.S, "U": ops.U, "V": ops.V}
+    checked = 0
+    for r in lemma_suite(max_n).results:
+        if r.name.startswith(prefix):
+            lhs = evaluate_expr(parse_expr(r.lhs), atoms, eye)
+            assert lhs == evaluate_expr(parse_expr(r.rhs), atoms, eye), r.name
+            checked += 1
+    return checked
 
 
 class TestLemmaChecks:
+    """Lemmas 1 and 2 are identities of the free ring, proved once by
+    lemma_suite; these evaluate the suite's own expressions on pairs.
+    Lemma 3 needs (I - M^2)^-1 and has its own numeric check."""
+
     def test_lemma1_zero_on_valid_pairs(self):
         for i in range(15):
-            rp, rq = check_lemma1(oblique_pair(i))
-            assert rp == 0 and rq == 0
+            assert suite_holds_on(oblique_pair(i), "m2_commutes_with_") == 2
 
     def test_lemma2_zero_for_t_family(self):
-        ts = [
-            CentralizerElement.identity(),
-            CentralizerElement.m_squared(),
-            CentralizerElement((1, 1)),
-        ]
+        # T = I, M^2, I + M^2 and I + M^2 + M^4
         for i in range(15):
-            pair = oblique_pair(i)
-            for t in ts:
-                assert check_lemma2(pair, t).is_zero()
+            assert suite_holds_on(oblique_pair(i), "commutator_identity[") == 4
 
     def test_lemma3_zero_when_s_invertible(self):
         found = 0
@@ -224,7 +151,7 @@ class TestLemmaChecks:
             i += 1
             if not is_invertible(derived_ops(pair).S):
                 continue
-            for t in (CentralizerElement.identity(), CentralizerElement.m_squared()):
+            for t in lemma3_ts(pair):
                 assert check_lemma3(pair, t).is_zero()
             found += 1
 
@@ -233,17 +160,14 @@ class TestLemmaChecks:
         p = Matrix([[1, 0], [0, 0]], RATIONAL)
         q = Matrix([[0, 0], [0, 1]], RATIONAL)
         with pytest.raises(SingularS):
-            check_lemma3(make_pair(p, q), CentralizerElement.identity())
+            check_lemma3(make_pair(p, q), Matrix.identity(2, RATIONAL))
 
 
 class TestCommutatorWitness:
     def test_witness_equals_m_minus_mn(self):
+        # [(I-2Q) T_n M, PV] = M - M^n for n = 3, 5, 7
         for i in range(10):
-            pair = oblique_pair(i)
-            m = derived_ops(pair).M
-            for n in (3, 5, 7):
-                a, b = commutator_witness(pair, n)
-                assert commutator(a, b) == m - m**n
+            assert suite_holds_on(oblique_pair(i), "witness_m_minus_m") == 3
 
     def test_witness_trace_consequence(self):
         # a commutator has trace zero, so tr M = tr M^n for every odd n
@@ -252,13 +176,6 @@ class TestCommutatorWitness:
             m = derived_ops(pair).M
             for n in (3, 5, 9):
                 assert (m - m**n).trace() == 0
-
-    def test_witness_needs_odd_n(self):
-        pair = oblique_pair(1)
-        with pytest.raises(ValueError):
-            commutator_witness(pair, 4)
-        with pytest.raises(ValueError):
-            commutator_witness(pair, 1)
 
 
 class TestFloatConversion:
