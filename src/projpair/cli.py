@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ProjpairError
-from .index import IndexReport, index_report, spectrum_symmetry_check
+from .index import DEFAULT_NS, IndexReport, index_report, odd_powers, spectrum_symmetry_check
 from .pairfile import load_pair, save_pair
 from .pairs import ProjectionPair, derived_ops, to_float_pair
 from .scalars import DEFAULT_POLICY, RATIONAL, TolerancePolicy, scalar_to_json
@@ -38,6 +38,9 @@ __all__ = ["main", "run_cli"]
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
+
+# the prescribed kind's 1x1 block counts; like --blocks, None when not given
+_COUNTS = ("d10", "d01", "d11", "d00")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the equality report on a pair file")
     p_verify.add_argument("--input", required=True, help="pair file, or a directory of them")
-    p_verify.add_argument("--n", default="1,3,5", help="comma-separated odd powers")
+    p_verify.add_argument("--n", default=None, help="comma-separated odd powers")
     p_verify.add_argument("--json", action="store_true", help="machine output on stdout")
     p_verify.add_argument("--tol", type=float, default=None, help="absolute comparison tolerance")
 
@@ -64,13 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--entry-bound", dest="entry_bound", type=int, default=None,
         help="largest |entry| of the factors (oblique kind only)",
     )
-    p_gen.add_argument("--d10", type=int, default=0)
-    p_gen.add_argument("--d01", type=int, default=0)
-    p_gen.add_argument("--d11", type=int, default=0)
-    p_gen.add_argument("--d00", type=int, default=0)
+    for count in _COUNTS:
+        p_gen.add_argument(f"--{count}", type=int, default=None)
     p_gen.add_argument(
         "--blocks",
-        default="",
         help="extra 2x2 blocks, e.g. 'pyth:2:1,shear:1/3' (prescribed kind only)",
     )
     p_gen.add_argument(
@@ -96,17 +96,12 @@ def _policy_from_tol(tol: float | None) -> TolerancePolicy:
 
 
 def _parse_ns(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ProjpairError(f"no powers given in {text!r}")
+    """The powers of ``--n``, held to the report's rule before any file is read."""
     try:
-        ns = tuple(int(p) for p in parts)
+        ns = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ProjpairError(f"powers must be integers, got {text!r}") from None
-    for n in ns:
-        if n < 1 or n % 2 == 0:
-            raise ProjpairError(f"n must be odd and >= 1, got {n}")
-    return ns
+    return odd_powers(ns)
 
 
 def _render_report(rep: IndexReport, label: str | None = None) -> str:
@@ -136,7 +131,7 @@ def _render_report(rep: IndexReport, label: str | None = None) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ns = _parse_ns(args.n)
+    ns = DEFAULT_NS if args.n is None else _parse_ns(args.n)
     pol = _policy_from_tol(args.tol)
     # a directory is a batch even when it holds one file
     batch = os.path.isdir(args.input)
@@ -221,7 +216,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind in ("orthogonal", "oblique"):
         if args.dim is None or args.rank_p is None or args.rank_q is None:
             raise ProjpairError(f"kind={args.kind} needs --dim, --rank-p and --rank-q")
-        if args.blocks or args.d10 or args.d01 or args.d11 or args.d00 or args.conjugate:
+        if args.conjugate or any(getattr(args, o) is not None for o in (*_COUNTS, "blocks")):
             raise ProjpairError(
                 "--d10/--d01/--d11/--d00/--blocks/--conjugate only apply to kind=prescribed"
             )
@@ -236,11 +231,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.rank_p is not None or args.rank_q is not None:
             raise ProjpairError("--rank-p/--rank-q only apply to orthogonal and oblique kinds")
         spec = PrescribedSpec(
-            d10=args.d10,
-            d01=args.d01,
-            d11=args.d11,
-            d00=args.d00,
-            generic_blocks=_parse_blocks(args.blocks),
+            **{count: getattr(args, count) or 0 for count in _COUNTS},
+            generic_blocks=_parse_blocks(args.blocks or ""),
             conjugate=args.conjugate,
             seed=args.seed,
         )

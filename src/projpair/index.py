@@ -41,14 +41,17 @@ __all__ = [
     "EigenspaceSet",
     "IndexReport",
     "SpectrumReport",
+    "DEFAULT_NS",
     "compute_eigenspaces",
     "eigenspace_dims",
     "index_report",
+    "odd_powers",
     "spectrum_symmetry_check",
     "trace_power",
 ]
 
 _DIM_KEYS = ("e10", "e01", "e11", "e00", "et10", "et01", "et11", "et00")
+DEFAULT_NS = (1, 3, 5)  # the powers n a report checks when none are given
 
 
 def _joint_eigenspaces(p: Matrix, q: Matrix) -> dict[tuple[int, int], Subspace]:
@@ -129,6 +132,20 @@ def trace_power(pair: ProjectionPair, n: int) -> Scalar:
     if n < 1:
         raise ProjpairError(f"power must be >= 1, got {n}")
     return (derived_ops(pair).M ** n).trace()
+
+
+def odd_powers(ns) -> tuple[int, ...]:
+    """The powers n of a report as a tuple: at least one, each odd and
+    >= 1, none repeated (:class:`ProjpairError` otherwise)."""
+    ns = tuple(ns)
+    if not ns:
+        raise ProjpairError("need at least one power n")
+    for n in ns:
+        if n < 1 or n % 2 == 0:
+            raise ProjpairError(f"n must be odd and >= 1, got {n}")
+    if len(set(ns)) != len(ns):
+        raise ProjpairError(f"powers must be distinct, got {ns}")
+    return ns
 
 
 def _odd_power_traces(m: Matrix, s: Matrix, ns: tuple[int, ...]) -> dict[int, Scalar]:
@@ -233,16 +250,15 @@ def _mixed_image_dims(fd: FittingDecomposition) -> tuple[int, int]:
     return rank((eye - fd.P_F).hstack(fd.Q_F)), rank(fd.P_F.hstack(eye - fd.Q_F))
 
 
-def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> IndexReport:
+def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = DEFAULT_NS) -> IndexReport:
     """Verify the whole trace/dimension chain on one pair.
 
-    The powers in ``odd_ns`` must be odd, at least 1 and distinct
-    (:class:`ProjpairError` otherwise).  Each operator is computed once:
-    of the derived operators only M and S are built (:func:`derived_ops`;
-    U and V are not), the eight eigenspace dimensions come from
-    :func:`eigenspace_dims` with no eigenspace basis built, the traces
-    from powers of M up to half the largest n with M^2 = I - S, and the
-    mixed images from the blocks P_F and Q_F.
+    The powers ``odd_ns`` follow :func:`odd_powers`.  Each operator is
+    computed once: of the derived operators only M and S are built
+    (:func:`derived_ops`; U and V are not), the eight eigenspace
+    dimensions come from :func:`eigenspace_dims` with no eigenspace basis
+    built, the traces from powers of M up to half the largest n with
+    M^2 = I - S, and the mixed images from the blocks P_F and Q_F.
 
     Verdicts, in the order the equalities are derived:
 
@@ -265,15 +281,7 @@ def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = (1, 3, 5)) -> I
       reduction; nearest-integer within tolerance over floats).
     - balance: dim E10 - dim Et01 = dim Et10 - dim E01.
     """
-    ns = tuple(odd_ns)
-    if not ns:
-        raise ProjpairError("need at least one power n")
-    for n in ns:
-        if n < 1 or n % 2 == 0:
-            raise ProjpairError(f"powers must be odd and >= 1, got {n}")
-    if len(set(ns)) != len(ns):
-        raise ProjpairError(f"powers must be distinct, got {ns}")
-
+    ns = odd_powers(odd_ns)
     ops = derived_ops(pair)
     fd = fitting_decomposition(pair)
     dims = eigenspace_dims(pair)

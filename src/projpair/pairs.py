@@ -108,10 +108,10 @@ def make_pair(
     return ProjectionPair(P.rows, P, Q, P.field, pol)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def derived_ops(pair: ProjectionPair) -> DerivedOps:
     """M and S of a pair, with one product; U and V wait for first
-    access (:class:`DerivedOps`)."""
+    access (:class:`DerivedOps`).  Only the pair under report is kept."""
     M = pair.P - pair.Q
     return DerivedOps(pair, M, pair.identity() - M * M)
 

@@ -116,6 +116,21 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: powers must be distinct")
 
+    @pytest.mark.parametrize("machine", [(), ("--json",)], ids=["human", "json"])
+    def test_power_rule_checked_once_before_any_file(self, tmp_path, capsys, machine):
+        write_pair(tmp_path, "a.json", seed=3)
+        write_pair(tmp_path, "b.json", seed=4)
+        code, out, err = run(capsys, "verify", "--input", str(tmp_path), "--n", "3,3", *machine)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: powers must be distinct, got (3, 3)"]
+
+    def test_power_error_wins_over_file_error(self, tmp_path, capsys):
+        write_pair(tmp_path, "a.json", seed=3)
+        (tmp_path / "b.json").write_text("{this is not json")
+        code, out, err = run(capsys, "verify", "--input", str(tmp_path), "--n", "2")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: n must be odd and >= 1, got 2"]
+
     def test_corrupt_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{this is not json")
@@ -218,6 +233,22 @@ class TestGen:
         assert err.startswith("error: ") and option in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("kind", ["orthogonal", "oblique"])
+    @pytest.mark.parametrize(
+        "option, value", [("--d10", "0"), ("--d01", "0"), ("--d11", "0"), ("--d00", "0"), ("--blocks", "")]
+    )
+    def test_prescribed_option_rejected_even_when_empty(self, tmp_path, capsys, kind, option, value):
+        """An explicit zero count or empty block list is still an option
+        of the prescribed kind, given to a kind it does not apply to."""
+        out_path = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, "gen", "--kind", kind, "--dim", "3", "--rank-p", "1", "--rank-q", "1",
+            option, value, "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "only apply to kind=prescribed" in err
+        assert not out_path.exists()
+
     def test_entry_bound_reaches_the_oblique_generator(self, tmp_path, capsys):
         out_path = tmp_path / "x.json"
         args = ("gen", "--kind", "oblique", "--dim", "4", "--rank-p", "2", "--rank-q", "2")
@@ -247,14 +278,18 @@ class TestLemma:
 
     def test_bridge_builds_exchange_operators(self, capsys):
         """The bridge evaluates U and V, which derived_ops builds on first
-        access, and the exchange identities hold exactly on its pairs."""
+        access, and the exchange identities hold exactly on its pairs.
+        The cache keeps only the last pair, with the U and V it built."""
         derived_ops.cache_clear()
         code, out, _ = run(capsys, "lemma", "--numeric-samples", "3")
         assert code == 0 and "PASS numeric bridge:" in out
-        for i in range(3):
-            pair = _bridge_pair(0xB71D6E, i)
+        pairs = [_bridge_pair(0xB71D6E, i) for i in range(3)]
+        hits = derived_ops.cache_info().hits
+        last = derived_ops(pairs[-1])
+        assert derived_ops.cache_info().hits == hits + 1
+        assert "U" in vars(last) and "V" in vars(last)
+        for pair in pairs:
             ops = derived_ops(pair)
-            assert "U" in vars(ops) and "V" in vars(ops)
             eye, Q, U, V = pair.identity(), pair.Q, ops.U, ops.V
             assert Q * U == U * pair.P
             assert U * V == ops.S and V * U == ops.S

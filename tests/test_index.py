@@ -25,11 +25,13 @@ from projpair.generators import (
     random_unimodular,
 )
 from projpair.index import (
+    DEFAULT_NS,
     _mixed_image_dims,
     _odd_power_traces,
     compute_eigenspaces,
     eigenspace_dims,
     index_report,
+    odd_powers,
     spectrum_symmetry_check,
     trace_power,
 )
@@ -518,10 +520,53 @@ class TestIndexReport:
         with pytest.raises(ProjpairError, match="distinct"):
             index_report(diag_pair(), odd_ns=(3, 3, 1))
 
+    def test_cache_holds_the_pair_under_report(self):
+        """Reports on two pairs leave one derived_ops entry: the second
+        pair's, which a third call reads back."""
+        derived_ops.cache_clear()
+        first, second = oblique(4), jordan_pair(2)
+        index_report(first, (1, 3))
+        index_report(second, (1, 3))
+        info = derived_ops.cache_info()
+        assert info.currsize == 1
+        derived_ops(second)
+        assert derived_ops.cache_info().hits == info.hits + 1
+
+    def test_report_shares_one_m_and_s(self):
+        """The report, the split and its verifier read one M and S: one
+        miss and two hits per report."""
+        derived_ops.cache_clear()
+        index_report(gen_pair_oblique_rational(6, 2, 3, seed=1), (1, 3, 5, 7))
+        info = derived_ops.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_intermediates_exposed(self):
         report = index_report(diag_pair())
         assert report.intermediates["gap"] == report.dims["et10"]
         assert report.intermediates["gap_mirror"] == report.dims["et01"]
+
+
+class TestOddPowers:
+    def test_returns_the_powers_as_a_tuple(self):
+        assert odd_powers([1, 7, 3]) == (1, 7, 3)
+        assert odd_powers(n for n in (5,)) == (5,)
+        assert DEFAULT_NS == odd_powers(DEFAULT_NS)
+
+    @pytest.mark.parametrize(
+        "ns, message",
+        [
+            ((), "need at least one power n"),
+            ((1, 2), "n must be odd and >= 1, got 2"),
+            ((-1,), "n must be odd and >= 1, got -1"),
+            ((0,), "n must be odd and >= 1, got 0"),
+            ((3, 1, 3), "powers must be distinct, got (3, 1, 3)"),
+        ],
+        ids=["empty", "even", "negative", "zero", "repeated"],
+    )
+    def test_rejects(self, ns, message):
+        with pytest.raises(ProjpairError) as info:
+            odd_powers(ns)
+        assert str(info.value) == message
 
 
 class TestReportJson:
