@@ -27,7 +27,7 @@ _SOURCE = {
         "pairs",
     ),
     **dict.fromkeys(
-        ("NCPoly", "parse_expr", "expand", "verify_identity", "lemma_suite"), "symbolic"
+        ("NCPoly", "expand", "verify_identity", "lemma_suite"), "symbolic"
     ),
     **dict.fromkeys(
         ("FittingDecomposition", "fitting_decomposition", "verify_fitting"), "fitting"

@@ -12,8 +12,10 @@ of reduced words ordered length-lexicographically, and an identity holds
 in every dimension exactly when its difference reduces to the zero
 polynomial.  A small expression language (atoms I, P, Q, M, S, U, V,
 integer literals, + - * ^, commutator brackets [x, y]) lets identities be
-stated in operator notation; the derived atoms are macros expanded to
-their definitions in p and q before reduction.
+stated in operator notation.  One recursive-descent evaluator computes
+the value of such a text in whatever ring it is given: in the ring of
+reduced words, where the derived atoms stand for their definitions in p
+and q, or directly on matrices, with no rewriting.
 
 Identities involving (I - M^2)^{-1} are out of reach of this ring (no
 inverses); the one the trace argument uses is checked numerically by
@@ -24,6 +26,7 @@ acceptance criterion 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Iterator
 
@@ -31,8 +34,6 @@ from .errors import ExprSyntaxError, NegativePower
 
 __all__ = [
     "NCPoly",
-    "Expr",
-    "parse_expr",
     "expand",
     "evaluate_expr",
     "verify_identity",
@@ -184,238 +185,156 @@ _V = (_ONE - _P) * (_ONE - _Q) + _P * _Q
 ATOM_VALUES = {"I": _ONE, "P": _P, "Q": _Q, "M": _M, "S": _S, "U": _U, "V": _V}
 
 
-class Expr:
-    """Base class of expression nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Atom(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class IntLit(Expr):
-    value: int
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class SubNode(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Commutator(Expr):
-    left: Expr
-    right: Expr
-
-
 _ATOM_NAMES = frozenset(ATOM_VALUES)
 _PRIMARY_EXPECT = frozenset({"atom", "integer", "'('", "'['"})
+# ASCII only: str.isdigit also takes superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, position)
-        self._scan()
+@lru_cache(maxsize=1024)
+def _tokens(text: str) -> tuple[tuple[str, str, int], ...]:
+    """(kind, value, position) of each token of text, ending with "end".
 
-    def _scan(self) -> None:
-        i, text = 0, self.text
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha():
-                if ch not in _ATOM_NAMES:
-                    raise ExprSyntaxError(i, {"atom"}, f"unknown atom {ch!r} at position {i}")
-                self.tokens.append(("atom", ch, i))
-                i += 1
-                continue
-            if ch in "+-*^()[],":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ExprSyntaxError(i, _PRIMARY_EXPECT, f"unexpected character {ch!r} at position {i}")
-        self.tokens.append(("end", "", len(text)))
+    Cached, so the bridge of ``projpair lemma`` scans each of its texts
+    once however many pairs it evaluates them on.
+    """
+    tokens: list[tuple[str, str, int]] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            if ch not in _ATOM_NAMES:
+                raise ExprSyntaxError(i, {"atom"}, f"unknown atom {ch!r} at position {i}")
+            tokens.append(("atom", ch, i))
+            i += 1
+            continue
+        if ch in "+-*^()[],":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ExprSyntaxError(i, _PRIMARY_EXPECT, f"unexpected character {ch!r} at position {i}")
+    tokens.append(("end", "", len(text)))
+    return tuple(tokens)
 
 
-class _Parser:
+class _Evaluator:
     """Recursive descent for: expr := term (('+'|'-') term)*;
-    term := unary ('*' unary)*; unary := '-' unary | power;
-    power := primary ('^' ['-'] int)?;
+    term := unary ('*' unary)*;
+    unary := '-' unary | primary ('^' ['-'] int)?;
     primary := atom | int | '(' expr ')' | '[' expr ',' expr ']'.
+    Each rule returns the value of what it read.
     """
 
-    def __init__(self, text: str):
-        self.tokens = _Tokenizer(text).tokens
+    def __init__(self, text: str, values: dict, one):
+        self.tokens = _tokens(text)
         self.pos = 0
+        self.values = values
+        self.one = one
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+    def expect(self, kind: str) -> None:
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise ExprSyntaxError(token[2], {f"'{kind}'"})
         self.pos += 1
-        return tok
 
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExprSyntaxError(tok[2], {f"'{kind}'"})
-        return self.advance()
+    def parse(self):
+        value = self.expression()
+        token = self.tokens[self.pos]
+        if token[0] != "end":
+            raise ExprSyntaxError(token[2], {"'+'", "'-'", "'*'", "end of input"})
+        return value
 
-    def parse(self) -> Expr:
-        node = self.expression()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprSyntaxError(tok[2], {"'+'", "'-'", "'*'", "end of input"})
-        return node
-
-    def expression(self) -> Expr:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+    def expression(self):
+        value = self.term()
+        while (op := self.tokens[self.pos][0]) in ("+", "-"):
+            self.pos += 1
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else SubNode(node, rhs)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek()[0] == "*":
-            self.advance()
-            node = Mul(node, self.unary())
-        return node
+    def term(self):
+        value = self.unary()
+        while self.tokens[self.pos][0] == "*":
+            self.pos += 1
+            value = value * self.unary()
+        return value
 
-    def unary(self) -> Expr:
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        node = self.primary()
-        if self.peek()[0] == "^":
-            self.advance()
-            negative = False
-            if self.peek()[0] == "-":
-                self.advance()
-                negative = True
-            tok = self.peek()
-            if tok[0] != "int":
-                raise ExprSyntaxError(tok[2], {"integer"})
-            self.advance()
-            exp = int(tok[1])
-            node = Pow(node, -exp if negative else exp)
-        return node
-
-    def primary(self) -> Expr:
-        kind, value, position = self.peek()
+    def unary(self):
+        # reads the primary and the power too, so a factor costs one call
+        kind, value, position = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "-":
+            return -self.unary()
         if kind == "atom":
-            self.advance()
-            return Atom(value)
-        if kind == "int":
-            self.advance()
-            return IntLit(int(value))
-        if kind == "(":
-            self.advance()
-            node = self.expression()
+            base = self.values[value]
+        elif kind == "int":
+            base = int(value) * self.one
+        elif kind == "(":
+            base = self.expression()
             self.expect(")")
-            return node
-        if kind == "[":
-            self.advance()
-            left = self.expression()
+        elif kind == "[":
+            a = self.expression()
             self.expect(",")
-            right = self.expression()
+            b = self.expression()
             self.expect("]")
-            return Commutator(left, right)
-        raise ExprSyntaxError(position, _PRIMARY_EXPECT)
+            base = a * b - b * a
+        else:
+            raise ExprSyntaxError(position, _PRIMARY_EXPECT)
+        if self.tokens[self.pos][0] != "^":
+            return base
+        self.pos += 1
+        negative = self.tokens[self.pos][0] == "-"
+        if negative:
+            self.pos += 1
+        kind, digits, position = self.tokens[self.pos]
+        if kind != "int":
+            raise ExprSyntaxError(position, {"integer"})
+        self.pos += 1
+        exponent = -int(digits) if negative else int(digits)
+        if exponent < 0:
+            raise NegativePower(f"negative power {exponent} cannot be evaluated")
+        out = self.one
+        for _ in range(exponent):
+            out = out * base
+        return out
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse an identity expression; raises ExprSyntaxError with position."""
-    return _Parser(text).parse()
-
-
-def expand(e: Expr) -> NCPoly:
-    """Expand an expression tree into canonical reduced form: its value
-    in the ring of reduced words."""
-    return evaluate_expr(e, ATOM_VALUES, NCPoly.one())
-
-
-def verify_identity(lhs: str, rhs: str) -> tuple[bool, NCPoly]:
-    """Whether lhs == rhs holds identically; the difference is returned."""
-    diff = expand(parse_expr(lhs)) - expand(parse_expr(rhs))
-    return diff.is_zero(), diff
-
-
-def evaluate_expr(e: Expr, values: dict, one):
-    """Evaluate an expression tree in any ring.
+def evaluate_expr(text: str, values: dict, one):
+    """Evaluate an identity expression in any ring.
 
     values maps the seven atom names to ring elements and one is the
     ring's multiplicative identity (integer literals become multiples of
     it).  No reduction is involved, so comparing this against the
     evaluation of the expanded polynomial checks that the idempotent
     rewriting is sound in the target ring.
+
+    Raises ExprSyntaxError with the position of the first bad token.  A
+    negative exponent raises NegativePower as soon as it is read, so a
+    syntax error later in the same text is not reported.
     """
-    if isinstance(e, Atom):
-        return values[e.name]
-    if isinstance(e, IntLit):
-        return e.value * one
-    if isinstance(e, Add):
-        return evaluate_expr(e.left, values, one) + evaluate_expr(e.right, values, one)
-    if isinstance(e, SubNode):
-        return evaluate_expr(e.left, values, one) - evaluate_expr(e.right, values, one)
-    if isinstance(e, Neg):
-        return -evaluate_expr(e.operand, values, one)
-    if isinstance(e, Mul):
-        return evaluate_expr(e.left, values, one) * evaluate_expr(e.right, values, one)
-    if isinstance(e, Pow):
-        if e.exponent < 0:
-            raise NegativePower(f"negative power {e.exponent} cannot be evaluated")
-        base = evaluate_expr(e.base, values, one)
-        out = one
-        for _ in range(e.exponent):
-            out = out * base
-        return out
-    if isinstance(e, Commutator):
-        a = evaluate_expr(e.left, values, one)
-        b = evaluate_expr(e.right, values, one)
-        return a * b - b * a
-    raise TypeError(f"not an expression node: {e!r}")
+    return _Evaluator(text, values, one).parse()
+
+
+def expand(text: str) -> NCPoly:
+    """Canonical reduced form of an expression: its value in the ring of
+    reduced words."""
+    return evaluate_expr(text, ATOM_VALUES, _ONE)
+
+
+def verify_identity(lhs: str, rhs: str) -> tuple[bool, NCPoly]:
+    """Whether lhs == rhs holds identically; the difference is returned."""
+    diff = expand(lhs) - expand(rhs)
+    return diff.is_zero(), diff
 
 
 # ---------------------------------------------------------------------------

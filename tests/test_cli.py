@@ -295,6 +295,14 @@ class TestLemma:
             assert U * V == ops.S and V * U == ops.S
             assert eye - U == (eye - 2 * Q) * ops.M
 
+    def test_output_is_pinned(self, capsys):
+        """stdout matches the pinned file byte for byte; CI holds the
+        installed console script to the same file."""
+        code, out, _ = run(capsys, "lemma", "--max-n", "9", "--numeric-samples", "20")
+        assert code == 0
+        pinned = pathlib.Path(__file__).parent / "data" / "lemma-max-n-9-samples-20.out"
+        assert out.encode("utf-8") == pinned.read_bytes()
+
     def test_bridge_can_be_skipped(self, capsys):
         code, out, _ = run(capsys, "lemma", "--max-n", "5", "--numeric-samples", "0")
         assert code == 0

@@ -10,7 +10,7 @@ from projpair.generators import gen_pair_oblique_rational, gen_pair_orthogonal, 
 from projpair.linalg import Matrix, is_invertible
 from projpair.pairs import check_lemma3, derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL, TolerancePolicy
-from projpair.symbolic import evaluate_expr, lemma_suite, parse_expr
+from projpair.symbolic import evaluate_expr, lemma_suite
 
 
 def oblique_pair(i, max_dim=6):
@@ -123,8 +123,8 @@ def suite_holds_on(pair, prefix, max_n=7):
     checked = 0
     for r in lemma_suite(max_n).results:
         if r.name.startswith(prefix):
-            lhs = evaluate_expr(parse_expr(r.lhs), atoms, eye)
-            assert lhs == evaluate_expr(parse_expr(r.rhs), atoms, eye), r.name
+            lhs = evaluate_expr(r.lhs, atoms, eye)
+            assert lhs == evaluate_expr(r.rhs, atoms, eye), r.name
             checked += 1
     return checked
 
