@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import ProjpairError
 from .index import DEFAULT_NS, IndexReport, index_report, odd_powers, spectrum_symmetry_check
 from .pairfile import load_pair, save_pair
-from .pairs import ProjectionPair, derived_ops, to_float_pair
+from .pairs import ProjectionPair, to_float_pair
 from .scalars import DEFAULT_POLICY, RATIONAL, TolerancePolicy, scalar_to_json
 
 __all__ = ["main", "run_cli"]
@@ -260,7 +260,7 @@ def _bridge_pair(base_seed: int, i: int) -> ProjectionPair:
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
-    from .symbolic import corpus_identities, evaluate_expr, lemma_suite, verify_identity
+    from .symbolic import atom_values, corpus_identities, evaluate_expr, lemma_suite, verify_identity
 
     samples = args.numeric_samples
     if samples < 0:
@@ -282,22 +282,16 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
     # Numeric soundness bridge: both sides of every identity that the
     # rewriter proves must also agree when the texts are evaluated
     # directly on actual idempotent matrices, with no rewriting involved.
+    # Each distinct side is evaluated once per pair: the corpus restates suite identities.
+    sides = {text for _, lhs, rhs in texts for text in (lhs, rhs)}
     bridge_failures = 0
     for i in range(samples):
         pair = _bridge_pair(0xB71D6E, i)
-        ops = derived_ops(pair)
-        atoms = {
-            "I": pair.identity(),
-            "P": pair.P,
-            "Q": pair.Q,
-            "M": ops.M,
-            "S": ops.S,
-            "U": ops.U,
-            "V": ops.V,
-        }
-        eye = atoms["I"]
+        eye = pair.identity()
+        atoms = atom_values(pair.P, pair.Q, eye)
+        value = {text: evaluate_expr(text, atoms, eye) for text in sides}
         for name, lhs, rhs in texts:
-            if evaluate_expr(lhs, atoms, eye) != evaluate_expr(rhs, atoms, eye):
+            if value[lhs] != value[rhs]:
                 print(f"FAIL bridge {name} on sample {i} (dim {pair.dim})")
                 bridge_failures += 1
     if samples > 0:

@@ -48,7 +48,7 @@ __all__ = ["FittingDecomposition", "FittingReport", "fitting_decomposition", "ve
 class FittingDecomposition:
     """Stabilization exponent, the two parts, and the restrictions of P
     and Q to each; M_W = P_W - Q_W and S_W = I - M_W^2 are derived from
-    them on first access and kept, as in :class:`~projpair.pairs.DerivedOps`.
+    them on first access and kept.
 
     rank_sequence holds rank(S^0) .. rank(S^k); over the rationals it is
     strictly decreasing until it stabilizes.  rank_margins (float field

@@ -255,9 +255,9 @@ def index_report(pair: ProjectionPair, odd_ns: tuple[int, ...] = DEFAULT_NS) -> 
 
     The powers ``odd_ns`` follow :func:`odd_powers`.  Each operator is
     computed once: of the derived operators only M and S are built
-    (:func:`derived_ops`; U and V are not), the eight eigenspace
-    dimensions come from :func:`eigenspace_dims` with no eigenspace basis
-    built, the traces from powers of M up to half the largest n with
+    (:func:`derived_ops`), the eight eigenspace dimensions come from
+    :func:`eigenspace_dims` with no eigenspace basis built, the traces
+    from powers of M up to half the largest n with
     M^2 = I - S, and the mixed images from the blocks P_F and Q_F.
 
     Verdicts, in the order the equalities are derived:

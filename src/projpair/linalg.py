@@ -137,14 +137,20 @@ class Matrix:
     __slots__ = ("rows", "cols", "field", "num", "den", "data", "planes")
 
     def __init__(self, data: Iterable[Iterable], field: str, *, _raw: bool = False):
-        if field == FLOAT:
-            _init_float(self, data, _raw)
+        if field == FLOAT and (
+            _raw or isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.float64
+        ):
+            _set_float(self, data if _raw else data.copy())
             return
         rows = tuple(tuple(r) for r in data)
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged row lengths")
+        if field == FLOAT:
+            floats = [[coerce_scalar(x, FLOAT) for x in r] for r in rows]
+            _set_float(self, np.array(floats, dtype=np.float64).reshape(len(rows), ncols))
+            return
         if field != RATIONAL:
             raise ValueError(f"unknown field {field!r}")
         fracs = [[coerce_scalar(x, field) for x in r] for r in rows]
@@ -397,26 +403,13 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.field})"
 
 
-def _init_float(m: Matrix, data, raw: bool) -> None:
-    """Store float entries as one read-only float64 array.
+def _set_float(m: Matrix, arr) -> None:
+    """Make m the float matrix owning ``arr``, a 2-D float64 array.
 
-    raw: data is a float64 ndarray that the new matrix takes over.
-    Otherwise a 2-D float64 array is copied, and anything else is
-    checked entry by entry exactly as for the rational field.
+    ``Matrix`` passes an array it takes over (``_raw``), a copy of a
+    2-D float64 array, or one built from rows it checked entry by entry
+    exactly as for the rational field.
     """
-    if raw:
-        arr = data
-    elif isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.float64:
-        arr = data.copy()
-    else:
-        rows = tuple(tuple(r) for r in data)
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged row lengths")
-        arr = np.array(
-            [[coerce_scalar(x, FLOAT) for x in r] for r in rows], dtype=np.float64
-        ).reshape(len(rows), ncols)
     arr.setflags(write=False)
     object.__setattr__(m, "rows", arr.shape[0])
     object.__setattr__(m, "cols", arr.shape[1])

@@ -1,14 +1,9 @@
 """Validated projection pairs and their derived operators.
 
-Given idempotents P and Q on the same space, the derived operators are
-
-    M = P - Q
-    S = I - M^2
-    U = (I-Q)(I-P) + QP
-    V = (I-P)(I-Q) + PQ
-
-linked by the structural identities QU = UP, UV = VU = S and
-I - U = (I-2Q)M.  Those identities, and the commutator identity
+Given idempotents P and Q on the same space, the derived operators M, S,
+U and V are defined once, in :mod:`projpair.symbolic`, and linked by the
+structural identities QU = UP, UV = VU = S and I - U = (I-2Q)M.  Those
+identities, and the commutator identity
 
     [(I-2Q) T M, PV] = T M (I - M^2)
 
@@ -18,14 +13,16 @@ every dimension at once and ``projpair lemma`` evaluates the same
 expressions on concrete pairs.  Instantiating T with partial geometric
 sums in M^2 writes M - M^n as an explicit commutator, which forces
 tr M^n = tr M for odd n.  The one identity the ring cannot state, the
-one with (I - M^2)^-1, is :func:`check_lemma3`.
+one with (I - M^2)^-1, is :func:`check_lemma3`.  The report reads only
+M = P - Q and S = I - M^2, which :func:`derived_ops` computes with one
+product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DimensionMismatch, FieldMismatch, NotIdempotent, SingularS
 from .linalg import Matrix, is_invertible
@@ -57,22 +54,10 @@ class ProjectionPair:
 
 @dataclass(frozen=True)
 class DerivedOps:
-    """M = P - Q and S = I - M^2 of a pair; U and V are built on first
-    access and kept."""
+    """M = P - Q and S = I - M^2 of a pair, the two the report reads."""
 
-    pair: ProjectionPair = field(repr=False)
     M: Matrix
     S: Matrix
-
-    @cached_property
-    def U(self) -> Matrix:
-        eye, P, Q = self.pair.identity(), self.pair.P, self.pair.Q
-        return (eye - Q) * (eye - P) + Q * P
-
-    @cached_property
-    def V(self) -> Matrix:
-        eye, P, Q = self.pair.identity(), self.pair.P, self.pair.Q
-        return (eye - P) * (eye - Q) + P * Q
 
 
 def _idempotency_residual(m: Matrix) -> Scalar:
@@ -110,10 +95,10 @@ def make_pair(
 
 @lru_cache(maxsize=1)
 def derived_ops(pair: ProjectionPair) -> DerivedOps:
-    """M and S of a pair, with one product; U and V wait for first
-    access (:class:`DerivedOps`).  Only the pair under report is kept."""
+    """M and S of a pair, with one product.  Only the pair under report
+    is kept."""
     M = pair.P - pair.Q
-    return DerivedOps(pair, M, pair.identity() - M * M)
+    return DerivedOps(M, pair.identity() - M * M)
 
 
 def check_lemma3(pair: ProjectionPair, t: Matrix) -> Matrix:
@@ -122,13 +107,16 @@ def check_lemma3(pair: ProjectionPair, t: Matrix) -> Matrix:
 
     Requires S = I - M^2 invertible; raises :class:`SingularS` otherwise.
     """
-    ops = derived_ops(pair)
-    if not is_invertible(ops.S):
-        raise SingularS("I - M^2 is not invertible")
+    from .symbolic import atom_values  # here, so ``projpair verify`` never loads it
+
     eye = pair.identity()
-    x = (eye - 2 * pair.Q) * t * ops.M * ops.S.inverse()
-    y = pair.P * ops.V
-    return x * y - y * x - t * ops.M
+    atoms = atom_values(pair.P, pair.Q, eye)
+    M, S = atoms["M"], atoms["S"]
+    if not is_invertible(S):
+        raise SingularS("I - M^2 is not invertible")
+    x = (eye - 2 * pair.Q) * t * M * S.inverse()
+    y = pair.P * atoms["V"]
+    return x * y - y * x - t * M
 
 
 def to_float_pair(pair: ProjectionPair) -> ProjectionPair:

@@ -14,8 +14,11 @@ polynomial.  A small expression language (atoms I, P, Q, M, S, U, V,
 integer literals, + - * ^, commutator brackets [x, y]) lets identities be
 stated in operator notation.  One recursive-descent evaluator computes
 the value of such a text in whatever ring it is given: in the ring of
-reduced words, where the derived atoms stand for their definitions in p
-and q, or directly on matrices, with no rewriting.
+reduced words or directly on matrices, with no rewriting.  The derived
+atoms M, S, U and V are defined once, as texts of the language
+(``_DERIVED``), and :func:`atom_values` evaluates those texts in any
+ring, so the free ring, the bridge of ``projpair lemma`` and
+:func:`projpair.pairs.check_lemma3` all read the same definitions.
 
 Identities involving (I - M^2)^{-1} are out of reach of this ring (no
 inverses); the one the trace argument uses is checked numerically by
@@ -36,6 +39,7 @@ __all__ = [
     "NCPoly",
     "expand",
     "evaluate_expr",
+    "atom_values",
     "verify_identity",
     "lemma_suite",
     "IdentityResult",
@@ -174,18 +178,15 @@ class NCPoly:
 # Expression language
 # ---------------------------------------------------------------------------
 
-_P = NCPoly.generator("p")
-_Q = NCPoly.generator("q")
-_ONE = NCPoly.one()
-_M = _P - _Q
-_S = _ONE - _M * _M
-_U = (_ONE - _Q) * (_ONE - _P) + _Q * _P
-_V = (_ONE - _P) * (_ONE - _Q) + _P * _Q
+# The derived atoms, each defined once, as a text over the atoms before it.
+_DERIVED = (
+    ("M", "P - Q"),
+    ("S", "I - M^2"),
+    ("U", "(I - Q)*(I - P) + Q*P"),
+    ("V", "(I - P)*(I - Q) + P*Q"),
+)
 
-ATOM_VALUES = {"I": _ONE, "P": _P, "Q": _Q, "M": _M, "S": _S, "U": _U, "V": _V}
-
-
-_ATOM_NAMES = frozenset(ATOM_VALUES)
+_ATOM_NAMES = frozenset(("I", "P", "Q", *(name for name, _ in _DERIVED)))
 _PRIMARY_EXPECT = frozenset({"atom", "integer", "'('", "'['"})
 # ASCII only: str.isdigit also takes superscripts and other scripts' digits
 _DIGITS = frozenset("0123456789")
@@ -303,8 +304,10 @@ class _Evaluator:
         exponent = -int(digits) if negative else int(digits)
         if exponent < 0:
             raise NegativePower(f"negative power {exponent} cannot be evaluated")
-        out = self.one
-        for _ in range(exponent):
+        if exponent == 0:
+            return self.one
+        out = base
+        for _ in range(exponent - 1):
             out = out * base
         return out
 
@@ -323,6 +326,19 @@ def evaluate_expr(text: str, values: dict, one):
     syntax error later in the same text is not reported.
     """
     return _Evaluator(text, values, one).parse()
+
+
+def atom_values(p, q, one) -> dict:
+    """The seven atoms in any ring, given p, q and the ring's one: I, P
+    and Q, then M, S, U and V evaluated from their definitions."""
+    values = {"I": one, "P": p, "Q": q}
+    for name, text in _DERIVED:
+        values[name] = evaluate_expr(text, values, one)
+    return values
+
+
+_ONE = NCPoly.one()
+ATOM_VALUES = atom_values(NCPoly.generator("p"), NCPoly.generator("q"), _ONE)
 
 
 def expand(text: str) -> NCPoly:

@@ -13,7 +13,7 @@ import pytest
 from projpair.cli import _bridge_pair, run_cli
 from projpair.generators import gen_pair_oblique_rational
 from projpair.pairfile import load_pair, save_pair
-from projpair.pairs import derived_ops
+from projpair.symbolic import atom_values
 from test_pairfile import MALFORMED
 
 
@@ -277,23 +277,17 @@ class TestLemma:
         assert "witness_m_minus_m7" in out
 
     def test_bridge_builds_exchange_operators(self, capsys):
-        """The bridge evaluates U and V, which derived_ops builds on first
-        access, and the exchange identities hold exactly on its pairs.
-        The cache keeps only the last pair, with the U and V it built."""
-        derived_ops.cache_clear()
+        """The bridge takes U and V from atom_values, and the exchange
+        identities hold exactly on its pairs."""
         code, out, _ = run(capsys, "lemma", "--numeric-samples", "3")
         assert code == 0 and "PASS numeric bridge:" in out
-        pairs = [_bridge_pair(0xB71D6E, i) for i in range(3)]
-        hits = derived_ops.cache_info().hits
-        last = derived_ops(pairs[-1])
-        assert derived_ops.cache_info().hits == hits + 1
-        assert "U" in vars(last) and "V" in vars(last)
-        for pair in pairs:
-            ops = derived_ops(pair)
-            eye, Q, U, V = pair.identity(), pair.Q, ops.U, ops.V
+        for i in range(3):
+            pair = _bridge_pair(0xB71D6E, i)
+            atoms = atom_values(pair.P, pair.Q, pair.identity())
+            eye, Q, M, S, U, V = (atoms[name] for name in "IQMSUV")
             assert Q * U == U * pair.P
-            assert U * V == ops.S and V * U == ops.S
-            assert eye - U == (eye - 2 * Q) * ops.M
+            assert U * V == S and V * U == S
+            assert eye - U == (eye - 2 * Q) * M
 
     def test_output_is_pinned(self, capsys):
         """stdout matches the pinned file byte for byte; CI holds the
@@ -439,18 +433,20 @@ class TestColdStart:
     def test_verify_imports_numpy_only_for_floats(self, capsys, name, numpy_ran):
         """A small rational pair runs without numpy; a float pair loads it
         on first use and gives the same bytes as in this process, where
-        numpy was imported eagerly (test_golden holds those to the .out)."""
+        numpy was imported eagerly (test_golden holds those to the .out).
+        Neither loads the symbolic engine."""
         path = str(GOLDEN / f"{name}.json")
-        code, out, ran = fresh(
+        code, out, ran, symbolic = fresh(
             "import contextlib, io, json, sys\n"
             "import projpair.cli\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             "    code = projpair.cli.main(['verify', '--input', sys.argv[1], '--json'])\n"
-            f"print(json.dumps([code, out.getvalue(), {NUMPY_RAN}]))",
+            f"print(json.dumps([code, out.getvalue(), {NUMPY_RAN},"
+            " 'projpair.symbolic' in sys.modules]))",
             path,
         )
-        assert (code, ran) == (0, numpy_ran)
+        assert (code, ran, symbolic) == (0, numpy_ran, False)
         assert out == run(capsys, "verify", "--input", path, "--json")[1]
         if not numpy_ran:
             assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

@@ -10,7 +10,7 @@ from projpair.generators import gen_pair_oblique_rational, gen_pair_orthogonal, 
 from projpair.linalg import Matrix, is_invertible
 from projpair.pairs import check_lemma3, derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL, TolerancePolicy
-from projpair.symbolic import evaluate_expr, lemma_suite
+from projpair.symbolic import ATOM_VALUES, NCPoly, atom_values, evaluate_expr, lemma_suite
 
 
 def oblique_pair(i, max_dim=6):
@@ -19,6 +19,11 @@ def oblique_pair(i, max_dim=6):
     rp = (h >> 8) % (dim + 1)
     rq = (h >> 16) % (dim + 1)
     return gen_pair_oblique_rational(dim, rp, rq, seed=mix_seed(0x51AB, i))
+
+
+def pair_atoms(pair):
+    """I, P, Q, M, S, U and V of a pair, from their one definition."""
+    return atom_values(pair.P, pair.Q, pair.identity())
 
 
 class TestMakePair:
@@ -84,10 +89,12 @@ class TestDerivedOps:
             assert ops.M == pair.P - pair.Q
             assert ops.S == eye - ops.M * ops.M
             # the exchange identities behind the whole argument
-            assert pair.Q * ops.U == ops.U * pair.P
-            assert ops.U * ops.V == ops.S
-            assert ops.V * ops.U == ops.S
-            assert eye - ops.U == (eye - 2 * pair.Q) * ops.M
+            atoms = pair_atoms(pair)
+            U, V = atoms["U"], atoms["V"]
+            assert pair.Q * U == U * pair.P
+            assert U * V == ops.S
+            assert V * U == ops.S
+            assert eye - U == (eye - 2 * pair.Q) * ops.M
 
     def test_cached_per_pair(self):
         pair = oblique_pair(3)
@@ -96,7 +103,8 @@ class TestDerivedOps:
     def test_float_certificate_small(self):
         pair = gen_pair_orthogonal(6, 2, 3, seed=4)
         ops = derived_ops(pair)
-        eye, U, V = pair.identity(), ops.U, ops.V
+        atoms = pair_atoms(pair)
+        eye, U, V = atoms["I"], atoms["U"], atoms["V"]
         for residual in (
             pair.Q * U - U * pair.P,
             U * V - ops.S,
@@ -104,6 +112,35 @@ class TestDerivedOps:
             (eye - U) - (eye - 2 * pair.Q) * ops.M,
         ):
             assert residual.max_norm() < 1e-10
+
+
+class TestOneDefinition:
+    """M, S, U and V are defined once, as texts in symbolic; the report's
+    own M and S (derived_ops) must be those values exactly."""
+
+    def test_report_ops_are_the_language_atoms(self):
+        pairs = [oblique_pair(i) for i in range(10)]
+        pairs += [to_float_pair(oblique_pair(i)) for i in range(5)]
+        pairs += [gen_pair_orthogonal(6, 2, 3, seed=s) for s in range(5)]
+        for pair in pairs:
+            atoms, ops = pair_atoms(pair), derived_ops(pair)
+            for name in ("M", "S"):
+                got, want = atoms[name], getattr(ops, name)
+                # bitwise over floats: the same operations in the same order
+                assert got.data.tobytes() == want.data.tobytes() if pair.field == FLOAT else got == want
+
+    def test_free_ring_atoms_are_the_formulas(self):
+        p, q, one = NCPoly.generator("p"), NCPoly.generator("q"), NCPoly.one()
+        m = p - q
+        assert ATOM_VALUES == {
+            "I": one,
+            "P": p,
+            "Q": q,
+            "M": m,
+            "S": one - m * m,
+            "U": (one - q) * (one - p) + q * p,
+            "V": (one - p) * (one - q) + p * q,
+        }
 
 
 def lemma3_ts(pair):
@@ -117,9 +154,8 @@ def suite_holds_on(pair, prefix, max_n=7):
     """Evaluate each lemma_suite identity whose name starts with prefix on
     the pair's own I, P, Q, M, S, U, V, as the bridge of ``projpair lemma``
     does, and return how many vanished (all of them, or an assert fails)."""
-    ops = derived_ops(pair)
-    eye = pair.identity()
-    atoms = {"I": eye, "P": pair.P, "Q": pair.Q, "M": ops.M, "S": ops.S, "U": ops.U, "V": ops.V}
+    atoms = pair_atoms(pair)
+    eye = atoms["I"]
     checked = 0
     for r in lemma_suite(max_n).results:
         if r.name.startswith(prefix):
