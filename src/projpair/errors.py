@@ -39,7 +39,7 @@ class SingularS(ProjpairError):
 
 
 class RestrictionFailure(ProjpairError):
-    """Invariance check failed while restricting operators (float field only)."""
+    """No proposed Fitting split passed its verifier before ker S^k stopped growing."""
 
 
 class GenerationExhausted(ProjpairError):

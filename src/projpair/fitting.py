@@ -9,16 +9,19 @@ invertible.  Because S commutes with P and Q, both parts are invariant
 under the whole pair, so every operator restricts cleanly: only P and Q
 are restricted, and M and S on each part follow from those two blocks.
 
-The split computes each fact once and checks none: one elimination of
-S^k (one SVD over floats) gives its rank and F, a rank of S^(k+1) ends
-the loop, and the blocks are read off unchecked (``Subspace._block``).
-The verifier alone proves it, with no rank of a power of S: (a) S^k F =
-0 puts F inside ker S^k; (b) the P and Q round trips on Y, checked by
-:func:`restrict_operator`, give S B_Y = B_Y S_Y, since S_Y = I - (P_Y -
-Q_Y)^2 by construction, and with S_Y invertible Y = S^k Y lies in im
-S^k; (c) F + Y is the whole space.  Then dim F <= n - r and dim Y <= r
-for r = rank S^k add up to n, so F = ker S^k, Y = im S^k and rank
-S^(k+1) = rank S^k.
+The split proposes and the verifier decides.  For k = 1, 2, ... while
+ker S^k still grows (k = 0 alone when ker S = 0), one elimination of S^k
+(one SVD over floats) gives its rank and F = ker S^k, Y = im S^k is its
+column space, and the blocks are read off unchecked
+(``Subspace._block``); the first proposal that :func:`verify_fitting`
+passes is the split.  No rank of S^(k+1) is taken and no power past S^k
+is formed.  The verifier alone proves it,
+with no rank of a power of S: (a) S^k F = 0 puts F inside ker S^k; (b)
+the P and Q round trips on Y, checked by :func:`restrict_operator`, give
+S B_Y = B_Y S_Y, since S_Y = I - (P_Y - Q_Y)^2 by construction, and with
+S_Y invertible Y = S^k Y lies in im S^k; (c) F + Y is the whole space.
+Then dim F <= n - r and dim Y <= r for r = rank S^k add up to n, so F =
+ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .errors import NotInvariant, ProjpairError, RestrictionFailure
 from .linalg import (
     Matrix,
     Subspace,
-    is_invertible,
     kernel_basis,
     np,
     numeric_rank,
@@ -50,9 +52,9 @@ class FittingDecomposition:
     and Q to each; M_W = P_W - Q_W and S_W = I - M_W^2 are derived from
     them on first access and kept.
 
-    rank_sequence holds rank(S^0) .. rank(S^k); over the rationals it is
-    strictly decreasing until it stabilizes.  rank_margins (float field
-    only) reports, for each power, the ratio of the smallest kept
+    rank_sequence holds rank(S^0) .. rank(S^k), strictly decreasing.
+    rank_margins (float field only) reports, for each power the split
+    eliminated, S^1 .. S^max(k, 1), the ratio of the smallest kept
     singular value to the rank threshold, so callers can distrust
     borderline splits.
     """
@@ -100,41 +102,35 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
     """Split the space under S and restrict P and Q to both parts.
 
     k is the least exponent with rank S^k = rank S^(k+1); k = 0 means S
-    is invertible and F is trivial.  Over Q every entry of rank_sequence
-    is an exact rank.  The split is returned once :func:`verify_fitting`
-    passes, else :class:`RestrictionFailure` is raised, over floats when
-    the invariance of F or Y fails past tolerance.
+    is invertible and F is trivial.  Each k at which ker S^k grew (k = 0
+    when ker S = 0) proposes F = ker S^k and Y = im S^k, and the first
+    proposal that :func:`verify_fitting` passes is returned.  When the
+    kernel stops growing first, :class:`RestrictionFailure` names the
+    checks the last proposal failed; over Q that cannot happen.
     """
     ops, n = derived_ops(pair), pair.dim
-    ranks = [n]
-    s_power, k = ops.S, 0  # S^k once k >= 1
-    r, margin, f, y = _parts_of(s_power)
-    margins = [margin]
-    while r < ranks[-1]:
+    power = ops.S  # S^max(k, 1)
+    r, margin, f, y = _parts_of(power)
+    ranks, margins = [n, r], [margin]
+    if r == n:
+        ranks, f, y = [n], Subspace.zero(n, pair.field), Subspace.full(n, pair.field)
+    while True:
+        if y is None:
+            y = Subspace(power)
+        fd = FittingDecomposition(
+            len(ranks) - 1, f, y, f._block(pair.P), f._block(pair.Q), y._block(pair.P), y._block(pair.Q),
+            rank_sequence=tuple(ranks), rank_margins=tuple(margins) if pair.field == FLOAT else None,
+        )
+        report = verify_fitting(fd, pair)
+        if report.all_passed:
+            return fd
+        if fd.k:  # at k = 0, r = n already says that ker S did not grow
+            power = power * ops.S
+            r, margin, f, y = _parts_of(power)
+        if r >= ranks[-1]:
+            raise RestrictionFailure(f"decomposition invariants failed: {', '.join(report.failures())}")
         ranks.append(r)
-        k += 1  # at most n times: the ranks strictly decrease in [0, n]
-        next_power = s_power * ops.S
-        if pair.field == RATIONAL:
-            r = rank(next_power)
-        else:
-            r, margin = numeric_rank(np.linalg.svd(next_power.data, compute_uv=False), (n, n))
-            margins.append(margin)
-        if r < ranks[-1]:
-            s_power = next_power
-            f, y = _parts_of(s_power)[2:]
-    if k == 0:
-        f, y = Subspace.zero(n, pair.field), Subspace.full(n, pair.field)
-    elif y is None:
-        y = Subspace(s_power)
-    fd = FittingDecomposition(
-        k, f, y, f._block(pair.P), f._block(pair.Q), y._block(pair.P), y._block(pair.Q),
-        rank_sequence=tuple(ranks), rank_margins=tuple(margins) if pair.field == FLOAT else None,
-    )
-    report = verify_fitting(fd, pair)
-    if not report.all_passed:
-        failed = ", ".join(report.failures())
-        raise RestrictionFailure(f"decomposition invariants failed: {failed}")
-    return fd
+        margins.append(margin)
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,7 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
         killed = _zero_within(image, pair, _norm(f.basis))
     p_on_y = _restriction_roundtrip(pair.P, y, fd.P_Y, pair)
     q_on_y = _restriction_roundtrip(pair.Q, y, fd.Q_Y, pair)
-    s_y_invertible = _fits(y, pair, fd.P_Y, fd.Q_Y) and is_invertible(fd.S_Y)
+    s_y_invertible = _fits(y, pair, fd.P_Y, fd.Q_Y) and rank(fd.S_Y) == y.dim
     # (b): S B_Y = B_Y S_Y with S_Y invertible
     y_in_image = p_on_y and q_on_y and s_y_invertible
     s_f_ok = _fits(f, pair, fd.P_F, fd.Q_F) and k >= 0

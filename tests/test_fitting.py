@@ -2,12 +2,15 @@
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy
 import pytest
 
 from projpair import linalg
 from projpair.errors import RestrictionFailure
 from projpair.fitting import fitting_decomposition, verify_fitting
+from projpair.index import index_report
 from projpair.generators import (
     gen_pair_oblique_rational,
     gen_pair_orthogonal,
@@ -17,7 +20,7 @@ from projpair.generators import (
 from projpair.linalg import Matrix, Subspace, is_invertible
 from projpair.pairs import derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL
-from test_linalg import primes_after
+from test_linalg import primes_after, rref_fraction_loop
 
 F5 = Fraction(1, 25)
 
@@ -246,8 +249,8 @@ class TestUnluckyPrime:
 
 
 class TestSizeRule:
-    """At or above the size rule the k loop takes certified modular ranks;
-    pure Bareiss is their oracle."""
+    """At or above the size rule the split's eliminations are certified
+    modular ones; pure Bareiss is their oracle."""
 
     def test_k_loop_matches_bareiss(self, monkeypatch):
         """k, the rank sequence, F, Y and every verifier check at d = 12-15,
@@ -268,7 +271,8 @@ class TestSizeRule:
 
 
 class TestInvariants:
-    def oblique(self, i):
+    @staticmethod
+    def oblique(i):
         h = mix_seed(0xF17, i)
         dim = 2 + h % 5
         return gen_pair_oblique_rational(
@@ -322,6 +326,133 @@ class TestInvariants:
             assert fd2.M_Y.trace() == fd.M_Y.trace()
 
 
+def oracle_ranks(pair):
+    """rank S^0, rank S^1, ... up to the first repeat, with S = I - (P -
+    Q)^2 multiplied out in plain Fractions and ranked by
+    rref_fraction_loop: no code of the split or of its verifier."""
+    n = pair.dim
+    m = [[p - q for p, q in zip(rp, rq)] for rp, rq in zip(pair.P.to_lists(), pair.Q.to_lists())]
+
+    def product(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    s = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(product(m, m))]
+    power, ranks = s, [n]
+    while True:
+        ranks.append(len(rref_fraction_loop(SimpleNamespace(data=power, cols=n))[1]))
+        if ranks[-1] == ranks[-2]:
+            return ranks[:-1]
+        power = product(power, s)
+
+
+class TestExponentOracle:
+    """k is the least exponent with rank S^k = rank S^(k+1): the stop test
+    the split no longer takes, checked against an elimination of its own."""
+
+    @pytest.mark.parametrize(
+        "pair",
+        [TestInvariants.oblique(i) for i in range(20)] + [jordan_pair(m) for m in range(1, 6)],
+        ids=[f"oblique{i}" for i in range(20)] + [f"jordan{m}" for m in range(1, 6)],
+    )
+    def test_k_and_ranks_match_the_oracle(self, pair):
+        ranks = oracle_ranks(pair)
+        fd = fitting_decomposition(pair)
+        assert fd.k == len(ranks) - 1
+        assert fd.rank_sequence == tuple(ranks)
+
+
+class TestFloatSplitOfWideS:
+    """Defect (a): |S| = 147 here, and the singular values of S^2, S^3,
+    ... drift below the rank cutoff of their own powers, which once made
+    the float split fail.  The split now stops at the first verified k.
+    The float traces still miss their tolerance (tr M_Y^7 is about
+    -5.7e-8), so only the split and the dims are asserted."""
+
+    @staticmethod
+    def exact():
+        return gen_pair_oblique_rational(10, 6, 8, seed=15901934976275804805)
+
+    def test_float_split_is_the_exact_one(self):
+        fd_exact = fitting_decomposition(self.exact())
+        fd = fitting_decomposition(to_float_pair(self.exact()))
+        assert fd.k == fd_exact.k == 1
+        assert fd.rank_sequence == fd_exact.rank_sequence
+        assert (fd.F.dim, fd.Y.dim) == (fd_exact.F.dim, fd_exact.Y.dim)
+        assert verify_fitting(fd, to_float_pair(self.exact())).all_passed
+
+    def test_float_dims_are_the_exact_ones(self):
+        assert index_report(to_float_pair(self.exact())).dims == index_report(self.exact()).dims
+
+
+class TestEachPowerOnce:
+    """The split eliminates each power S^1 .. S^k once, forms none past
+    S^k, and verifies each of its proposals once.  Column spaces are
+    another matrix, the transpose, and are counted apart."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record eliminated matrices outside column spaces, products and
+        verified splits, over both fields."""
+        seen = SimpleNamespace(eliminated=[], products=[], verified=[], columns=0)
+        import projpair.fitting as fitting_mod
+
+        def recording(real, into):
+            def wrapper(m, *args, **kwargs):
+                if not seen.columns:
+                    into.append(m if isinstance(m, Matrix) else Matrix(numpy.array(m), FLOAT))
+                return real(m, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("_rref_exact", "_bareiss_rank"):
+            monkeypatch.setattr(linalg, name, recording(getattr(linalg, name), seen.eliminated))
+        monkeypatch.setattr(numpy.linalg, "svd", recording(numpy.linalg.svd, seen.eliminated))
+        real_echelon, real_mul, real_verify = linalg._column_echelon, Matrix.__mul__, fitting_mod.verify_fitting
+
+        def column_echelon(m):
+            seen.columns += 1
+            try:
+                return real_echelon(m)
+            finally:
+                seen.columns -= 1
+
+        def mul(a, b):
+            seen.products.append((a, b))
+            return real_mul(a, b)
+
+        def verify(fd, pair):
+            seen.verified.append(fd.k)
+            return real_verify(fd, pair)
+
+        monkeypatch.setattr(linalg, "_column_echelon", column_echelon)
+        monkeypatch.setattr(Matrix, "__mul__", mul)
+        monkeypatch.setattr(fitting_mod, "verify_fitting", verify)
+        return seen
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("field", [RATIONAL, FLOAT])
+    def test_jordan_pair(self, monkeypatch, m, field):
+        pair = jordan_pair(m) if field == RATIONAL else to_float_pair(jordan_pair(m))
+        s = derived_ops(pair).S
+        powers = [s**j for j in range(1, m + 1)]  # S^m = 0 = S^(m + 1)
+        seen = self.spy(monkeypatch)
+        assert fitting_decomposition(pair).k == m
+        assert [sum(e == p for e in seen.eliminated) for p in powers] == [1] * m
+
+        def exponent(x):
+            return next((j for j, p in enumerate(powers, 1) if x == p), None)
+
+        formed = [(exponent(a), exponent(b)) for a, b in seen.products]
+        assert max(i + j for i, j in formed if i and j) == m
+        assert seen.verified == list(range(1, m + 1))
+
+    def test_one_verification_at_k1(self, monkeypatch):
+        pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
+        seen = self.spy(monkeypatch)
+        assert fitting_decomposition(pair).k == 1
+        assert seen.verified == [1]
+
+
 class TestFloat:
     def test_orthogonal_pair_margins_reported(self):
         pair = gen_pair_orthogonal(7, 3, 2, seed=9)
@@ -352,10 +483,11 @@ class TestFloat:
         ],
     )
     def test_one_margin_per_tested_power(self, pair, k):
-        """The k loop ranks S^1 .. S^(k+1), one margin each."""
+        """The split eliminates S^1 .. S^max(k, 1), one margin each."""
         fd = fitting_decomposition(pair)
         assert fd.k == k
-        assert len(fd.rank_margins) == len(fd.rank_sequence) == k + 1
+        assert len(fd.rank_margins) == max(k, 1)
+        assert len(fd.rank_sequence) == k + 1
 
     def test_float_identity_projections(self):
         eye = Matrix.identity(4, FLOAT)
@@ -482,3 +614,25 @@ class TestCorruptionDetection:
         monkeypatch.setattr(fitting_mod, "verify_fitting", sabotaged)
         with pytest.raises(RestrictionFailure, match="direct_sum_dims"):
             fitting_mod.fitting_decomposition(pair_k2())
+
+    def test_failed_k0_proposal_raises(self, monkeypatch):
+        """An injective S proposes k = 0 alone: when that fails, the kernel
+        has not grown, so no power of S is formed and the split raises."""
+        import projpair.fitting as fitting_mod
+
+        def refuse(fd, pair):
+            return fitting_mod.FittingReport(checks={"s_y_invertible": False})
+
+        pair = make_pair(Matrix([[1, 0], [0, 0]], RATIONAL), Matrix([[1, 1], [0, 0]], RATIONAL))
+        s = derived_ops(pair).S
+        products, real_mul = [], Matrix.__mul__
+
+        def mul(a, b):
+            products.append((a, b))
+            return real_mul(a, b)
+
+        monkeypatch.setattr(fitting_mod, "verify_fitting", refuse)
+        monkeypatch.setattr(Matrix, "__mul__", mul)
+        with pytest.raises(RestrictionFailure, match="s_y_invertible"):
+            fitting_mod.fitting_decomposition(pair)
+        assert not any(a == s and b == s for a, b in products)

@@ -399,10 +399,11 @@ class TestIndexReport:
 
     def test_exact_report_pays_each_fact_once(self):
         """No matrix of a d = 20 exact report is eliminated or squared
-        twice, and the report forms 31 products: the split reads its
-        blocks unchecked and eliminates S^k once for F, verify_fitting
-        alone checks each restriction, with one product t B and one B x
-        apiece, and M_F and M_Y are squared once, for S_F and S_Y."""
+        twice, and the report forms 30 products: the split reads its
+        blocks unchecked, eliminates S once for F and forms no S^2,
+        verify_fitting alone checks each restriction, with one product t B
+        and one B x apiece, and M_F and M_Y are squared once, for S_F and
+        S_Y."""
         pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
         derived_ops.cache_clear()
         products, eliminated = [], []
@@ -420,7 +421,7 @@ class TestIndexReport:
             report = index_report(pair, (1, 3, 5, 7))
         assert report.all_verdicts_true and report.fitting_k == 1
         assert eliminated and len({id(m) for m in eliminated}) == len(eliminated)
-        assert sum(isinstance(b, Matrix) for _, b in products) == 31
+        assert sum(isinstance(b, Matrix) for _, b in products) == 30
         squares = [a for a, b in products if a is b]
         assert len({id(a) for a in squares}) == len(squares)
 
