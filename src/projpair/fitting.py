@@ -18,8 +18,8 @@ passes is the split.  No rank of S^(k+1) is taken and no power past S^k
 is formed.  The verifier alone proves it,
 with no rank of a power of S: (a) S^k F = 0 puts F inside ker S^k; (b)
 the P and Q round trips on Y, checked by :func:`restrict_operator`, give
-S B_Y = B_Y S_Y, since S_Y = I - (P_Y - Q_Y)^2 by construction, and with
-S_Y invertible Y = S^k Y lies in im S^k; (c) F + Y is the whole space.
+S B_Y = B_Y S_Y with S_Y = I - (P_Y - Q_Y)^2 = N_Y^2, N_Y = P_Y + Q_Y - I,
+so with N_Y invertible Y = S^k Y lies in im S^k; (c) F + Y is the whole space.
 Then dim F <= n - r and dim Y <= r for r = rank S^k add up to n, so F =
 ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
 """
@@ -180,11 +180,12 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
     (a)-(c) of the module docstring are ``f_is_eventual_kernel``,
     ``y_is_eventual_image`` and ``parts_independent``; together they are
     ``rank_stabilized``; M_W and S_W are derived from P_W and Q_W, so
-    (b) checks neither.  ``k_is_least`` asks for k = 0 or S_F^(k-1) !=
-    0.  A check fails, rather than raises, when a matrix it touches has
-    the wrong shape, so S_W is read only once P_W and Q_W fit; each
-    verdict lands in the report so tests can corrupt a decomposition and
-    watch the right check fail.
+    (b) checks neither, and ``s_y_invertible`` ranks N_Y, not S_Y = N_Y^2.
+    ``k_is_least`` asks for k = 0 or S_F^(k-1) != 0.  A check fails,
+    rather than raises, when a matrix it touches has the wrong shape, so
+    S_W is read only once P_W and Q_W fit; each verdict lands in the
+    report so tests can corrupt a decomposition and watch the right
+    check fail.
     """
     ops = derived_ops(pair)
     n = pair.dim
@@ -202,8 +203,8 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
         killed = _zero_within(image, pair, _norm(f.basis))
     p_on_y = _restriction_roundtrip(pair.P, y, fd.P_Y, pair)
     q_on_y = _restriction_roundtrip(pair.Q, y, fd.Q_Y, pair)
-    s_y_invertible = _fits(y, pair, fd.P_Y, fd.Q_Y) and rank(fd.S_Y) == y.dim
-    # (b): S B_Y = B_Y S_Y with S_Y invertible
+    s_y_invertible = _fits(y, pair, fd.P_Y, fd.Q_Y) and rank(fd.P_Y + fd.Q_Y - Matrix.identity(y.dim, pair.field)) == y.dim
+    # (b): S B_Y = B_Y S_Y with S_Y = N_Y^2 invertible
     y_in_image = p_on_y and q_on_y and s_y_invertible
     s_f_ok = _fits(f, pair, fd.P_F, fd.Q_F) and k >= 0
     s_f_norm = _norm(fd.S_F) if s_f_ok else 0.0

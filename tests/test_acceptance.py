@@ -240,6 +240,10 @@ def test_criterion_6_fitting_certification(capsys):
         assert (fd.S_F ** fd.k).is_zero()
         # plain Fraction Gauss-Jordan, independent of the split's own rank
         assert len(rref_fraction_loop(fd.S_Y)[1]) == fd.Y.dim
+        # the block traces the report takes from the split, by ladders
+        for n in (1, 3, 5, 7, 9):
+            assert (fd.M_Y**n).trace() == 0
+            assert (fd.M_F**n).trace() == fd.M_F.trace()
         spaces = compute_eigenspaces(pair)
         assert fd.F.contains(spaces.E10)
         assert fd.F.contains(spaces.E01)
@@ -248,8 +252,8 @@ def test_criterion_6_fitting_certification(capsys):
     announce(
         capsys,
         f"PASS criterion 6: split certified on all 500 pairs "
-        f"(dim F + dim Y = dim, S_F^k = 0, det S_Y != 0, E10 and E01 inside F, "
-        f"k <= dim; largest k seen: {max_k})",
+        f"(dim F + dim Y = dim, S_F^k = 0, det S_Y != 0, tr M_Y^n = 0 and "
+        f"tr M_F^n = tr M_F for n <= 9, E10 and E01 inside F, k <= dim; largest k seen: {max_k})",
     )
 
 

@@ -364,9 +364,9 @@ class TestExponentOracle:
 class TestFloatSplitOfWideS:
     """Defect (a): |S| = 147 here, and the singular values of S^2, S^3,
     ... drift below the rank cutoff of their own powers, which once made
-    the float split fail.  The split now stops at the first verified k.
-    The float traces still miss their tolerance (tr M_Y^7 is about
-    -5.7e-8), so only the split and the dims are asserted."""
+    the float split fail.  The split now stops at the first verified k,
+    and the block verdicts read the verified split, not the roundoff of
+    a ladder of M_Y (tr M_Y^7 came out near -5.7e-8)."""
 
     @staticmethod
     def exact():
@@ -382,6 +382,19 @@ class TestFloatSplitOfWideS:
 
     def test_float_dims_are_the_exact_ones(self):
         assert index_report(to_float_pair(self.exact())).dims == index_report(self.exact()).dims
+
+    @pytest.mark.parametrize(
+        "exact",
+        [exact(), gen_pair_oblique_rational(9, 3, 5, seed=13601149705500191182)],
+        ids=["defect-a", "y-ladder-only"],
+    )
+    def test_float_verdicts_are_the_exact_ones(self, exact):
+        """The second pair once failed trace_y_zero alone, on the ladder
+        of M_Y; the first failed it and trace_split."""
+        want = index_report(exact, (1, 3, 5, 7))
+        got = index_report(to_float_pair(exact), (1, 3, 5, 7))
+        assert want.all_verdicts_true and got.all_verdicts_true, got.failed_verdicts()
+        assert (got.fitting_k, got.dims) == (want.fitting_k, want.dims)
 
 
 class TestEachPowerOnce:
@@ -549,6 +562,19 @@ class TestCorruptionDetection:
         assert wrong.dim == fd.F.dim > 0
         report = verify_fitting(dataclasses.replace(fd, F=wrong), pair)
         assert not report.checks["f_is_eventual_kernel"]
+
+    @pytest.mark.parametrize(
+        "pair", [pair_k2_mixed(), gen_pair_orthogonal(7, 3, 2, seed=9)], ids=["rational", "float"]
+    )
+    def test_singular_s_on_invariant_y_fails_invertibility(self, pair):
+        """Y = the whole space is invariant under P and Q, but S is singular
+        there (F != 0), so N_Y = P + Q - I is too."""
+        fd = fitting_decomposition(pair)
+        assert fd.F.dim > 0
+        whole = dataclasses.replace(fd, Y=Subspace.full(pair.dim, pair.field), P_Y=pair.P, Q_Y=pair.Q)
+        checks = verify_fitting(whole, pair).checks
+        assert checks["p_invariant_on_y"] and checks["q_invariant_on_y"]
+        assert not checks["s_y_invertible"]
 
     def test_wrong_k_fails_stabilization(self):
         pair = pair_k2()

@@ -1,6 +1,7 @@
 """Eigenspace counts, odd-power traces, verdicts, spectrum pairing."""
 
 import json
+import pathlib
 import random
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_fitting import jordan_pair
+from test_fitting import direct_sum, jordan_pair
 
 from projpair import linalg
 from projpair.errors import FieldMismatch, ProjpairError, RestrictionFailure
@@ -36,6 +37,7 @@ from projpair.index import (
     trace_power,
 )
 from projpair.linalg import Matrix, Subspace, rank, subspace_intersection
+from projpair.pairfile import load_pair
 from projpair.pairs import derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL
 
@@ -368,6 +370,35 @@ class TestMixedImageDims:
         assert _mixed_image_dims(fd) == mixed_images_by_products(fd, x)
 
 
+def block_trace_pairs():
+    """The rational golden pairs, Jordan pairs with k = 1..5, and a k = 3
+    Jordan pair direct-summed with a d = 16 oblique pair."""
+    golden = pathlib.Path(__file__).parent / "data" / "golden"
+    pairs = {path.stem: load_pair(path) for path in sorted(golden.glob("r*.json"))}
+    pairs.update({f"jordan{m}": jordan_pair(m) for m in range(1, 6)})
+    pairs["jordan3+oblique16"] = direct_sum(jordan_pair(3), gen_pair_oblique_rational(16, 7, 9, seed=5))
+    return pairs
+
+
+BLOCK_TRACE_PAIRS = block_trace_pairs()
+
+
+class TestBlockTraceEvidence:
+    """The report takes tr M_Y^n = 0 and tr M_F^n = tr M_F from the
+    verified split; here both are computed by ladders of M_Y and M_F."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_TRACE_PAIRS))
+    def test_ladders_match_the_verdicts(self, name):
+        pair = BLOCK_TRACE_PAIRS[name]
+        ns = (1, 3, 5, 7, 9)
+        fd = fitting_decomposition(pair)
+        for n in ns:
+            assert (fd.M_Y**n).trace() == 0
+            assert (fd.M_F**n).trace() == fd.M_F.trace()
+        report = index_report(pair, ns)
+        assert report.all_verdicts_true, report.failed_verdicts()
+
+
 class TestIndexReport:
     def test_report_builds_no_exchange_operators(self):
         """The report reads M and S only; U and V are built on first access."""
@@ -399,11 +430,11 @@ class TestIndexReport:
 
     def test_exact_report_pays_each_fact_once(self):
         """No matrix of a d = 20 exact report is eliminated or squared
-        twice, and the report forms 30 products: the split reads its
+        twice, and the report forms 25 products: the split reads its
         blocks unchecked, eliminates S once for F and forms no S^2,
         verify_fitting alone checks each restriction, with one product t B
-        and one B x apiece, and M_F and M_Y are squared once, for S_F and
-        S_Y."""
+        and one B x apiece, M_F is squared once, for S_F, and no power of
+        M_Y is formed."""
         pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
         derived_ops.cache_clear()
         products, eliminated = [], []
@@ -421,7 +452,7 @@ class TestIndexReport:
             report = index_report(pair, (1, 3, 5, 7))
         assert report.all_verdicts_true and report.fitting_k == 1
         assert eliminated and len({id(m) for m in eliminated}) == len(eliminated)
-        assert sum(isinstance(b, Matrix) for _, b in products) == 30
+        assert sum(isinstance(b, Matrix) for _, b in products) == 25
         squares = [a for a, b in products if a is b]
         assert len({id(a) for a in squares}) == len(squares)
 
