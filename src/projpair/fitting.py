@@ -6,22 +6,20 @@ eventual image (the intersection of im S^k).  In finite dimensions the
 ranks of successive powers stabilize after at most dim steps, the space
 splits as F + Y, S restricted to F is nilpotent and S restricted to Y is
 invertible.  Because S commutes with P and Q, both parts are invariant
-under the whole pair, so every operator restricts cleanly: only P and Q
-are restricted, and M and S on each part follow from those two blocks.
+under the whole pair: a split holds only the two parts, and each block
+of P or Q on a part is the checked :func:`restrict_operator`, read once.
 
 The split proposes and the verifier decides.  For k = 1, 2, ... while
 ker S^k still grows (k = 0 alone when ker S = 0), one elimination of S^k
 (one SVD over floats) gives its rank and F = ker S^k, Y = im S^k is its
-column space, and the blocks are read off unchecked
-(``Subspace._block``); the first proposal that :func:`verify_fitting`
-passes is the split.  No rank of S^(k+1) is taken and no power past S^k
-is formed.  The verifier alone proves it,
-with no rank of a power of S: (a) S^k F = 0 puts F inside ker S^k; (b)
-the P and Q round trips on Y, checked by :func:`restrict_operator`, give
-S B_Y = B_Y S_Y with S_Y = I - (P_Y - Q_Y)^2 = N_Y^2, N_Y = P_Y + Q_Y - I,
-so with N_Y invertible Y = S^k Y lies in im S^k; (c) F + Y is the whole space.
-Then dim F <= n - r and dim Y <= r for r = rank S^k add up to n, so F =
-ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
+column space; the first proposal that :func:`verify_fitting` passes is
+the split.  No rank of S^(k+1) is taken and no power past S^k is formed.
+The verifier alone proves it, with no rank or product of a power of S:
+(a) the F blocks give S B_F = B_F S_F, so S_F^k = 0 puts F inside ker
+S^k; (b) the Y blocks give S B_Y = B_Y S_Y with S_Y = N_Y^2, N_Y = P_Y +
+Q_Y - I, so with N_Y invertible Y = S^k Y lies in im S^k; (c) F + Y is
+the whole space.  Then dim F <= n - r and dim Y <= r for r = rank S^k
+add up to n, so F = ker S^k, Y = im S^k and rank S^(k+1) = rank S^k.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotInvariant, ProjpairError, RestrictionFailure
+from .errors import ProjpairError, RestrictionFailure
 from .linalg import (
     Matrix,
     Subspace,
@@ -48,9 +46,13 @@ __all__ = ["FittingDecomposition", "FittingReport", "fitting_decomposition", "ve
 
 @dataclass(frozen=True)
 class FittingDecomposition:
-    """Stabilization exponent, the two parts, and the restrictions of P
-    and Q to each; M_W = P_W - Q_W and S_W = I - M_W^2 are derived from
-    them on first access and kept.
+    """Stabilization exponent, the two parts, and the pair they split.
+
+    A block P_W or Q_W is :func:`restrict_operator` of P or Q on W, and
+    M_W = P_W - Q_W, S_W = I - M_W^2; each is computed on first access
+    and kept.  A block raises :class:`NotInvariant` when its operator
+    does not preserve W, or another :class:`ProjpairError` when W lies
+    in another space or over another field.
 
     rank_sequence holds rank(S^0) .. rank(S^k), strictly decreasing.
     rank_margins (float field only) reports, for each power the split
@@ -62,12 +64,25 @@ class FittingDecomposition:
     k: int
     F: Subspace
     Y: Subspace
-    P_F: Matrix
-    Q_F: Matrix
-    P_Y: Matrix
-    Q_Y: Matrix
+    pair: ProjectionPair
     rank_sequence: tuple[int, ...]
     rank_margins: tuple[float, ...] | None = None
+
+    @cached_property
+    def P_F(self) -> Matrix:
+        return restrict_operator(self.pair.P, self.F, self.pair.pol)
+
+    @cached_property
+    def Q_F(self) -> Matrix:
+        return restrict_operator(self.pair.Q, self.F, self.pair.pol)
+
+    @cached_property
+    def P_Y(self) -> Matrix:
+        return restrict_operator(self.pair.P, self.Y, self.pair.pol)
+
+    @cached_property
+    def Q_Y(self) -> Matrix:
+        return restrict_operator(self.pair.Q, self.Y, self.pair.pol)
 
     @cached_property
     def M_F(self) -> Matrix:
@@ -75,7 +90,7 @@ class FittingDecomposition:
 
     @cached_property
     def S_F(self) -> Matrix:
-        return Matrix.identity(self.F.dim, self.P_F.field) - self.M_F * self.M_F
+        return Matrix.identity(self.F.dim, self.pair.field) - self.M_F * self.M_F
 
     @cached_property
     def M_Y(self) -> Matrix:
@@ -83,7 +98,7 @@ class FittingDecomposition:
 
     @cached_property
     def S_Y(self) -> Matrix:
-        return Matrix.identity(self.Y.dim, self.P_Y.field) - self.M_Y * self.M_Y
+        return Matrix.identity(self.Y.dim, self.pair.field) - self.M_Y * self.M_Y
 
 
 def _parts_of(power: Matrix) -> tuple[int, float | None, Subspace, Subspace | None]:
@@ -118,10 +133,10 @@ def fitting_decomposition(pair: ProjectionPair) -> FittingDecomposition:
         if y is None:
             y = Subspace(power)
         fd = FittingDecomposition(
-            len(ranks) - 1, f, y, f._block(pair.P), f._block(pair.Q), y._block(pair.P), y._block(pair.Q),
+            len(ranks) - 1, f, y, pair,
             rank_sequence=tuple(ranks), rank_margins=tuple(margins) if pair.field == FLOAT else None,
         )
-        report = verify_fitting(fd, pair)
+        report = verify_fitting(fd)
         if report.all_passed:
             return fd
         if fd.k:  # at k = 0, r = n already says that ker S did not grow
@@ -151,63 +166,45 @@ def _zero_within(m: Matrix, pair: ProjectionPair, scale: float) -> bool:
     return float(m.max_norm()) <= pair.pol.compare_abs_tol * (1.0 + scale)
 
 
-def _norm(m: Matrix) -> float:
-    """|m| for a tolerance scale: exact checks take none, so 0.0 over Q."""
-    return float(m.max_norm()) if m.field == FLOAT else 0.0
-
-
-def _fits(w: Subspace, pair: ProjectionPair, *blocks: Matrix) -> bool:
-    """Whether every block is a dim w square over the pair's field."""
-    return all(b.shape == (w.dim, w.dim) and b.field == pair.field for b in blocks)
-
-
-def _restriction_roundtrip(t: Matrix, w: Subspace, restricted: Matrix, pair: ProjectionPair) -> bool:
-    """t preserves w, by the checked :func:`restrict_operator`, and
-    restricted is its block there."""
-    if not _fits(w, pair, restricted) or (w.field, w.ambient_dim) != (pair.field, pair.dim):
-        return False
+def _readable(fd: FittingDecomposition, block: str) -> bool:
+    """Whether the block can be read: its operator preserves its part,
+    which lies in the pair's space over the pair's field."""
     try:
-        block = restrict_operator(t, w, pair.pol)
-    except NotInvariant:
+        return getattr(fd, block) is not None
+    except ProjpairError:
         return False
-    return _zero_within(block - restricted, pair, _norm(t) * (1.0 + _norm(w.basis)))
 
 
-def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingReport:
+def verify_fitting(fd: FittingDecomposition) -> FittingReport:
     """Re-check every decomposition invariant from its defining property.
 
-    No rank of a power of S is taken and no part is rebuilt.  Facts
-    (a)-(c) of the module docstring are ``f_is_eventual_kernel``,
-    ``y_is_eventual_image`` and ``parts_independent``; together they are
-    ``rank_stabilized``; M_W and S_W are derived from P_W and Q_W, so
-    (b) checks neither, and ``s_y_invertible`` ranks N_Y, not S_Y = N_Y^2.
-    ``k_is_least`` asks for k = 0 or S_F^(k-1) != 0.  A check fails,
-    rather than raises, when a matrix it touches has the wrong shape, so
-    S_W is read only once P_W and Q_W fit; each verdict lands in the
-    report so tests can corrupt a decomposition and watch the right
-    check fail.
+    Only P, Q and the split are read, and no part is rebuilt.
+    ``p_invariant_on_W`` and ``q_invariant_on_W`` hold when the block P_W
+    or Q_W can be read.  Facts (a)-(c) of the module docstring are
+    ``f_is_eventual_kernel`` (F's invariance and ``s_f_nilpotent``),
+    ``y_is_eventual_image`` (Y's invariance and ``s_y_invertible``, which
+    ranks N_Y, not S_Y = N_Y^2) and ``parts_independent``; together they
+    are ``rank_stabilized``.  ``k_is_least`` asks for k = 0 or S_F^(k-1)
+    != 0.  Other checks read a part's blocks only once both invariance
+    checks of that part pass, so a malformed split fails, rather than
+    raises; each verdict lands in the report so tests can corrupt a
+    decomposition and watch the right check fail.
     """
-    ops = derived_ops(pair)
-    n = pair.dim
+    pair, n = fd.pair, fd.pair.dim
     f, y, k = fd.F, fd.Y, fd.k
     try:
         independent = subspace_sum(f, y).dim == n
     except ProjpairError:
         independent = False
-    # (a); S^n already kills the eventual kernel, so k > n needs no more
-    killed = (f.field, f.ambient_dim) == (pair.field, n) and k >= 0
-    if killed:
-        image = f.basis
-        for _ in range(min(k, n)):
-            image = ops.S * image
-        killed = _zero_within(image, pair, _norm(f.basis))
-    p_on_y = _restriction_roundtrip(pair.P, y, fd.P_Y, pair)
-    q_on_y = _restriction_roundtrip(pair.Q, y, fd.Q_Y, pair)
-    s_y_invertible = _fits(y, pair, fd.P_Y, fd.Q_Y) and rank(fd.P_Y + fd.Q_Y - Matrix.identity(y.dim, pair.field)) == y.dim
+    p_on_f, q_on_f, p_on_y, q_on_y = (_readable(fd, b) for b in ("P_F", "Q_F", "P_Y", "Q_Y"))
+    s_y_invertible = p_on_y and q_on_y and rank(fd.P_Y + fd.Q_Y - Matrix.identity(y.dim, pair.field)) == y.dim
     # (b): S B_Y = B_Y S_Y with S_Y = N_Y^2 invertible
     y_in_image = p_on_y and q_on_y and s_y_invertible
-    s_f_ok = _fits(f, pair, fd.P_F, fd.Q_F) and k >= 0
-    s_f_norm = _norm(fd.S_F) if s_f_ok else 0.0
+    s_f_ok = p_on_f and q_on_f and k >= 0
+    s_f_norm = float(fd.S_F.max_norm()) if s_f_ok and pair.field == FLOAT else 0.0
+    s_f_nilpotent = s_f_ok and _zero_within(fd.S_F**k, pair, s_f_norm ** max(k, 1))
+    # (a): S^k B_F = B_F S_F^k = 0
+    killed = p_on_f and q_on_f and s_f_nilpotent
     checks = {
         "direct_sum_dims": f.dim + y.dim == n,
         "parts_independent": independent,
@@ -215,12 +212,12 @@ def verify_fitting(fd: FittingDecomposition, pair: ProjectionPair) -> FittingRep
         "y_is_eventual_image": y_in_image,
         "rank_stabilized": killed and y_in_image and independent,
         "k_at_most_dim": k <= n,
-        "p_invariant_on_f": _restriction_roundtrip(pair.P, f, fd.P_F, pair),
-        "q_invariant_on_f": _restriction_roundtrip(pair.Q, f, fd.Q_F, pair),
+        "p_invariant_on_f": p_on_f,
+        "q_invariant_on_f": q_on_f,
         "p_invariant_on_y": p_on_y,
         "q_invariant_on_y": q_on_y,
         "s_y_invertible": s_y_invertible,
-        "s_f_nilpotent": s_f_ok and _zero_within(fd.S_F**k, pair, s_f_norm ** max(k, 1)),
+        "s_f_nilpotent": s_f_nilpotent,
         "k_is_least": k == 0
         or (s_f_ok and not _zero_within(fd.S_F ** (k - 1), pair, s_f_norm ** max(k - 1, 1))),
     }

@@ -237,12 +237,13 @@ def _mixed_image_dims(fd: FittingDecomposition) -> tuple[int, int]:
     """dim((I-P)F + QF) and dim(PF + (I-Q)F), read from the blocks P_F
     and Q_F of the Fitting split.
 
-    With B the basis of F, P B = B P_F and Q B = B Q_F (the split reads
-    the blocks off and :func:`verify_fitting` proves these, exactly over
-    Q, before the split is returned), so (I-P)F + QF is the column
-    space of B [I - P_F | Q_F].  B has independent columns, so its
-    dimension is the rank of the dim F x 2 dim F matrix [I - P_F | Q_F],
-    and no product with P or Q is formed; likewise PF + (I-Q)F.
+    With B the basis of F, P B = B P_F and Q B = B Q_F (each block is
+    the restriction that :func:`restrict_operator` checks, exactly over
+    Q, and :func:`verify_fitting` reads it before the split is
+    returned), so (I-P)F + QF is the column space of B [I - P_F | Q_F].
+    B has independent columns, so its dimension is the rank of the dim F
+    x 2 dim F matrix [I - P_F | Q_F], and no product with P or Q is
+    formed; likewise PF + (I-Q)F.
     """
     if fd.F.dim == 0:
         return 0, 0

@@ -34,8 +34,8 @@ the basis is the identity on recorded pivot rows, over floats it is
 orthonormal (the leading left singular vectors of its spanning
 columns).  Coordinates are read off (the pivot rows, or B^T times the
 columns), never solved for.  Containment and :func:`restrict_operator`
-check the read with one product, exactly over Q and by a residual over
-floats; ``Subspace._block`` reads an operator's block unchecked.  Its
+check the read with one product, exactly over Q, where only the rows off
+the pivots are multiplied, and by a residual over floats.  Its
 dimension is the number of basis columns, and two subspaces are equal
 when they have the same dimension and one contains the other.
 """
@@ -1017,31 +1017,25 @@ class Subspace:
     def _coordinates(self, m: Matrix, pol: TolerancePolicy, *scale_by: Matrix) -> Matrix | None:
         """X with basis * X = m, or None when a column of m is not in self.
 
-        Over Q, X is the pivot rows of m, accepted when the product
-        reproduces m exactly.  Over floats, X = basis^T m, accepted when
-        no entry of basis * X - m exceeds compare_abs_tol * prod(1 + |x|)
-        over the x of scale_by.
+        Over Q, X is the pivot rows of m.  The basis is the identity on
+        them, so basis * X equals m there by construction, and X is
+        accepted when the rows off the pivots reproduce m's exactly:
+        basis[rest] * X == m[rest].  Over floats, X = basis^T m, accepted
+        when no entry of basis * X - m exceeds compare_abs_tol * prod(1 +
+        |x|) over the x of scale_by.
         """
         check_same_field(self.field, m.field)
         if m.rows != self.ambient_dim:
             raise DimensionMismatch("row count does not match the ambient dimension")
         if self.field == RATIONAL:
-            x = _exact([m.num[i] for i in self.pivots], m.cols, m.den)
-            return x if self.basis * x == m else None
+            rest = sorted(set(range(self.ambient_dim)).difference(self.pivots))
+            x = _rows(m, self.pivots)
+            return x if _rows(self.basis, rest) * x == _rows(m, rest) else None
         b = self.basis.data
         x = b.T @ m.data
         residual = float(np.max(np.abs(b @ x - m.data))) if m.data.size else 0.0
         tol = pol.compare_abs_tol * math.prod(1.0 + float(s.max_norm()) for s in scale_by)
         return _wrap(x) if residual <= tol else None
-
-    def _block(self, t: Matrix) -> Matrix:
-        """The matrix of a t that preserves self, read and not checked:
-        the pivot rows of t B as t[pivots, :] B over Q, B^T (t B) over floats."""
-        if not self.dim:
-            return Matrix.zeros(0, 0, t.field)
-        if self.field == RATIONAL:
-            return _exact([t.num[i] for i in self.pivots], t.cols, t.den) * self.basis
-        return _wrap(self.basis.data.T @ (t * self.basis).data)
 
     def contains(self, other: "Subspace") -> bool:
         """Whether other is a subset of self."""
@@ -1089,14 +1083,15 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     coeffs = kernel_basis(stacked)
     if coeffs.dim == 0:
         return Subspace.zero(a.ambient_dim, a.field)
-    top = _top_rows(coeffs.basis, a.dim)
+    top = _rows(coeffs.basis, range(a.dim))
     return Subspace(a.basis * top)
 
 
-def _top_rows(m: Matrix, k: int) -> Matrix:
+def _rows(m: Matrix, rows: Sequence[int]) -> Matrix:
+    """The matrix of the listed rows of m, in that order."""
     if m.field == FLOAT:
-        return _wrap(m.data[:k])
-    return _exact(m.num[:k], m.cols, m.den)
+        return _wrap(m.data[list(rows)])
+    return _exact([m.num[i] for i in rows], m.cols, m.den)
 
 
 def restrict_operator(t: Matrix, w: Subspace, pol: TolerancePolicy = DEFAULT_POLICY) -> Matrix:
@@ -1110,6 +1105,7 @@ def restrict_operator(t: Matrix, w: Subspace, pol: TolerancePolicy = DEFAULT_POL
         raise DimensionMismatch("operator must be square")
     if w.ambient_dim != t.rows:
         raise DimensionMismatch("subspace ambient dimension does not match operator")
+    check_same_field(t.field, w.field)
     if w.dim == 0:
         return Matrix.zeros(0, 0, t.field)
     result = w._coordinates(t * w.basis, pol, t, w.basis)

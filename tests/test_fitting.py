@@ -158,12 +158,12 @@ class TestJordanExponents:
         assert fd.k == m
         assert fd.F.dim >= 2 * m
         assert (fd.Y.dim > 0) == mixed
-        assert verify_fitting(fd, pair).all_passed
+        assert verify_fitting(fd).all_passed
 
-        raised = verify_fitting(dataclasses.replace(fd, k=m + 1), pair)
+        raised = verify_fitting(dataclasses.replace(fd, k=m + 1))
         assert raised.failures() == ["k_is_least"]
 
-        lowered = verify_fitting(dataclasses.replace(fd, k=m - 1), pair)
+        lowered = verify_fitting(dataclasses.replace(fd, k=m - 1))
         assert not lowered.checks["f_is_eventual_kernel"]
         assert not lowered.checks["rank_stabilized"]
 
@@ -231,7 +231,7 @@ class TestUnluckyPrime:
             fd.rank_sequence,
             (fd.F.basis, fd.F.pivots),
             (fd.Y.basis, fd.Y.pivots),
-            verify_fitting(fd, pair).checks,
+            verify_fitting(fd).checks,
         )
 
     def test_small_moduli_change_no_answer(self, monkeypatch):
@@ -298,7 +298,7 @@ class TestInvariants:
     def test_verify_passes_on_fresh_decomposition(self):
         for i in range(8):
             pair = self.oblique(i)
-            report = verify_fitting(fitting_decomposition(pair), pair)
+            report = verify_fitting(fitting_decomposition(pair))
             assert report.all_passed
             assert report.failures() == []
 
@@ -378,7 +378,7 @@ class TestFloatSplitOfWideS:
         assert fd.k == fd_exact.k == 1
         assert fd.rank_sequence == fd_exact.rank_sequence
         assert (fd.F.dim, fd.Y.dim) == (fd_exact.F.dim, fd_exact.Y.dim)
-        assert verify_fitting(fd, to_float_pair(self.exact())).all_passed
+        assert verify_fitting(fd).all_passed
 
     def test_float_dims_are_the_exact_ones(self):
         assert index_report(to_float_pair(self.exact())).dims == index_report(self.exact()).dims
@@ -433,9 +433,9 @@ class TestEachPowerOnce:
             seen.products.append((a, b))
             return real_mul(a, b)
 
-        def verify(fd, pair):
+        def verify(fd):
             seen.verified.append(fd.k)
-            return real_verify(fd, pair)
+            return real_verify(fd)
 
         monkeypatch.setattr(linalg, "_column_echelon", column_echelon)
         monkeypatch.setattr(Matrix, "__mul__", mul)
@@ -459,6 +459,36 @@ class TestEachPowerOnce:
         assert max(i + j for i, j in formed if i and j) == m
         assert seen.verified == list(range(1, m + 1))
 
+    @pytest.mark.parametrize(
+        "pair",
+        [TestJordanExponents.with_invertible_part(3), to_float_pair(pair_k2_mixed())],
+        ids=["rational", "float"],
+    )
+    def test_verifier_forms_no_product_with_s(self, monkeypatch, pair):
+        """verify_fitting reads P, Q and the split alone: it takes no
+        derived_ops and forms no product with S or a power of S.  Y != 0
+        here, so S_F, which it does power, is not S in another name."""
+        import projpair.fitting as fitting_mod
+
+        fd = fitting_decomposition(pair)
+        s = derived_ops(pair).S
+        powers = [s**j for j in range(1, fd.k + 1)]
+        products, real_mul = [], Matrix.__mul__
+
+        def mul(a, b):
+            products.append((a, b))
+            return real_mul(a, b)
+
+        def no_ops(p):
+            pytest.fail("verify_fitting read derived_ops")
+
+        monkeypatch.setattr(fitting_mod, "derived_ops", no_ops)
+        monkeypatch.setattr(Matrix, "__mul__", mul)
+        # a fresh split, so that the verifier itself reads every block
+        assert verify_fitting(dataclasses.replace(fd)).all_passed
+        assert fd.k >= 2 and fd.Y.dim > 0 and products
+        assert not any(x == p for operands in products for x in operands for p in powers)
+
     def test_one_verification_at_k1(self, monkeypatch):
         pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
         seen = self.spy(monkeypatch)
@@ -472,7 +502,7 @@ class TestFloat:
         fd = fitting_decomposition(pair)
         assert fd.rank_margins is not None
         assert all(m > 1.0 for m in fd.rank_margins)
-        assert verify_fitting(fd, pair).all_passed
+        assert verify_fitting(fd).all_passed
 
     def test_rational_pair_has_no_margins(self):
         fd = fitting_decomposition(pair_k2())
@@ -517,7 +547,7 @@ class TestCorruptionDetection:
         cut = Subspace(Matrix([row[: fd.F.dim - 1] for row in fd.F.basis.to_lists()], RATIONAL))
         # keep the restriction shapes out of the way: they now disagree too
         bad = dataclasses.replace(fd, F=cut)
-        report = verify_fitting(bad, pair)
+        report = verify_fitting(bad)
         assert not report.checks["direct_sum_dims"]
         assert not report.all_passed
 
@@ -529,7 +559,7 @@ class TestCorruptionDetection:
             cols[j][pair.dim - 1 - j] = 1
         wrong = Subspace(Matrix(cols, RATIONAL).transpose())
         bad = dataclasses.replace(fd, F=wrong)
-        report = verify_fitting(bad, pair)
+        report = verify_fitting(bad)
         assert not report.checks["f_is_eventual_kernel"]
 
     @staticmethod
@@ -546,7 +576,7 @@ class TestCorruptionDetection:
         assert fd.F.dim > 0 and fd.Y.dim > 0
         wrong = self.mixed_in(fd.Y, fd.F, pair)
         assert wrong.dim == fd.Y.dim
-        report = verify_fitting(dataclasses.replace(fd, Y=wrong), pair)
+        report = verify_fitting(dataclasses.replace(fd, Y=wrong))
         assert not report.checks["y_is_eventual_image"]
 
     def test_wrong_y_fails_image_check(self):
@@ -560,7 +590,7 @@ class TestCorruptionDetection:
         fd = fitting_decomposition(pair)
         wrong = self.mixed_in(fd.F, fd.Y, pair)
         assert wrong.dim == fd.F.dim > 0
-        report = verify_fitting(dataclasses.replace(fd, F=wrong), pair)
+        report = verify_fitting(dataclasses.replace(fd, F=wrong))
         assert not report.checks["f_is_eventual_kernel"]
 
     @pytest.mark.parametrize(
@@ -571,8 +601,8 @@ class TestCorruptionDetection:
         there (F != 0), so N_Y = P + Q - I is too."""
         fd = fitting_decomposition(pair)
         assert fd.F.dim > 0
-        whole = dataclasses.replace(fd, Y=Subspace.full(pair.dim, pair.field), P_Y=pair.P, Q_Y=pair.Q)
-        checks = verify_fitting(whole, pair).checks
+        whole = dataclasses.replace(fd, Y=Subspace.full(pair.dim, pair.field))
+        checks = verify_fitting(whole).checks
         assert checks["p_invariant_on_y"] and checks["q_invariant_on_y"]
         assert not checks["s_y_invertible"]
 
@@ -580,51 +610,67 @@ class TestCorruptionDetection:
         pair = pair_k2()
         fd = fitting_decomposition(pair)
         bad = dataclasses.replace(fd, k=1)
-        report = verify_fitting(bad, pair)
+        report = verify_fitting(bad)
         assert not report.checks["rank_stabilized"]
 
     def test_corrupt_restriction_fails_roundtrip(self):
+        """P moves e3 to e1, so it does not preserve F = span(e3); Q kills e3."""
         pair = pair_k2()
         fd = fitting_decomposition(pair)
-        bad = dataclasses.replace(fd, P_F=Matrix.zeros(fd.F.dim, fd.F.dim, RATIONAL))
-        report = verify_fitting(bad, pair)
+        bad = dataclasses.replace(fd, F=Subspace(Matrix([[0], [0], [1], [0]], RATIONAL)))
+        report = verify_fitting(bad)
         assert not report.checks["p_invariant_on_f"]
+        assert report.checks["q_invariant_on_f"]
 
     def test_corrupt_float_restriction_fails_roundtrip(self):
+        """Y tilted towards F by 1e-3 is far outside the tolerance of the
+        residual that checks each restriction."""
         pair = gen_pair_orthogonal(7, 3, 2, seed=9)
         fd = fitting_decomposition(pair)
-        assert fd.Y.dim > 0
-        bad = dataclasses.replace(fd, P_Y=fd.P_Y + Matrix.identity(fd.Y.dim, FLOAT) * 1e-3)
-        report = verify_fitting(bad, pair)
-        assert report.failures() == ["y_is_eventual_image", "rank_stabilized", "p_invariant_on_y"]
+        assert fd.F.dim > 0 and fd.Y.dim > 0
+        tilted = fd.Y.basis.to_numpy().copy()
+        tilted[:, 0] += 1e-3 * fd.F.basis.to_numpy()[:, 0]
+        bad = dataclasses.replace(fd, Y=Subspace(Matrix(tilted, FLOAT)))
+        report = verify_fitting(bad)
+        assert report.failures() == [
+            "y_is_eventual_image", "rank_stabilized", "p_invariant_on_y", "s_y_invertible",
+        ]
 
     def test_wrong_shape_m_f_fails_without_raising(self):
-        """M_F = P_F - Q_F does not exist for a P_F of the wrong shape; the
-        checks that would read it fail, and the verifier does not raise."""
+        """No block, so no M_F = P_F - Q_F, exists for an F from a pair of
+        another dimension; the checks that would read them fail, and the
+        verifier does not raise."""
         pair = pair_k2()
         fd = fitting_decomposition(pair)
-        bad = dataclasses.replace(fd, P_F=Matrix.zeros(1, 1, RATIONAL))
-        report = verify_fitting(bad, pair)
-        assert report.failures() == ["p_invariant_on_f", "s_f_nilpotent", "k_is_least"]
+        bad = dataclasses.replace(fd, F=fitting_decomposition(pair_k2_mixed()).F)
+        report = verify_fitting(bad)
+        assert report.failures() == [
+            "parts_independent", "f_is_eventual_kernel", "rank_stabilized",
+            "p_invariant_on_f", "q_invariant_on_f", "s_f_nilpotent", "k_is_least",
+        ]
 
     def test_wrong_shape_p_y_fails_without_raising(self):
-        pair = pair_k2()
+        """A float Y on a rational pair has no blocks; the checks that would
+        read them fail, and the verifier does not raise."""
+        pair = pair_k2_mixed()
         fd = fitting_decomposition(pair)
-        d = fd.Y.dim + 1
-        bad = dataclasses.replace(fd, P_Y=Matrix.zeros(d, d, RATIONAL))
-        report = verify_fitting(bad, pair)
+        assert fd.Y.dim > 0
+        bad = dataclasses.replace(fd, Y=Subspace(fd.Y.basis.to_float()))
+        report = verify_fitting(bad)
         assert not report.checks["p_invariant_on_y"]
+        assert not report.checks["q_invariant_on_y"]
         assert not report.checks["s_y_invertible"]
 
     def test_non_nilpotent_sf_detected(self):
-        """P_F = Q_F makes M_F = 0, so S_F = I."""
-        pair = pair_k2()
+        """F = Y is invariant under P and Q, and S_F = S_Y is invertible."""
+        pair = pair_k2_mixed()
         fd = fitting_decomposition(pair)
-        bad = dataclasses.replace(fd, P_F=fd.Q_F)
-        assert bad.S_F == Matrix.identity(fd.F.dim, RATIONAL)
-        report = verify_fitting(bad, pair)
+        bad = dataclasses.replace(fd, F=fd.Y)
+        assert bad.S_F == fd.S_Y and is_invertible(bad.S_F)
+        report = verify_fitting(bad)
+        assert report.checks["p_invariant_on_f"] and report.checks["q_invariant_on_f"]
         assert not report.checks["s_f_nilpotent"]
-        assert "s_f_nilpotent" in report.failures()
+        assert not report.checks["f_is_eventual_kernel"]
 
     def test_constructor_rejects_broken_invariants(self, monkeypatch):
         # force the verifier to see a failure during construction
@@ -632,8 +678,8 @@ class TestCorruptionDetection:
 
         real = fitting_mod.verify_fitting
 
-        def sabotaged(fd, pair):
-            report = real(fd, pair)
+        def sabotaged(fd):
+            report = real(fd)
             report.checks["direct_sum_dims"] = False
             return report
 
@@ -646,7 +692,7 @@ class TestCorruptionDetection:
         has not grown, so no power of S is formed and the split raises."""
         import projpair.fitting as fitting_mod
 
-        def refuse(fd, pair):
+        def refuse(fd):
             return fitting_mod.FittingReport(checks={"s_y_invertible": False})
 
         pair = make_pair(Matrix([[1, 0], [0, 0]], RATIONAL), Matrix([[1, 1], [0, 0]], RATIONAL))

@@ -36,7 +36,7 @@ from projpair.index import (
     spectrum_symmetry_check,
     trace_power,
 )
-from projpair.linalg import Matrix, Subspace, rank, subspace_intersection
+from projpair.linalg import Matrix, Subspace, rank, restrict_operator, subspace_intersection
 from projpair.pairfile import load_pair
 from projpair.pairs import derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL
@@ -430,11 +430,12 @@ class TestIndexReport:
 
     def test_exact_report_pays_each_fact_once(self):
         """No matrix of a d = 20 exact report is eliminated or squared
-        twice, and the report forms 25 products: the split reads its
-        blocks unchecked, eliminates S once for F and forms no S^2,
-        verify_fitting alone checks each restriction, with one product t B
-        and one B x apiece, M_F is squared once, for S_F, and no power of
-        M_Y is formed."""
+        twice, and the report forms 20 products: the split eliminates S
+        once for F and forms no S^2, each block of P or Q is its checked
+        restriction, read once, with one product t B and one product of
+        the rows of B off its pivots with the coordinates, M_F is squared
+        once, for S_F, and no power of M_Y and no product with S is
+        formed by the verifier."""
         pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
         derived_ops.cache_clear()
         products, eliminated = [], []
@@ -452,7 +453,7 @@ class TestIndexReport:
             report = index_report(pair, (1, 3, 5, 7))
         assert report.all_verdicts_true and report.fitting_k == 1
         assert eliminated and len({id(m) for m in eliminated}) == len(eliminated)
-        assert sum(isinstance(b, Matrix) for _, b in products) == 25
+        assert sum(isinstance(b, Matrix) for _, b in products) == 20
         squares = [a for a, b in products if a is b]
         assert len({id(a) for a in squares}) == len(squares)
 
@@ -467,6 +468,30 @@ class TestIndexReport:
         operands = [call.args[0] for call in built.call_args_list]
         assert operands and len({id(m) for m in operands}) == len(operands)
         assert not any(m.planes.flags.writeable for m in operands)
+
+    @pytest.mark.parametrize("d", [20, 32])
+    def test_blocks_are_restrictions_without_planes(self, d):
+        """Each block the report's split keeps is the checked restriction
+        of P or Q to F or Y, and carries no limb planes: the check product
+        multiplies only the rows off the pivots, too few for the size rule
+        here, so no kept block is cut into limbs."""
+        pair = gen_pair_oblique_rational(d, d // 2 - 1, d // 2 + 1, seed=5)
+        derived_ops.cache_clear()
+        split = []
+
+        def keep(p):
+            split.append(fitting_decomposition(p))
+            return split[-1]
+
+        with mock.patch("projpair.index.fitting_decomposition", keep):
+            assert index_report(pair, (1, 3, 5, 7)).all_verdicts_true
+        (fd,) = split
+        blocks = (("P_F", pair.P, fd.F), ("Q_F", pair.Q, fd.F), ("P_Y", pair.P, fd.Y), ("Q_Y", pair.Q, fd.Y))
+        for name, t, w in blocks:
+            block = vars(fd)[name]  # kept by the report, not computed here
+            assert block == restrict_operator(t, w)
+            with pytest.raises(AttributeError):
+                Matrix.planes.__get__(block, Matrix)
 
     def test_verdict_names_fixed(self):
         report = index_report(diag_pair())
@@ -565,12 +590,12 @@ class TestIndexReport:
         assert derived_ops.cache_info().hits == info.hits + 1
 
     def test_report_shares_one_m_and_s(self):
-        """The report, the split and its verifier read one M and S: one
-        miss and two hits per report."""
+        """The report and the split read one M and S, and the verifier
+        reads neither: one miss and one hit per report."""
         derived_ops.cache_clear()
         index_report(gen_pair_oblique_rational(6, 2, 3, seed=1), (1, 3, 5, 7))
         info = derived_ops.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_intermediates_exposed(self):
         report = index_report(diag_pair())
