@@ -181,10 +181,11 @@ def verify_fitting(fd: FittingDecomposition) -> FittingReport:
     Only P, Q and the split are read, and no part is rebuilt.
     ``p_invariant_on_W`` and ``q_invariant_on_W`` hold when the block P_W
     or Q_W can be read.  Facts (a)-(c) of the module docstring are
-    ``f_is_eventual_kernel`` (F's invariance and ``s_f_nilpotent``),
-    ``y_is_eventual_image`` (Y's invariance and ``s_y_invertible``, which
-    ranks N_Y, not S_Y = N_Y^2) and ``parts_independent``; together they
-    are ``rank_stabilized``.  ``k_is_least`` asks for k = 0 or S_F^(k-1)
+    ``f_is_eventual_kernel`` (the same fact as ``s_f_nilpotent``, which
+    needs F's invariance), ``y_is_eventual_image`` (the same fact as
+    ``s_y_invertible``, which needs Y's invariance and ranks N_Y, not S_Y
+    = N_Y^2) and ``parts_independent``; together they are
+    ``rank_stabilized``.  ``k_is_least`` asks for k = 0 or S_F^(k-1)
     != 0.  Other checks read a part's blocks only once both invariance
     checks of that part pass, so a malformed split fails, rather than
     raises; each verdict lands in the report so tests can corrupt a
@@ -197,20 +198,18 @@ def verify_fitting(fd: FittingDecomposition) -> FittingReport:
     except ProjpairError:
         independent = False
     p_on_f, q_on_f, p_on_y, q_on_y = (_readable(fd, b) for b in ("P_F", "Q_F", "P_Y", "Q_Y"))
-    s_y_invertible = p_on_y and q_on_y and rank(fd.P_Y + fd.Q_Y - Matrix.identity(y.dim, pair.field)) == y.dim
     # (b): S B_Y = B_Y S_Y with S_Y = N_Y^2 invertible
-    y_in_image = p_on_y and q_on_y and s_y_invertible
+    s_y_invertible = p_on_y and q_on_y and rank(fd.P_Y + fd.Q_Y - Matrix.identity(y.dim, pair.field)) == y.dim
     s_f_ok = p_on_f and q_on_f and k >= 0
     s_f_norm = float(fd.S_F.max_norm()) if s_f_ok and pair.field == FLOAT else 0.0
-    s_f_nilpotent = s_f_ok and _zero_within(fd.S_F**k, pair, s_f_norm ** max(k, 1))
     # (a): S^k B_F = B_F S_F^k = 0
-    killed = p_on_f and q_on_f and s_f_nilpotent
+    s_f_nilpotent = s_f_ok and _zero_within(fd.S_F**k, pair, s_f_norm ** max(k, 1))
     checks = {
         "direct_sum_dims": f.dim + y.dim == n,
         "parts_independent": independent,
-        "f_is_eventual_kernel": killed,
-        "y_is_eventual_image": y_in_image,
-        "rank_stabilized": killed and y_in_image and independent,
+        "f_is_eventual_kernel": s_f_nilpotent,
+        "y_is_eventual_image": s_y_invertible,
+        "rank_stabilized": s_f_nilpotent and s_y_invertible and independent,
         "k_at_most_dim": k <= n,
         "p_invariant_on_f": p_on_f,
         "q_invariant_on_f": q_on_f,

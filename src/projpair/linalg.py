@@ -16,11 +16,12 @@ a smaller product is a schoolbook sum over Python integers.  Every exact
 rank, kernel, column space, solve and inverse comes from one reduced
 row echelon form.  A matrix at the rule (:func:`_uses_primes`) is
 eliminated modulo the consecutive 31-bit primes below 2**31 - 1
-(:func:`_prime`) in int64 arrays, rebuilt by CRT and rational
-reconstruction, and accepted once an exact product certifies it.  A
-smaller one goes through fraction-free Bareiss elimination and an
-integer back-substitution.  So results are exact and no answer rests on
-a prime.
+(:func:`_prime`) in int64 arrays, primes in pairs; a pair that
+disagrees on a pivot is skipped.  The RREF is rebuilt by CRT and
+rational reconstruction, and accepted once an exact product certifies
+it.  A smaller one goes through fraction-free Bareiss elimination and
+an integer back-substitution.  So results are exact and no answer rests
+on a prime.
 
 A float matrix holds one read-only float64 ndarray, so its arithmetic
 runs in numpy and BLAS; it mirrors the same API through SVD
@@ -136,11 +137,9 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "field", "num", "den", "data", "planes")
 
-    def __init__(self, data: Iterable[Iterable], field: str, *, _raw: bool = False):
-        if field == FLOAT and (
-            _raw or isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.float64
-        ):
-            _set_float(self, data if _raw else data.copy())
+    def __init__(self, data: Iterable[Iterable], field: str):
+        if field == FLOAT and isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.float64:
+            _set_float(self, data.copy())
             return
         rows = tuple(tuple(r) for r in data)
         ncols = len(rows[0]) if rows else 0
@@ -406,9 +405,9 @@ class Matrix:
 def _set_float(m: Matrix, arr) -> None:
     """Make m the float matrix owning ``arr``, a 2-D float64 array.
 
-    ``Matrix`` passes an array it takes over (``_raw``), a copy of a
-    2-D float64 array, or one built from rows it checked entry by entry
-    exactly as for the rational field.
+    ``Matrix`` passes a copy of a 2-D float64 array, or one built from
+    rows it checked entry by entry exactly as for the rational field;
+    :func:`_wrap` passes an array it takes over.
     """
     arr.setflags(write=False)
     object.__setattr__(m, "rows", arr.shape[0])
@@ -419,7 +418,9 @@ def _set_float(m: Matrix, arr) -> None:
 
 def _wrap(arr: np.ndarray) -> Matrix:
     """Float matrix owning ``arr``, a float64 array no one else writes to."""
-    return Matrix(arr, FLOAT, _raw=True)
+    m = object.__new__(Matrix)
+    _set_float(m, arr)
+    return m
 
 
 def _fill_exact(m: Matrix, num: tuple, cols: int, den: int) -> None:
@@ -629,21 +630,22 @@ def _rref_bareiss(m: Matrix) -> tuple[Matrix, list[int]]:
     return _exact(num, m.cols, den), piv_cols
 
 
-def _rref_mod(num, primes: tuple[int, ...]):
-    """Gauss-Jordan RREF of the integer rows num modulo each of a few
-    primes, one int64 layer per prime, eliminated together.
+def _rref_mod(num, p: int, q: int):
+    """Gauss-Jordan RREF of the integer rows num modulo the primes p and
+    q, one int64 layer per prime, eliminated together.
 
-    All layers share one pivot set: at each column the layers that have
-    no pivot where another has one are dropped, since their prime cannot
-    give the earliest pivots.  Returns the surviving layers' nonzero
-    rows, as a (layers, rank, cols) array, the pivot columns and the
-    surviving primes.
+    Both layers take the same row swaps: the pivot row of a column is the
+    first row at or below the current one that is nonzero modulo both
+    primes.  An RREF modulo a prime does not depend on the pivot rows, so
+    each layer is the RREF modulo its prime, and the two share their
+    pivot columns.  Returns the layers' nonzero rows, as a (2, rank, cols)
+    array, and the pivot columns; or None when the pair disagrees on a
+    pivot: a column is nonzero modulo one prime below the current row,
+    but no row there is nonzero modulo both.
     """
-    primes = list(primes)
-    mods = np.array(primes, dtype=np.int64)[:, None]
-    q = math.prod(primes)
+    mods, pq = np.array([[p], [q]], dtype=np.int64), p * q
     # one pass of Python remainders, the rest in int64
-    a = np.array([[x % q for x in r] for r in num], dtype=np.int64)[None] % mods[:, :, None]
+    a = np.array([[x % pq for x in r] for r in num], dtype=np.int64)[None] % mods[:, :, None]
     nrows, ncols = a.shape[1:]
     piv_cols: list[int] = []
     r = 0
@@ -653,18 +655,15 @@ def _rref_mod(num, primes: tuple[int, ...]):
         heads = a[:, r, c].tolist()
         if not all(heads):
             nonzero = a[:, r:, c] != 0
-            first = nonzero.argmax(axis=1)
-            has = nonzero[np.arange(len(first)), first].tolist()
-            if not any(has):
+            both = nonzero.all(axis=0)
+            if not both.any():
+                if nonzero.any():
+                    return None
                 continue
-            if not all(has):
-                a, first, mods = a[has], first[has], mods[has]
-                primes = [p for p, h in zip(primes, has) if h]
-            layers = np.arange(len(first))
-            first += r
-            a[layers, r], a[layers, first] = a[layers, first], a[layers, r].copy()
+            i = r + int(both.argmax())
+            a[:, [r, i]] = a[:, [i, r]]
             heads = a[:, r, c].tolist()
-        inv = np.array([pow(x, -1, p) for x, p in zip(heads, primes)], dtype=np.int64)
+        inv = np.array([pow(heads[0], -1, p), pow(heads[1], -1, q)], dtype=np.int64)
         row = a[:, r, c:] * inv[:, None] % mods
         factor = a[:, :, c].copy()
         factor[:, r] = 0
@@ -674,30 +673,35 @@ def _rref_mod(num, primes: tuple[int, ...]):
         a[:, r, c:] = row
         piv_cols.append(c)
         r += 1
-    return a[:, :r], piv_cols, primes
+    return a[:, :r], piv_cols
 
 
 def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]]:
     """Certified RREF of a rational m from its RREFs modulo the primes of
     :func:`_prime`, taken until one candidate is certified.
 
-    The primes go in pairs, whose product still fits an int64.  Of the
-    primes seen, those whose RREF has the largest rank, and among those
-    the earliest pivot columns c, are combined by CRT entry by entry; a
-    better pivot set drops the ones before it.  After each pair the
-    non-pivot columns are rebuilt by rational reconstruction
-    (:func:`_reconstruct`), the pivot columns being the identity, and the
-    candidate R stands only if :func:`_certified` proves it the RREF of
-    m: it checks the echelon form and m[:, c] R = m exactly, and the rank
-    |c| of m modulo the kept primes supplies the lower bound.  So no
-    answer rests on a prime.
+    The primes go in pairs, whose product still fits an int64, and each
+    pair is eliminated as one unit (:func:`_rref_mod`); a pair that
+    disagrees on a pivot is skipped.  Of the pairs seen, those whose RREF
+    has the largest rank, and among those the earliest pivot columns c,
+    are combined by CRT entry by entry; a better pivot set drops the ones
+    before it.  After each pair the non-pivot columns are rebuilt by
+    rational reconstruction (:func:`_reconstruct`), the pivot columns
+    being the identity, and the candidate R stands only if
+    :func:`_certified` proves it the RREF of m: it checks the echelon form
+    and m[:, c] R = m exactly, and the rank |c| of m modulo the kept
+    primes supplies the lower bound.  So no answer rests on a prime.
     """
     num = m.num
-    best = None  # (-rank, pivot columns) of the kept primes
+    best = None  # (-rank, pivot columns) of the kept pairs
     residues: list[int] = []
     modulus = 1
     for i in itertools.count(0, 2):
-        reduced, piv_cols, kept = _rref_mod(num, (_prime(i), _prime(i + 1)))
+        p, q = _prime(i), _prime(i + 1)
+        layers = _rref_mod(num, p, q)
+        if layers is None:
+            continue
+        reduced, piv_cols = layers
         key = (-len(piv_cols), piv_cols)
         if best is None or key < best:
             best, residues, modulus = key, [], 1
@@ -706,19 +710,15 @@ def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]]:
         pivots = set(piv_cols)
         free_cols = [c for c in range(m.cols) if c not in pivots]
         block = reduced[:, :, free_cols]
-        if len(kept) == 2:  # CRT of the pair, still below 2^62
-            p, q = kept
-            lift = (block[1] - block[0]) % q * pow(p, -1, q) % q
-            block, prime = block[0] + p * lift, p * q
-        else:
-            block, prime = block[0], kept[0]
-        values = block.ravel().tolist()
+        lift = (block[1] - block[0]) % q * pow(p, -1, q) % q
+        values = (block[0] + p * lift).ravel().tolist()  # CRT of the pair, below 2^62
+        pq = p * q
         if residues:
-            inv = pow(modulus, -1, prime)
-            residues = [u + modulus * ((v - u) * inv % prime) for u, v in zip(residues, values)]
+            inv = pow(modulus, -1, pq)
+            residues = [u + modulus * ((v - u) * inv % pq) for u, v in zip(residues, values)]
         else:
             residues = values
-        modulus *= prime
+        modulus *= pq
         found = _reconstruct(residues, modulus)
         if found is None:
             continue

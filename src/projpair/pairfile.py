@@ -28,6 +28,7 @@ from .scalars import (
     FLOAT,
     RATIONAL,
     TolerancePolicy,
+    format_rational,
     parse_rational,
 )
 
@@ -112,16 +113,9 @@ def load_pair(path: str | os.PathLike, pol: TolerancePolicy = DEFAULT_POLICY) ->
     return loads_pair(text, pol)
 
 
-def _format_ratio(x: int, den: int) -> str:
-    """x / den (den > 0) in the canonical form of
-    :func:`~projpair.scalars.format_rational`, without building a Fraction."""
-    g = math.gcd(x, den)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
-
-
 def _matrix_to_json(m: Matrix) -> list[list]:
     if m.field == RATIONAL:
-        return [[_format_ratio(x, m.den) for x in row] for row in m.num]
+        return [[format_rational(x, m.den) for x in row] for row in m.num]
     return m.to_lists()
 
 

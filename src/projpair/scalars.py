@@ -98,15 +98,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical string form: gcd-reduced, "-" on the numerator, no "/1"."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(num: int, den: int = 1) -> str:
+    """Canonical string form of num / den (den > 0): gcd-reduced, "-" on
+    the numerator, no "/1"."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def scalar_to_json(value: Scalar, field: str):
     if field == RATIONAL:
-        return format_rational(value)
+        return format_rational(value.numerator, value.denominator)
     return float(value)

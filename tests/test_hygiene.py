@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
-only linalg knows the size rule of the exact eliminations, every
-attribute the benchmark tracer patches exists, and the package exports
-exactly what its modules export."""
+no module imports another's private names, only linalg knows the size
+rule of the exact eliminations, every attribute the benchmark tracer
+patches exists, and the package exports exactly what its modules
+export."""
 
 import ast
 import importlib
@@ -97,6 +98,35 @@ def test_size_rule_stays_in_linalg(path):
     linalg's business alone."""
     names = imported_names(ast.parse(path.read_text(encoding="utf-8")), bound=False)
     assert sorted(name for name in names if knows_size_rule(name)) == []
+
+
+def private_imports(source: str) -> list[tuple[str, int]]:
+    """Underscore names imported from a projpair module (relative or
+    absolute), with their line numbers."""
+    return sorted(
+        (alias.name, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("projpair"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    """A module takes only public names from the others, so kernels such
+    as ``_rref_mod`` stay the business of the module that defines them."""
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_checker():
+    source = (
+        "from __future__ import annotations\n"
+        "from .linalg import Matrix, _rref_mod\n"
+        "from projpair.scalars import _RATIONAL_RE\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(source) == [("_RATIONAL_RE", 3), ("_rref_mod", 2)]
 
 
 def test_checker_flags_unused_and_spares_used():

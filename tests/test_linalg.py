@@ -754,6 +754,31 @@ class TestMultiModular:
         assert linalg._rref_modular(m) == want[0]
         assert exact_outcome(m) == want
 
+    def test_pair_that_disagrees_on_a_pivot_is_skipped(self):
+        """The first column of unlucky(p0) is nonzero modulo p1 alone, so
+        the first pair has no row to share as its pivot and is skipped;
+        the next pair gives the Bareiss RREF."""
+        m = self.unlucky(linalg._prime(0))
+        assert linalg._rref_mod(m.num, linalg._prime(0), linalg._prime(1)) is None
+        assert linalg._rref_modular(m) == linalg._rref_bareiss(m)
+
+    def test_both_primes_take_the_same_pivot_row(self):
+        """A first column p0, p1, 1: its first nonzero row is row 1 modulo
+        p0 and row 0 modulo p1, so the pair takes row 2, the first row
+        nonzero modulo both, and still gives the Bareiss RREF."""
+        p0, p1 = linalg._prime(0), linalg._prime(1)
+        rng = random.Random(1204)
+        rest = rand_int_matrix(rng, MODULAR_MIN_DIM + 1, MODULAR_MIN_DIM, bound=5)
+        rows = [[head] + list(r) for head, r in zip([p0, p1, 1] + [0] * MODULAR_MIN_DIM, rest.num)]
+        m = Matrix(rows, RATIONAL)
+        want = linalg._rref_bareiss(m)
+        reduced, piv_cols = linalg._rref_mod(m.num, p0, p1)
+        assert piv_cols == want[1]
+        for layer, p in zip(reduced, (p0, p1)):
+            inv = pow(want[0].den, -1, p)
+            assert layer.tolist() == [[x * inv % p for x in r] for r in want[0].num]
+        assert linalg._rref_modular(m) == want
+
     def test_primes_do_not_run_out(self, monkeypatch):
         """120-bit factors of rank 11: RREF entries far beyond the product
         of 32 primes (86 of the default ones), so the modular path climbs
