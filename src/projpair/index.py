@@ -159,8 +159,6 @@ def _odd_power_traces(m: Matrix, s: Matrix, ns: tuple[int, ...]) -> dict[int, Sc
     (:func:`trace_product`), so no power beyond h is formed: n = 1, 3,
     5, 7 take m^2 and the products m^3 and m^4.
     """
-    if not ns:
-        return {}
     powers = [None, m, Matrix.identity(m.rows, m.field) - s]
     for _ in range((max(ns) + 1) // 2 - 2):
         powers.append(powers[-1] * m)

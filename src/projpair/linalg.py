@@ -131,16 +131,16 @@ class Matrix:
     the size rule multiply (:func:`_limb_planes`); each is built on
     first use and kept, and neither takes part in ``==`` or ``hash``.
     A float matrix holds one read-only float64 ndarray in ``data``.  All
-    operations return new matrices; mixing fields raises
-    :class:`FieldMismatch`.
+    operations return new matrices; mixing fields raises FieldMismatch.
+    The constructor validates outside input (ragged rows, each entry, the
+    field) and returns what :func:`_wrap` or :func:`_make` builds.
     """
 
     __slots__ = ("rows", "cols", "field", "num", "den", "data", "planes")
 
-    def __init__(self, data: Iterable[Iterable], field: str):
+    def __new__(cls, data: Iterable[Iterable], field: str):
         if field == FLOAT and isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.float64:
-            _set_float(self, data.copy())
-            return
+            return _wrap(data.copy())
         rows = tuple(tuple(r) for r in data)
         ncols = len(rows[0]) if rows else 0
         for r in rows:
@@ -148,15 +148,13 @@ class Matrix:
                 raise DimensionMismatch("ragged row lengths")
         if field == FLOAT:
             floats = [[coerce_scalar(x, FLOAT) for x in r] for r in rows]
-            _set_float(self, np.array(floats, dtype=np.float64).reshape(len(rows), ncols))
-            return
+            return _wrap(np.array(floats, dtype=np.float64).reshape(len(rows), ncols))
         if field != RATIONAL:
             raise ValueError(f"unknown field {field!r}")
         fracs = [[coerce_scalar(x, field) for x in r] for r in rows]
         # the lcm of reduced denominators is already canonical
         den = math.lcm(*(x.denominator for r in fracs for x in r))
-        num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in fracs)
-        _fill_exact(self, num, ncols, den)
+        return _make(tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in fracs), ncols, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Matrix is immutable")
@@ -402,33 +400,15 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.field})"
 
 
-def _set_float(m: Matrix, arr) -> None:
-    """Make m the float matrix owning ``arr``, a 2-D float64 array.
-
-    ``Matrix`` passes a copy of a 2-D float64 array, or one built from
-    rows it checked entry by entry exactly as for the rational field;
-    :func:`_wrap` passes an array it takes over.
-    """
+def _wrap(arr: np.ndarray) -> Matrix:
+    """Float matrix owning ``arr``, a 2-D float64 array no one else writes to."""
     arr.setflags(write=False)
+    m = object.__new__(Matrix)
     object.__setattr__(m, "rows", arr.shape[0])
     object.__setattr__(m, "cols", arr.shape[1])
     object.__setattr__(m, "field", FLOAT)
     object.__setattr__(m, "data", arr)
-
-
-def _wrap(arr: np.ndarray) -> Matrix:
-    """Float matrix owning ``arr``, a float64 array no one else writes to."""
-    m = object.__new__(Matrix)
-    _set_float(m, arr)
     return m
-
-
-def _fill_exact(m: Matrix, num: tuple, cols: int, den: int) -> None:
-    object.__setattr__(m, "rows", len(num))
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "field", RATIONAL)
-    object.__setattr__(m, "num", num)
-    object.__setattr__(m, "den", den)
 
 
 def _make(num: tuple, cols: int, den: int = 1) -> Matrix:
@@ -439,7 +419,11 @@ def _make(num: tuple, cols: int, den: int = 1) -> Matrix:
     none: a 0 x 3 matrix stays 0 x 3.
     """
     m = object.__new__(Matrix)
-    _fill_exact(m, num, cols, den)
+    object.__setattr__(m, "rows", len(num))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "field", RATIONAL)
+    object.__setattr__(m, "num", num)
+    object.__setattr__(m, "den", den)
     return m
 
 
@@ -685,12 +669,13 @@ def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]]:
     disagrees on a pivot is skipped.  Of the pairs seen, those whose RREF
     has the largest rank, and among those the earliest pivot columns c,
     are combined by CRT entry by entry; a better pivot set drops the ones
-    before it.  After each pair the non-pivot columns are rebuilt by
+    before it, and a pair whose pivot set is worse than the best is
+    skipped.  After each pair the non-pivot columns are rebuilt by
     rational reconstruction (:func:`_reconstruct`), the pivot columns
-    being the identity, and the candidate R stands only if
-    :func:`_certified` proves it the RREF of m: it checks the echelon form
-    and m[:, c] R = m exactly, and the rank |c| of m modulo the kept
-    primes supplies the lower bound.  So no answer rests on a prime.
+    being the identity, and the candidate R stands only if :func:`_certified`
+    proves it the RREF of m: it checks the echelon form and m[:, c] R = m
+    exactly, and the rank |c| of m modulo the kept primes supplies the
+    lower bound.  So no answer rests on a prime.
     """
     num = m.num
     best = None  # (-rank, pivot columns) of the kept pairs

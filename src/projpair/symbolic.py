@@ -304,12 +304,7 @@ class _Evaluator:
         exponent = -int(digits) if negative else int(digits)
         if exponent < 0:
             raise NegativePower(f"negative power {exponent} cannot be evaluated")
-        if exponent == 0:
-            return self.one
-        out = base
-        for _ in range(exponent - 1):
-            out = out * base
-        return out
+        return base**exponent
 
 
 def evaluate_expr(text: str, values: dict, one):
@@ -317,8 +312,9 @@ def evaluate_expr(text: str, values: dict, one):
 
     values maps the seven atom names to ring elements and one is the
     ring's multiplicative identity (integer literals become multiples of
-    it).  No reduction is involved, so comparing this against the
-    evaluation of the expanded polynomial checks that the idempotent
+    it).  Ring elements need ``+``, ``-``, ``*`` and ``**`` with a
+    nonnegative int.  No reduction is involved, so comparing this against
+    the evaluation of the expanded polynomial checks that the idempotent
     rewriting is sound in the target ring.
 
     Raises ExprSyntaxError with the position of the first bad token.  A

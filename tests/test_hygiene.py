@@ -198,3 +198,15 @@ def test_star_import_binds_exactly_all():
         "print(json.dumps([sorted(names - set(pp.__all__)), sorted(set(pp.__all__) - names), foreign]))"
     )
     assert (extra, missing, foreign) == ([], [], [])
+
+
+def test_modules_parse_with_the_python_3_10_grammar():
+    """pyproject.toml declares requires-python >= 3.10, so every module of
+    the package, the tests and the benchmark parses with the 3.10 grammar;
+    ``except*``, new in 3.11, would not."""
+    paths = sorted(p for folder in (SRC, ROOT / "tests", ROOT / "bench") for p in folder.rglob("*.py"))
+    assert SRC / "linalg.py" in paths and ROOT / "bench" / "run.py" in paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

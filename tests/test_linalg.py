@@ -732,12 +732,13 @@ class TestMultiModular:
             assert exact_outcome(m) == want
 
     @staticmethod
-    def unlucky(modulus, rule=MODULAR_MIN_DIM):
-        """[[modulus, 0], [0, B]] with B of rank 6 and small entries: the
-        first pivot vanishes modulo every prime that divides modulus."""
+    def unlucky(modulus, rule=MODULAR_MIN_DIM, bound=3):
+        """[[modulus, 0], [0, B]] with B of rank 6, the product of factors
+        with entries in [-bound, bound]: the first pivot vanishes modulo
+        every prime that divides modulus."""
         rng = random.Random(1202)
-        left = rand_int_matrix(rng, rule, 6, bound=3)
-        b = left * rand_int_matrix(rng, 6, rule + 1, bound=3)
+        left = rand_int_matrix(rng, rule, 6, bound=bound)
+        b = left * rand_int_matrix(rng, 6, rule + 1, bound=bound)
         rows = [[modulus] + [0] * (rule + 1)]
         rows += [[0] + list(r) for r in b.num]
         return Matrix(rows, RATIONAL)
@@ -761,6 +762,30 @@ class TestMultiModular:
         m = self.unlucky(linalg._prime(0))
         assert linalg._rref_mod(m.num, linalg._prime(0), linalg._prime(1)) is None
         assert linalg._rref_modular(m) == linalg._rref_bareiss(m)
+
+    def test_pair_with_a_worse_pivot_set_is_skipped(self, monkeypatch):
+        """unlucky(p2 p3) with 40-bit factors: pair 0 finds all 7 pivots but
+        too few primes to reconstruct B's RREF, pair 1 loses the first
+        pivot and is skipped, and the pairs after it give the Bareiss RREF.
+        Were pair 1 combined with pair 0, no candidate would ever certify,
+        so the prime supply ends the test instead of an endless loop."""
+        m = self.unlucky(linalg._prime(2) * linalg._prime(3), bound=2**40)
+        real_mod, real_prime, found = linalg._rref_mod, linalg._prime, []
+
+        def counted(num, p, q):
+            layers = real_mod(num, p, q)
+            found.append(len(layers[1]))
+            return layers
+
+        def supply(i):
+            if i >= 400:
+                raise AssertionError("prime supply exhausted")
+            return real_prime(i)
+
+        monkeypatch.setattr(linalg, "_rref_mod", counted)
+        monkeypatch.setattr(linalg, "_prime", supply)
+        assert linalg._rref_modular(m) == linalg._rref_bareiss(m)
+        assert found[:4] == [7, 6, 7, 7]
 
     def test_both_primes_take_the_same_pivot_row(self):
         """A first column p0, p1, 1: its first nonzero row is row 1 modulo

@@ -12,6 +12,7 @@ from projpair.linalg import Matrix
 from projpair.scalars import RATIONAL
 from projpair.symbolic import (
     NCPoly,
+    atom_values,
     corpus_identities,
     evaluate_expr,
     expand,
@@ -125,6 +126,26 @@ class TestEvaluate:
 
     def test_zero_evaluates_to_zero(self):
         assert NCPoly.zero().evaluate(self.p, self.q, self.eye).is_zero()
+
+
+class TestPowers:
+    """X^n is the ring's n-th power of X and X^0 its one, in the free ring
+    and on matrices."""
+
+    def test_free_ring(self):
+        assert expand("M^0") == expand("I")
+        assert expand("2^3") == 8 * ONE
+
+    def test_rational_pair(self):
+        p = Matrix([[1, 2], [0, 0]], RATIONAL)
+        q = Matrix([[1, 0], [3, 0]], RATIONAL)
+        eye = Matrix.identity(2, RATIONAL)
+        atoms = atom_values(p, q, eye)
+        m = p - q
+        assert not (m * m * m).is_zero()
+        assert evaluate_expr("M^0", atoms, eye) == eye
+        assert evaluate_expr("(P - Q)^3", atoms, eye) == m * m * m
+        assert evaluate_expr("2^3", atoms, eye) == 8 * eye
 
 
 class TestParser:
