@@ -116,15 +116,19 @@ def eigenspace_dims(pair: ProjectionPair) -> dict[str, int]:
     Et_ab is the meet of the row spaces of P - (1-a)I and Q - (1-b)I, and
     z^T R_{Q-(1-b)I} lies in the first exactly when it is orthogonal to
     K_{P-(1-a)I}: dim Et_ab = rank(Q - (1-b)I) - rank(R_{Q-(1-b)I} K_{P-(1-a)I}),
-    where rank(Q - (1-b)I) is the row count of its R.
+    where rank(Q - (1-b)I) is the row count of its R.  Each product is
+    ranked from its two factors, rank(R, K): over Q, once the inner
+    dimension reaches the size rule, a full rank is proved modulo one
+    prime with no product formed, and the certified RREF or Bareiss
+    decides every other rank (:func:`rank`).
     """
     row_p, ker_p = idempotent_bases(pair.P)
     row_q, ker_q = idempotent_bases(pair.Q)
     labels = ((1, 0), (0, 1), (1, 1), (0, 0))
-    dims = {f"e{a}{b}": ker_q[b].cols - rank(row_p[a] * ker_q[b]) for a, b in labels}
+    dims = {f"e{a}{b}": ker_q[b].cols - rank(row_p[a], ker_q[b]) for a, b in labels}
     for a, b in labels:
         r = row_q[1 - b]
-        dims[f"et{a}{b}"] = r.rows - rank(r * ker_p[1 - a])
+        dims[f"et{a}{b}"] = r.rows - rank(r, ker_p[1 - a])
     return dims
 
 

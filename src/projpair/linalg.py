@@ -12,16 +12,22 @@ planes, which each matrix cuts once, on first use, and keeps in its
 read-only ``planes`` slot (:func:`_limb_planes`): one float64 GEMM per
 limb plane of B adds into one buffer of digit sums, exact while
 inner * min(limbs of A, limbs of B) < 2**21 (:func:`_limb_product`);
-a smaller product is a schoolbook sum over Python integers.  Every exact
-rank, kernel, column space, solve and inverse comes from one reduced
-row echelon form.  A matrix at the rule (:func:`_uses_primes`) is
-eliminated modulo the consecutive 31-bit primes below 2**31 - 1
-(:func:`_prime`) in int64 arrays, primes in pairs; a pair that
-disagrees on a pivot is skipped.  The RREF is rebuilt by CRT and
-rational reconstruction, and accepted once an exact product certifies
-it.  A smaller one goes through fraction-free Bareiss elimination and
-an integer back-substitution.  So results are exact and no answer rests
-on a prime.
+a smaller product is a schoolbook sum over Python integers.
+
+A rank modulo a prime never exceeds the rank over Q.  So a matrix at the
+rule, or a product whose inner dimension reaches it, that has full rank
+modulo the one prime :data:`_PROOF_PRIME` has full rank, and
+:func:`rank` returns that count with no product formed: the residues of
+a product come from one float64 GEMM of its factors' residues.  Every
+other exact rank, and every kernel, column space, solve and inverse,
+comes from one reduced row echelon form.  A matrix at the rule
+(:func:`_uses_primes`) is eliminated modulo the consecutive 31-bit
+primes below 2**31 - 1 (:func:`_prime`) in int64 arrays, primes in
+pairs; a pair that disagrees on a pivot is skipped.  The RREF is rebuilt
+by CRT and rational reconstruction, and accepted once an exact product
+certifies it.  A smaller one goes through fraction-free Bareiss
+elimination and an integer back-substitution.  So results are exact and
+no answer rests on a prime.
 
 A float matrix holds one read-only float64 ndarray, so its arithmetic
 runs in numpy and BLAS; it mirrors the same API through SVD
@@ -114,6 +120,12 @@ __all__ = [
 # a smaller one by Bareiss; a product whose rows, inner dimension and
 # columns all reach it runs on 16-bit limb planes in float64 GEMMs.
 MODULAR_MIN_DIM = 12
+
+# The prime of the full-rank proof of rank, 2**20 - 3: a product of its
+# residues sums exactly in float64 over an inner dimension of up to
+# _PROOF_MAX_INNER (8192).
+_PROOF_PRIME = 1048573
+_PROOF_MAX_INNER = (2**53 - 1) // (_PROOF_PRIME - 1) ** 2
 
 # The relative singular-value cutoff of numeric_rank.
 RANK_REL_TOL = 1e-9
@@ -616,20 +628,31 @@ def _rref_bareiss(m: Matrix) -> tuple[Matrix, list[int]]:
 
 def _rref_mod(num, p: int, q: int):
     """Gauss-Jordan RREF of the integer rows num modulo the primes p and
-    q, one int64 layer per prime, eliminated together.
-
-    Both layers take the same row swaps: the pivot row of a column is the
-    first row at or below the current one that is nonzero modulo both
-    primes.  An RREF modulo a prime does not depend on the pivot rows, so
-    each layer is the RREF modulo its prime, and the two share their
-    pivot columns.  Returns the layers' nonzero rows, as a (2, rank, cols)
-    array, and the pivot columns; or None when the pair disagrees on a
-    pivot: a column is nonzero modulo one prime below the current row,
-    but no row there is nonzero modulo both.
-    """
-    mods, pq = np.array([[p], [q]], dtype=np.int64), p * q
+    q, one int64 layer per prime, eliminated together by
+    :func:`_rref_layers`: the layers' nonzero rows, as a (2, rank, cols)
+    array, and the pivot columns, or None when the pair disagrees on a
+    pivot."""
+    pq = p * q
     # one pass of Python remainders, the rest in int64
-    a = np.array([[x % pq for x in r] for r in num], dtype=np.int64)[None] % mods[:, :, None]
+    mods = np.array([p, q], dtype=np.int64)[:, None, None]
+    a = np.array([[x % pq for x in r] for r in num], dtype=np.int64)[None] % mods
+    return _rref_layers(a, (p, q))
+
+
+def _rref_layers(a, primes):
+    """Gauss-Jordan RREF of the int64 residue layers a, layer i modulo
+    primes[i], eliminated together in place.
+
+    Every layer takes the same row swaps: the pivot row of a column is
+    the first row at or below the current one that is nonzero modulo
+    every prime.  An RREF modulo a prime does not depend on the pivot
+    rows, so each layer is the RREF modulo its prime, and the layers
+    share their pivot columns.  Returns the layers' nonzero rows, as a
+    (layers, rank, cols) array, and the pivot columns; or None when the
+    primes disagree on a pivot: a column is nonzero modulo one prime
+    below the current row, but no row there is nonzero modulo all.
+    """
+    mods = np.array(primes, dtype=np.int64)[:, None]
     nrows, ncols = a.shape[1:]
     piv_cols: list[int] = []
     r = 0
@@ -639,20 +662,19 @@ def _rref_mod(num, p: int, q: int):
         heads = a[:, r, c].tolist()
         if not all(heads):
             nonzero = a[:, r:, c] != 0
-            both = nonzero.all(axis=0)
-            if not both.any():
+            every = nonzero.all(axis=0)
+            if not every.any():
                 if nonzero.any():
                     return None
                 continue
-            i = r + int(both.argmax())
+            i = r + int(every.argmax())
             a[:, [r, i]] = a[:, [i, r]]
             heads = a[:, r, c].tolist()
-        inv = np.array([pow(heads[0], -1, p), pow(heads[1], -1, q)], dtype=np.int64)
+        inv = np.array([pow(h, -1, p) for h, p in zip(heads, primes)], dtype=np.int64)
         row = a[:, r, c:] * inv[:, None] % mods
-        factor = a[:, :, c].copy()
-        factor[:, r] = 0
+        # every row, r included, loses its column c; row r is then set
         rest = a[:, :, c:]
-        rest -= factor[:, :, None] * row[:, None, :]
+        rest -= rest[:, :, :1] * row[:, None, :]
         rest %= mods[:, :, None]
         a[:, r, c:] = row
         piv_cols.append(c)
@@ -850,15 +872,62 @@ def _bareiss_rank(m: Matrix) -> int:
     return len(_bareiss_echelon([list(r) for r in m.num], m.cols)[1])
 
 
+def _residues(m: Matrix) -> np.ndarray:
+    """m.num modulo :data:`_PROOF_PRIME`, as a float64 array."""
+    p = _PROOF_PRIME
+    flat = [x % p for x in itertools.chain.from_iterable(m.num)]
+    return np.array(flat, dtype=np.float64).reshape(m.rows, m.cols)
+
+
+def _residue_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """AB modulo :data:`_PROOF_PRIME` from the residues of A and B, in
+    one float64 GEMM.  Each sum of the GEMM is an integer below inner *
+    (p - 1)**2; while that is below 2**53, every partial sum is exact in
+    float64, in any order BLAS takes."""
+    p = _PROOF_PRIME
+    assert a.shape[1] * (p - 1) ** 2 < 2**53, "residue sums would leave float64's exact range"
+    return np.fmod(a @ b, p)
+
+
+def _residue_rank(a: Matrix, b: Matrix | None = None) -> int:
+    """The rank of a, or of the product ab, modulo :data:`_PROOF_PRIME`,
+    which is at most its rank over Q.  ab is not formed: its residues
+    are those of a times those of b (:func:`_residue_product`)."""
+    res = _residues(a)
+    if b is not None:
+        res = _residue_product(res, _residues(b))
+    return len(_rref_layers(res.astype(np.int64)[None], (_PROOF_PRIME,))[1])
+
+
 # ---------------------------------------------------------------------------
 # Field-dispatching operations
 # ---------------------------------------------------------------------------
 
 
-def rank(m: Matrix) -> int:
-    """Matrix rank: over Q the pivot count of the certified RREF at or
-    above the size rule and the Bareiss rank below it, over floats the
-    :func:`numeric_rank` of the singular values."""
+def rank(a: Matrix, b: Matrix | None = None) -> int:
+    """The rank of a, or with b that of the product ab.
+
+    Over Q, a matrix at the size rule, or a product whose inner
+    dimension reaches it (and is at most :data:`_PROOF_MAX_INNER`), is
+    first ranked modulo :data:`_PROOF_PRIME` by :func:`_residue_rank`,
+    which forms no product.  No rank modulo a prime exceeds the rank over
+    Q, so a full one, min(rows, inner, cols), is the answer.  Every other
+    rank over Q is the pivot count of the certified RREF of a or ab at or
+    above the size rule and its Bareiss rank below it.  Over floats it is
+    the :func:`numeric_rank` of the singular values of a or ab.
+    """
+    if b is None:
+        proof, full = a.field == RATIONAL and _uses_primes(a), min(a.shape)
+    else:
+        proof = (
+            a.field == b.field == RATIONAL
+            and a.cols == b.rows
+            and MODULAR_MIN_DIM <= a.cols <= _PROOF_MAX_INNER
+        )
+        full = min(a.rows, a.cols, b.cols)
+    if proof and _residue_rank(a, b) == full:
+        return full
+    m = a if b is None else a * b
     if m.field == RATIONAL:
         return len(_rref_exact(m)[1]) if _uses_primes(m) else _bareiss_rank(m)
     if m.rows == 0 or m.cols == 0:

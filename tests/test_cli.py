@@ -428,14 +428,21 @@ class TestColdStart:
         assert not {"numpy", "projpair.symbolic", "projpair.generators"} & set(loaded)
 
     @pytest.mark.parametrize(
-        "name, numpy_ran", [("r0-oblique-d3", False), ("f8-orthogonal-d6", True)]
+        "name, numpy_ran",
+        [("r0-oblique-d3", False), ("f8-orthogonal-d6", True), ("oblique-d11", False)],
     )
-    def test_verify_imports_numpy_only_for_floats(self, capsys, name, numpy_ran):
+    def test_verify_imports_numpy_only_for_floats(self, capsys, tmp_path, name, numpy_ran):
         """A small rational pair runs without numpy; a float pair loads it
         on first use and gives the same bytes as in this process, where
         numpy was imported eagerly (test_golden holds those to the .out).
-        Neither loads the symbolic engine."""
-        path = str(GOLDEN / f"{name}.json")
+        Neither loads the symbolic engine.  The d = 11 rational pair, one
+        below the size rule, is generated here: its basis products have
+        inner dimension 11, so no rank is proved modulo a prime."""
+        if name == "oblique-d11":
+            path = str(tmp_path / f"{name}.json")
+            save_pair(path, gen_pair_oblique_rational(11, 5, 6, seed=11))
+        else:
+            path = str(GOLDEN / f"{name}.json")
         code, out, ran, symbolic = fresh(
             "import contextlib, io, json, sys\n"
             "import projpair.cli\n"
@@ -448,7 +455,7 @@ class TestColdStart:
         )
         assert (code, ran, symbolic) == (0, numpy_ran, False)
         assert out == run(capsys, "verify", "--input", path, "--json")[1]
-        if not numpy_ran:
+        if not numpy_ran and name != "oblique-d11":
             assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
     def test_public_names_resolve_in_a_fresh_interpreter(self):

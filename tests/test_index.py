@@ -430,12 +430,14 @@ class TestIndexReport:
 
     def test_exact_report_pays_each_fact_once(self):
         """No matrix of a d = 20 exact report is eliminated or squared
-        twice, and the report forms 20 products: the split eliminates S
+        twice, and the report forms 12 products: the split eliminates S
         once for F and forms no S^2, each block of P or Q is its checked
         restriction, read once, with one product t B and one product of
         the rows of B off its pivots with the coordinates, M_F is squared
         once, for S_F, and no power of M_Y and no product with S is
-        formed by the verifier."""
+        formed by the verifier.  The eight basis products of the
+        eigenspace dims all have full rank, which one prime proves with
+        no product formed."""
         pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
         derived_ops.cache_clear()
         products, eliminated = [], []
@@ -453,7 +455,7 @@ class TestIndexReport:
             report = index_report(pair, (1, 3, 5, 7))
         assert report.all_verdicts_true and report.fitting_k == 1
         assert eliminated and len({id(m) for m in eliminated}) == len(eliminated)
-        assert sum(isinstance(b, Matrix) for _, b in products) == 20
+        assert sum(isinstance(b, Matrix) for _, b in products) == 12
         squares = [a for a, b in products if a is b]
         assert len({id(a) for a in squares}) == len(squares)
 
