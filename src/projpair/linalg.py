@@ -14,20 +14,21 @@ limb plane of B adds into one buffer of digit sums, exact while
 inner * min(limbs of A, limbs of B) < 2**21 (:func:`_limb_product`);
 a smaller product is a schoolbook sum over Python integers.
 
-A rank modulo a prime never exceeds the rank over Q.  So a matrix at the
-rule, or a product whose inner dimension reaches it, that has full rank
-modulo the one prime :data:`_PROOF_PRIME` has full rank, and
-:func:`rank` returns that count with no product formed: the residues of
-a product come from one float64 GEMM of its factors' residues.  Every
-other exact rank, and every kernel, column space, solve and inverse,
-comes from one reduced row echelon form.  A matrix at the rule
-(:func:`_uses_primes`) is eliminated modulo the consecutive 31-bit
-primes below 2**31 - 1 (:func:`_prime`) in int64 arrays, primes in
-pairs; a pair that disagrees on a pivot is skipped.  The RREF is rebuilt
-by CRT and rational reconstruction, and accepted once an exact product
-certifies it.  A smaller one goes through fraction-free Bareiss
-elimination and an integer back-substitution.  So results are exact and
-no answer rests on a prime.
+Every residue of a matrix's numerators modulo a prime comes from one
+intake, :func:`_residues`.  A rank modulo a prime never exceeds the rank
+over Q.  So a matrix at the rule, or a product whose inner dimension
+reaches it, that has full rank modulo the one prime :data:`_PROOF_PRIME`
+has full rank, and :func:`rank` returns that count with no product
+formed: the residues of a product come from one float64 GEMM of its
+factors' residues.  Every other exact rank, and every kernel, column
+space, solve and inverse, comes from one reduced row echelon form.  A
+matrix at the rule (:func:`_uses_primes`) is eliminated modulo the
+consecutive 31-bit primes below 2**31 - 1 (:func:`_prime`) in int64
+arrays, primes in pairs; a pair that disagrees on a pivot is skipped.
+The RREF is rebuilt by CRT and rational reconstruction, and accepted
+once an exact product certifies it.  A smaller one goes through
+fraction-free Bareiss elimination and an integer back-substitution.  So
+results are exact and no answer rests on a prime.
 
 A float matrix holds one read-only float64 ndarray, so its arithmetic
 runs in numpy and BLAS; it mirrors the same API through SVD
@@ -626,19 +627,6 @@ def _rref_bareiss(m: Matrix) -> tuple[Matrix, list[int]]:
     return _exact(num, m.cols, den), piv_cols
 
 
-def _rref_mod(num, p: int, q: int):
-    """Gauss-Jordan RREF of the integer rows num modulo the primes p and
-    q, one int64 layer per prime, eliminated together by
-    :func:`_rref_layers`: the layers' nonzero rows, as a (2, rank, cols)
-    array, and the pivot columns, or None when the pair disagrees on a
-    pivot."""
-    pq = p * q
-    # one pass of Python remainders, the rest in int64
-    mods = np.array([p, q], dtype=np.int64)[:, None, None]
-    a = np.array([[x % pq for x in r] for r in num], dtype=np.int64)[None] % mods
-    return _rref_layers(a, (p, q))
-
-
 def _rref_layers(a, primes):
     """Gauss-Jordan RREF of the int64 residue layers a, layer i modulo
     primes[i], eliminated together in place.
@@ -687,31 +675,30 @@ def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]]:
     :func:`_prime`, taken until one candidate is certified.
 
     The primes go in pairs, whose product still fits an int64, and each
-    pair is eliminated as one unit (:func:`_rref_mod`); a pair that
-    disagrees on a pivot is skipped.  Of the pairs seen, those whose RREF
-    has the largest rank, and among those the earliest pivot columns c,
-    are combined by CRT entry by entry; a better pivot set drops the ones
-    before it, and a pair whose pivot set is worse than the best is
-    skipped.  After each pair the non-pivot columns are rebuilt by
-    rational reconstruction (:func:`_reconstruct`), the pivot columns
-    being the identity, and the candidate R stands only if :func:`_certified`
-    proves it the RREF of m: it checks the echelon form and m[:, c] R = m
+    pair's residues (:func:`_residues`) are eliminated as one unit
+    (:func:`_rref_layers`); a pair that disagrees on a pivot is skipped.
+    Of the pairs seen, those whose RREF has the largest rank, and among
+    those the earliest pivot columns c, are combined by CRT entry by
+    entry; a better pivot set restarts the combination from zeros modulo
+    1, and a pair whose pivot set is worse than the best is skipped.
+    After each pair the non-pivot columns are rebuilt by rational
+    reconstruction (:func:`_reconstruct`), the pivot columns being the
+    identity, and the candidate R stands only if :func:`_certified` proves
+    it the RREF of m: it checks the echelon form and m[:, c] R = m
     exactly, and the rank |c| of m modulo the kept primes supplies the
     lower bound.  So no answer rests on a prime.
     """
     num = m.num
     best = None  # (-rank, pivot columns) of the kept pairs
-    residues: list[int] = []
-    modulus = 1
     for i in itertools.count(0, 2):
         p, q = _prime(i), _prime(i + 1)
-        layers = _rref_mod(num, p, q)
+        layers = _rref_layers(_residues(m, (p, q)), (p, q))
         if layers is None:
             continue
         reduced, piv_cols = layers
         key = (-len(piv_cols), piv_cols)
         if best is None or key < best:
-            best, residues, modulus = key, [], 1
+            best, residues, modulus = key, [0] * (len(piv_cols) * (m.cols - len(piv_cols))), 1
         elif key > best:
             continue
         pivots = set(piv_cols)
@@ -720,11 +707,8 @@ def _rref_modular(m: Matrix) -> tuple[Matrix, list[int]]:
         lift = (block[1] - block[0]) % q * pow(p, -1, q) % q
         values = (block[0] + p * lift).ravel().tolist()  # CRT of the pair, below 2^62
         pq = p * q
-        if residues:
-            inv = pow(modulus, -1, pq)
-            residues = [u + modulus * ((v - u) * inv % pq) for u, v in zip(residues, values)]
-        else:
-            residues = values
+        inv = pow(modulus, -1, pq)
+        residues = [u + modulus * ((v - u) * inv % pq) for u, v in zip(residues, values)]
         modulus *= pq
         found = _reconstruct(residues, modulus)
         if found is None:
@@ -872,31 +856,36 @@ def _bareiss_rank(m: Matrix) -> int:
     return len(_bareiss_echelon([list(r) for r in m.num], m.cols)[1])
 
 
-def _residues(m: Matrix) -> np.ndarray:
-    """m.num modulo :data:`_PROOF_PRIME`, as a float64 array."""
-    p = _PROOF_PRIME
-    flat = [x % p for x in itertools.chain.from_iterable(m.num)]
-    return np.array(flat, dtype=np.float64).reshape(m.rows, m.cols)
+def _residues(m: Matrix, primes: Sequence[int]) -> np.ndarray:
+    """m.num modulo each of the primes, as a (len(primes), rows, cols)
+    int64 array: one Python pass modulo their product, which must fit an
+    int64, then one int64 remainder per prime."""
+    modulus = math.prod(primes)
+    assert modulus < 2**63, "the product of the primes would leave int64"
+    flat = [x % modulus for x in itertools.chain.from_iterable(m.num)]
+    a = np.array(flat, dtype=np.int64).reshape(1, m.rows, m.cols)
+    return a % np.array(primes, dtype=np.int64)[:, None, None]
 
 
 def _residue_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB modulo :data:`_PROOF_PRIME` from the residues of A and B, in
-    one float64 GEMM.  Each sum of the GEMM is an integer below inner *
-    (p - 1)**2; while that is below 2**53, every partial sum is exact in
-    float64, in any order BLAS takes."""
+    """AB modulo :data:`_PROOF_PRIME` from the int64 residue layers of A
+    and B, as int64, in one float64 GEMM.  Each sum of the GEMM is an
+    integer below inner * (p - 1)**2; while that is below 2**53, every
+    partial sum is exact in float64, in any order BLAS takes."""
     p = _PROOF_PRIME
-    assert a.shape[1] * (p - 1) ** 2 < 2**53, "residue sums would leave float64's exact range"
-    return np.fmod(a @ b, p)
+    assert a.shape[-1] * (p - 1) ** 2 < 2**53, "residue sums would leave float64's exact range"
+    return np.fmod(a.astype(np.float64) @ b.astype(np.float64), p).astype(np.int64)
 
 
 def _residue_rank(a: Matrix, b: Matrix | None = None) -> int:
     """The rank of a, or of the product ab, modulo :data:`_PROOF_PRIME`,
     which is at most its rank over Q.  ab is not formed: its residues
     are those of a times those of b (:func:`_residue_product`)."""
-    res = _residues(a)
+    primes = (_PROOF_PRIME,)
+    res = _residues(a, primes)
     if b is not None:
-        res = _residue_product(res, _residues(b))
-    return len(_rref_layers(res.astype(np.int64)[None], (_PROOF_PRIME,))[1])
+        res = _residue_product(res, _residues(b, primes))
+    return len(_rref_layers(res, primes)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ export."""
 import ast
 import importlib
 import importlib.util
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -115,7 +117,7 @@ def private_imports(source: str) -> list[tuple[str, int]]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_across_modules(path):
     """A module takes only public names from the others, so kernels such
-    as ``_rref_mod`` stay the business of the module that defines them."""
+    as ``_rref_layers`` stay the business of the module that defines them."""
     assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
@@ -210,3 +212,16 @@ def test_modules_parse_with_the_python_3_10_grammar():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_workflow_python_parses_with_the_python_3_10_grammar():
+    """The CI workflow also runs Python of its own under 3.10: each
+    ``python3 - <<'EOF'`` block and each ``name='import ...'`` snippet,
+    taken out of the YAML block it sits in, parses with the 3.10 grammar."""
+    text = (ROOT / ".github" / "workflows" / "test.yml").read_text(encoding="utf-8")
+    blocks = [textwrap.dedent(b) for b in re.findall(r"<<'EOF'\n(.*?)^ *EOF$", text, re.S | re.M)]
+    # a snippet's first line follows the quote; the rest carry the YAML indent
+    snippets = [b.replace("\n" + indent, "\n") for indent, b in re.findall(r"^( *)\w+='(import [^']*)'", text, re.M)]
+    assert blocks and snippets
+    for source in blocks + snippets:
+        ast.parse(source, feature_version=(3, 10))

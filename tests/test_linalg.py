@@ -760,7 +760,8 @@ class TestMultiModular:
         the first pair has no row to share as its pivot and is skipped;
         the next pair gives the Bareiss RREF."""
         m = self.unlucky(linalg._prime(0))
-        assert linalg._rref_mod(m.num, linalg._prime(0), linalg._prime(1)) is None
+        p0, p1 = linalg._prime(0), linalg._prime(1)
+        assert linalg._rref_layers(linalg._residues(m, (p0, p1)), (p0, p1)) is None
         assert linalg._rref_modular(m) == linalg._rref_bareiss(m)
 
     def test_pair_with_a_worse_pivot_set_is_skipped(self, monkeypatch):
@@ -770,10 +771,10 @@ class TestMultiModular:
         Were pair 1 combined with pair 0, no candidate would ever certify,
         so the prime supply ends the test instead of an endless loop."""
         m = self.unlucky(linalg._prime(2) * linalg._prime(3), bound=2**40)
-        real_mod, real_prime, found = linalg._rref_mod, linalg._prime, []
+        real_layers, real_prime, found = linalg._rref_layers, linalg._prime, []
 
-        def counted(num, p, q):
-            layers = real_mod(num, p, q)
+        def counted(a, primes):
+            layers = real_layers(a, primes)
             found.append(len(layers[1]))
             return layers
 
@@ -782,7 +783,7 @@ class TestMultiModular:
                 raise AssertionError("prime supply exhausted")
             return real_prime(i)
 
-        monkeypatch.setattr(linalg, "_rref_mod", counted)
+        monkeypatch.setattr(linalg, "_rref_layers", counted)
         monkeypatch.setattr(linalg, "_prime", supply)
         assert linalg._rref_modular(m) == linalg._rref_bareiss(m)
         assert found[:4] == [7, 6, 7, 7]
@@ -797,7 +798,7 @@ class TestMultiModular:
         rows = [[head] + list(r) for head, r in zip([p0, p1, 1] + [0] * MODULAR_MIN_DIM, rest.num)]
         m = Matrix(rows, RATIONAL)
         want = linalg._rref_bareiss(m)
-        reduced, piv_cols = linalg._rref_mod(m.num, p0, p1)
+        reduced, piv_cols = linalg._rref_layers(linalg._residues(m, (p0, p1)), (p0, p1))
         assert piv_cols == want[1]
         for layer, p in zip(reduced, (p0, p1)):
             inv = pow(want[0].den, -1, p)
@@ -982,7 +983,7 @@ class TestRankOfProduct:
             return Matrix([[-1] * width], RATIONAL), Matrix([[2 * p - 1, 2 * p - 1]] * width, RATIONAL)
 
         a, b = factors(inner)
-        ra, rb = linalg._residues(a), linalg._residues(b)
+        ra, rb = linalg._residues(a, (p,))[0], linalg._residues(b, (p,))[0]
         assert ra.max() == rb.min() == p - 1
         assert (ra @ rb).tolist() == [[inner * (p - 1) ** 2] * 2]
         assert linalg._residue_product(ra, rb).tolist() == [[(a * b).num[0][0] % p] * 2]
@@ -992,7 +993,7 @@ class TestRankOfProduct:
                 assert rank(x, y) == 1
             assert gemm.called == proved
         with pytest.raises(AssertionError):
-            linalg._residue_product(linalg._residues(wide_a), linalg._residues(wide_b))
+            linalg._residue_product(linalg._residues(wide_a, (p,))[0], linalg._residues(wide_b, (p,))[0])
 
 
 @pytest.fixture(scope="module")
