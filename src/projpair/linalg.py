@@ -26,9 +26,9 @@ matrix at the rule (:func:`_uses_primes`) is eliminated modulo the
 consecutive 31-bit primes below 2**31 - 1 (:func:`_prime`) in int64
 arrays, primes in pairs; a pair that disagrees on a pivot is skipped.
 The RREF is rebuilt by CRT and rational reconstruction, and accepted
-once an exact product certifies it.  A smaller one goes through
-fraction-free Bareiss elimination and an integer back-substitution.  So
-results are exact and no answer rests on a prime.
+once an exact product certifies it.  A smaller one goes through one
+fraction-free Gauss-Jordan pass.  So results are exact and no answer
+rests on a prime.
 
 A float matrix holds one read-only float64 ndarray, so its arithmetic
 runs in numpy and BLAS; it mirrors the same API through SVD
@@ -519,11 +519,17 @@ def _limb_product(a: np.ndarray, b: np.ndarray) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+def _bareiss_echelon(
+    rows: list[list[int]], ncols: int, *, jordan: bool = False
+) -> tuple[list[list[int]], list[int]]:
     """In-place fraction-free row echelon; returns (rows, pivot_cols).
 
     One-step Bareiss: every interior division is exact, which keeps the
     intermediate entries at the size of minors instead of exploding.
+    With ``jordan`` each pivot step clears its column in the rows above
+    too, by the same exact update (fraction-free Gauss-Jordan), so every
+    pivot ends equal to the last one, d, and the nonzero rows are d
+    times the RREF.
     """
     nrows = len(rows)
     prev = 1
@@ -542,12 +548,13 @@ def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]]
         rows[r], rows[piv] = rows[piv], rows[r]
         pivot = rows[r][c]
         row_r = rows[r]
-        for i in range(r + 1, nrows):
+        others = itertools.chain(range(r), range(r + 1, nrows)) if jordan else range(r + 1, nrows)
+        for i in others:
             row_i = rows[i]
             factor = row_i[c]
             if factor == 0 and pivot == prev:
                 continue
-            for j in range(c + 1, ncols):
+            for j in range(0 if jordan else c + 1, ncols):
                 row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
             row_i[c] = 0
         prev = pivot
@@ -601,30 +608,13 @@ def _strong_probable_prime(n: int) -> bool:
 
 
 def _rref_bareiss(m: Matrix) -> tuple[Matrix, list[int]]:
-    """The RREF of :func:`_rref_exact` by Bareiss descent, then an integer
-    ascent: row k loses its entry in pivot column c_i as pivot_i * row_k
-    - row_k[c_i] * row_i, and each changed row is divided by the gcd of
-    its entries.  Each row, cleared of its content and signed so that its
-    pivot is positive, is then brought over the lcm of the pivots.
-    """
-    rows, piv_cols = _bareiss_echelon([list(r) for r in m.num], m.cols)
-    for i in range(len(piv_cols) - 1, 0, -1):
-        c = piv_cols[i]
-        row_i = rows[i]
-        pivot = row_i[c]
-        for k in range(i):
-            f = rows[k][c]
-            if f:
-                row_k = [pivot * a - f * b for a, b in zip(rows[k], row_i)]
-                g = math.gcd(*row_k)
-                rows[k] = [x // g for x in row_k]
-    reduced = []
-    for row, c in zip(rows, piv_cols):
-        g = math.gcd(*row) if row[c] > 0 else -math.gcd(*row)
-        reduced.append([x // g for x in row])
-    den = math.lcm(*(row[c] for row, c in zip(reduced, piv_cols)))
-    num = [[x * (den // row[c]) for x in row] for row, c in zip(reduced, piv_cols)]
-    return _exact(num, m.cols, den), piv_cols
+    """The RREF of :func:`_rref_exact` by one fraction-free Gauss-Jordan
+    pass (:func:`_bareiss_echelon` with ``jordan``): its nonzero rows
+    over their common pivot d, the sign of d moved into the rows."""
+    rows, piv_cols = _bareiss_echelon([list(r) for r in m.num], m.cols, jordan=True)
+    d = rows[0][piv_cols[0]] if piv_cols else 1
+    sign = -1 if d < 0 else 1
+    return _exact([[sign * x for x in row] for row in rows[: len(piv_cols)]], m.cols, sign * d), piv_cols
 
 
 def _rref_layers(a, primes):

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 no module imports another's private names, only linalg knows the size
 rule of the exact eliminations, every attribute the benchmark tracer
-patches exists, and the package exports exactly what its modules
-export."""
+patches and every name the CI workflow's Python reads exists, and the
+package exports exactly what its modules export."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import importlib.util
 import re
 import textwrap
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from test_cli import fresh
@@ -214,14 +215,75 @@ def test_modules_parse_with_the_python_3_10_grammar():
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
-def test_workflow_python_parses_with_the_python_3_10_grammar():
-    """The CI workflow also runs Python of its own under 3.10: each
-    ``python3 - <<'EOF'`` block and each ``name='import ...'`` snippet,
-    taken out of the YAML block it sits in, parses with the 3.10 grammar."""
+def workflow_python() -> list[str]:
+    """The Python the CI workflow runs of its own: each ``python3 -
+    <<'EOF'`` block and each ``name='import ...'`` snippet, taken out of
+    the YAML block it sits in."""
     text = (ROOT / ".github" / "workflows" / "test.yml").read_text(encoding="utf-8")
     blocks = [textwrap.dedent(b) for b in re.findall(r"<<'EOF'\n(.*?)^ *EOF$", text, re.S | re.M)]
     # a snippet's first line follows the quote; the rest carry the YAML indent
     snippets = [b.replace("\n" + indent, "\n") for indent, b in re.findall(r"^( *)\w+='(import [^']*)'", text, re.M)]
     assert blocks and snippets
-    for source in blocks + snippets:
+    return blocks + snippets
+
+
+def test_workflow_python_parses_with_the_python_3_10_grammar():
+    """The CI workflow runs its own Python under 3.10 too, so each block
+    and snippet of it parses with the 3.10 grammar."""
+    for source in workflow_python():
         ast.parse(source, feature_version=(3, 10))
+
+
+def test_workflow_python_names_resolve():
+    """Each name the workflow's Python imports, and each attribute it
+    reads off an imported module, exists: the d = 96 step wraps
+    ``linalg._rref_bareiss`` by name, so a rename would otherwise break
+    only CI.  The workflow's blocks run with src and tests on the path."""
+    resolved, missing = set(), []
+
+    def check(name, found):
+        (resolved.add if found else missing.append)(name)
+
+    for source in workflow_python():
+        tree = ast.parse(source)
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    modules[alias.asname or alias.name] = importlib.import_module(alias.name)
+            elif isinstance(node, ast.ImportFrom):
+                owner = importlib.import_module(node.module)
+                for alias in node.names:
+                    # a name of a module, or a submodule of a package
+                    value = getattr(owner, alias.name, None)
+                    if isinstance(value, ModuleType):
+                        modules[alias.asname or alias.name] = value
+                    check(f"{node.module}.{alias.name}", value is not None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                check(f"{node.value.id}.{node.attr}", hasattr(modules[node.value.id], node.attr))
+    assert missing == []
+    assert {
+        "linalg._rref_bareiss",
+        "linalg._uses_primes",
+        "test_fitting.direct_sum",
+        "test_fitting.jordan_pair",
+        "projpair.index_report",
+    } <= resolved
+
+
+def test_test_linalg_runs_no_modular_elimination_when_imported():
+    """Importing tests/test_linalg.py eliminates no matrix at the size
+    rule, so a fault in the multi-modular path fails the tests that reach
+    it instead of hanging the collection of the whole module."""
+    assert fresh(
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from projpair import linalg\n"
+        "def refuse(m):\n"
+        "    raise AssertionError(f'_rref_modular of a {m.rows}x{m.cols} matrix at import')\n"
+        "linalg._rref_modular = refuse\n"
+        "import test_linalg\n"
+        "print('true')",
+        str(ROOT / "tests"),
+    )

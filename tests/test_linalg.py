@@ -401,6 +401,24 @@ WIDE = Matrix(
 )
 
 
+def _rank_nine_with_a_zero_column():
+    """An 11 x 11 product of 40-bit factors, 11 x 9 by 9 x 11, whose
+    column 4 is zero: rank 9, below the size rule."""
+    rng = random.Random(34)
+    a = [[rng.randint(-(2**40), 2**40) for _ in range(9)] for _ in range(11)]
+    b = [[0 if j == 4 else rng.randint(-(2**40), 2**40) for j in range(11)] for _ in range(9)]
+    return Matrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a], RATIONAL)
+
+
+RANK_NINE = _rank_nine_with_a_zero_column()
+# the last common pivot of its fraction-free elimination is -3
+NEGATIVE_LAST_PIVOT = Matrix([[2, 1, 3], [1, -1, 0]], RATIONAL)
+# [A | I]: the elimination behind an inverse
+A_AND_IDENTITY = Matrix(
+    [[random.Random(6 * i + j).randint(-9, 9) for j in range(6)] for i in range(6)], RATIONAL
+).hstack(Matrix.identity(6, RATIONAL))
+
+
 class TestExactKernels:
     """The integer-scaled product and RREF against plain Fraction loops."""
 
@@ -508,6 +526,9 @@ class TestExactKernels:
     @example(NEGATIVE_PIVOTS)
     @example(RANK_ONE)
     @example(WIDE)
+    @example(RANK_NINE)
+    @example(NEGATIVE_LAST_PIVOT)
+    @example(A_AND_IDENTITY)
     @settings(max_examples=150, deadline=None)
     def test_rref_matches_fraction_gauss_jordan(self, m):
         rref, piv_cols = _rref_exact(m)
@@ -1283,13 +1304,15 @@ def operators_and_subspaces(draw):
     return t, Subspace(v)
 
 
-# P of a d = 26 pair of rank 12, with im P, which P preserves, and the
-# span of 12 random columns, which it does not: their 14 rows off the
-# pivots run the check product of restriction at the size rule.
-AT_RULE_P = gen_pair_oblique_rational(26, 12, 14, seed=7).P
-AT_RULE_COLUMNS = Matrix(
-    [[random.Random(26 * i + j).randint(-9, 9) for j in range(12)] for i in range(26)], RATIONAL
-)
+def assert_restriction_matches_solving(t, w):
+    want = restrict_by_solving(t, w)
+    if want is None:
+        with pytest.raises(NotInvariant):
+            restrict_operator(t, w)
+        assert not w.contains(Subspace(t * w.basis))
+    else:
+        assert restrict_operator(t, w) == want
+        assert w.contains(Subspace(t * w.basis))
 
 
 class TestPivotForm:
@@ -1320,19 +1343,22 @@ class TestPivotForm:
     # pivot rows that are not the leading rows
     @example((Matrix.diag([1, 2, 3], RATIONAL), Subspace(Matrix([[0], [1], [0]], RATIONAL))))
     @example((Matrix.diag([1, 2, 3], RATIONAL), kernel_basis(Matrix([[1, 0, 0]], RATIONAL))))
-    @example((AT_RULE_P, Subspace(AT_RULE_P)))
-    @example((AT_RULE_P, Subspace(AT_RULE_COLUMNS)))
     @settings(max_examples=150, deadline=None)
     def test_restriction_matches_solving(self, case):
-        t, w = case
-        want = restrict_by_solving(t, w)
-        if want is None:
-            with pytest.raises(NotInvariant):
-                restrict_operator(t, w)
-            assert not w.contains(Subspace(t * w.basis))
-        else:
-            assert restrict_operator(t, w) == want
-            assert w.contains(Subspace(t * w.basis))
+        assert_restriction_matches_solving(*case)
+
+    def test_restriction_matches_solving_at_the_size_rule(self):
+        """P of a d = 26 pair of rank 12, with im P, which P preserves, and
+        the span of 12 random columns, which it does not: their 14 rows off
+        the pivots run the check product of restriction at the size rule.
+        Built here, not when the module is imported, so a fault in the
+        modular elimination fails this test instead of the collection."""
+        p = gen_pair_oblique_rational(26, 12, 14, seed=7).P
+        columns = Matrix(
+            [[random.Random(26 * i + j).randint(-9, 9) for j in range(12)] for i in range(26)], RATIONAL
+        )
+        assert_restriction_matches_solving(p, Subspace(p))
+        assert_restriction_matches_solving(p, Subspace(columns))
 
     @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

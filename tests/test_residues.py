@@ -1,9 +1,9 @@
 """The one residue intake of the exact path, _residues(m, primes),
 against a Python remainder per entry and per prime.
 
-It has a module of its own because test_linalg builds a pair at the size
-rule when imported: a faulty intake leaves that build climbing through
-primes, and this contract could not report."""
+It is a module of its own: the whole contract that any body of the
+intake must meet, which runs alone in about a second, without the
+property tests of test_linalg."""
 
 import random
 
