@@ -13,8 +13,8 @@ failure pinpoints the exact link that broke.
 
 The report needs only the eight dimensions, and :func:`eigenspace_dims`
 takes them from ranks of products of row-space and kernel bases of P,
-P - I, Q and Q - I, the four bases of each idempotent from one
-elimination of it.  :func:`compute_eigenspaces` builds the bases, by
+P - I, Q and Q - I, at the size rule from the residues of P and Q
+modulo one prime.  :func:`compute_eigenspaces` builds the bases, by
 kernels and their intersections, for callers that need the vectors.
 """
 
@@ -28,7 +28,7 @@ from .fitting import FittingDecomposition, fitting_decomposition
 from .linalg import (
     Matrix,
     Subspace,
-    idempotent_bases,
+    basis_product_ranks,
     kernel_basis,
     np,
     rank,
@@ -105,31 +105,21 @@ def compute_eigenspaces(pair: ProjectionPair) -> EigenspaceSet:
 
 
 def eigenspace_dims(pair: ProjectionPair) -> dict[str, int]:
-    """The eight eigenspace dimensions from two eliminations and eight
-    small ranks, with no kernel intersected.
+    """The eight eigenspace dimensions from the ranks of Q - bI and of
+    eight products of bases R_{X-aI} of the row space and K_{X-aI} of the
+    kernel of X - aI (:func:`basis_product_ranks`), no kernel intersected.
 
-    One elimination of P gives a row-space basis R and a kernel basis K
-    of both P and P - I (:func:`idempotent_bases`), and one of Q those of
-    Q and Q - I.  E_ab is the kernel of P - aI inside ker(Q - bI), so
-    dim E_ab = dim K_{Q-bI} - rank(R_{P-aI} K_{Q-bI}).
-    For an idempotent X, ker(X^T - cI) is the row space of X - (1-c)I, so
-    Et_ab is the meet of the row spaces of P - (1-a)I and Q - (1-b)I, and
-    z^T R_{Q-(1-b)I} lies in the first exactly when it is orthogonal to
-    K_{P-(1-a)I}: dim Et_ab = rank(Q - (1-b)I) - rank(R_{Q-(1-b)I} K_{P-(1-a)I}),
-    where rank(Q - (1-b)I) is the row count of its R.  Each product is
-    ranked from its two factors, rank(R, K): over Q, once the inner
-    dimension reaches the size rule, a full rank is proved modulo one
-    prime with no product formed, and the certified RREF or Bareiss
-    decides every other rank (:func:`rank`).
+    E_ab is the kernel of P - aI inside ker(Q - bI), so dim E_ab = d -
+    rank(Q - bI) - rank(R_{P-aI} K_{Q-bI}).  For an idempotent X, ker(X^T
+    - cI) is the row space of X - (1-c)I, so Et_ab is the meet of the row
+    spaces of P - (1-a)I and Q - (1-b)I, and z^T R_{Q-(1-b)I} lies in the
+    first exactly when it is orthogonal to K_{P-(1-a)I}: dim Et_ab =
+    rank(Q - (1-b)I) - rank(R_{Q-(1-b)I} K_{P-(1-a)I}).
     """
-    row_p, ker_p = idempotent_bases(pair.P)
-    row_q, ker_q = idempotent_bases(pair.Q)
+    (_, rank_q), ranks = basis_product_ranks(pair.P, pair.Q)
     labels = ((1, 0), (0, 1), (1, 1), (0, 0))
-    dims = {f"e{a}{b}": ker_q[b].cols - rank(row_p[a], ker_q[b]) for a, b in labels}
-    for a, b in labels:
-        r = row_q[1 - b]
-        dims[f"et{a}{b}"] = r.rows - rank(r, ker_p[1 - a])
-    return dims
+    dims = {f"e{a}{b}": pair.dim - rank_q[b] - ranks[0, a, b] for a, b in labels}
+    return dims | {f"et{a}{b}": rank_q[1 - b] - ranks[1, 1 - b, 1 - a] for a, b in labels}
 
 
 def trace_power(pair: ProjectionPair, n: int) -> Scalar:

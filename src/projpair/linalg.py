@@ -20,15 +20,17 @@ over Q.  So a matrix at the rule, or a product whose inner dimension
 reaches it, that has full rank modulo the one prime :data:`_PROOF_PRIME`
 has full rank, and :func:`rank` returns that count with no product
 formed: the residues of a product come from one float64 GEMM of its
-factors' residues.  Every other exact rank, and every kernel, column
-space, solve and inverse, comes from one reduced row echelon form.  A
-matrix at the rule (:func:`_uses_primes`) is eliminated modulo the
-consecutive 31-bit primes below 2**31 - 1 (:func:`_prime`) in int64
-arrays, primes in pairs; a pair that disagrees on a pivot is skipped.
-The RREF is rebuilt by CRT and rational reconstruction, and accepted
-once an exact product certifies it.  A smaller one goes through one
-fraction-free Gauss-Jordan pass.  So results are exact and no answer
-rests on a prime.
+factors' residues; :func:`basis_product_ranks` reads the eigenspace
+ranks of two idempotents at the rule off their residues alone.  Every
+other exact rank, and every kernel, column space, solve and inverse,
+comes from one reduced row echelon form.  A matrix at the rule
+(:func:`_uses_primes`) is eliminated modulo the consecutive 31-bit
+primes below 2**31 - 1 (:func:`_prime`) in int64 arrays, primes in
+pairs; a pair that disagrees on a pivot is skipped.  The RREF is
+rebuilt by CRT and rational reconstruction, and accepted once an exact
+product certifies it.  A smaller one goes through one fraction-free
+Gauss-Jordan pass.  So results are exact and no answer rests on a
+prime.
 
 A float matrix holds one read-only float64 ndarray, so its arithmetic
 runs in numpy and BLAS; it mirrors the same API through SVD
@@ -105,6 +107,7 @@ __all__ = [
     "kernel_basis",
     "row_and_kernel",
     "idempotent_bases",
+    "basis_product_ranks",
     "subspace_sum",
     "subspace_intersection",
     "restrict_operator",
@@ -878,6 +881,19 @@ def _residue_rank(a: Matrix, b: Matrix | None = None) -> int:
     return len(_rref_layers(res, primes)[1])
 
 
+def _residue_bases(x: Matrix) -> tuple[tuple, tuple]:
+    """The bases ((R_X, R_{X-I}), (K_X, K_{X-I})) of :func:`idempotent_bases`
+    for an idempotent x modulo :data:`_PROOF_PRIME` (the last two times the
+    unit x.den), as (1, rows, cols) int64 layers, from one elimination."""
+    p, eye = _PROOF_PRIME, np.eye(x.cols, dtype=np.int64)
+    num = _residues(x, (p,))
+    rows, piv_cols = _rref_layers(num.copy(), (p,))
+    free = [c for c in range(x.cols) if c not in piv_cols]
+    r_xi = (x.den % p * eye[free] - num[:, free]) % p
+    eye[piv_cols] -= rows[0]  # K_X = (I - R_X on the pivot rows)[:, free]
+    return (rows, r_xi), (eye[None, :, free] % p, num[:, :, piv_cols])
+
+
 # ---------------------------------------------------------------------------
 # Field-dispatching operations
 # ---------------------------------------------------------------------------
@@ -971,6 +987,40 @@ def idempotent_bases(x: Matrix) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Ma
     u, s, vh = np.linalg.svd(x.data, full_matrices=True)
     r, _ = numeric_rank(s, x.shape)
     return (_wrap(vh[:r]), _wrap(u[:, r:].T)), (_wrap(vh[r:].T), _wrap(u[:, :r]))
+
+
+def basis_product_ranks(x: Matrix, y: Matrix) -> tuple[tuple, dict[tuple[int, int, int], int]]:
+    """For idempotents X and Y of one size: ((rank X, rank(X - I)), (rank
+    Y, rank(Y - I))) and the ranks of the products R_{U-aI} K_{V-bI} of
+    the bases of :func:`idempotent_bases`, keyed (i, a, b), with (U, V) =
+    (X, Y) if i = 0 else (Y, X).
+
+    Over Q at the size rule, where p = :data:`_PROOF_PRIME` divides
+    neither denominator, they are read modulo p (:func:`_residue_bases`),
+    with no elimination of X or Y over Q.  X modulo p is idempotent, so
+    its rank is tr X modulo p, which is rank X as rank X <= d < p.  So the
+    row space and kernel of X - aI modulo p are the reductions of the
+    saturated rational ones, any bases of them differ from reduced
+    Z_(p)-bases by invertible matrices, and the rank of a reduced
+    p-integral product never exceeds its rank over Q: the ranks of X - aI
+    are exact, and so is each product of full rank min(rows, cols) modulo
+    p.  Every other product is rank(R, K) of the exact bases.
+    """
+    pair, ranks, p = (x, y), {}, _PROOF_PRIME
+    exact = functools.cache(lambda i: idempotent_bases(pair[i]))
+    if x.field == RATIONAL and MODULAR_MIN_DIM <= x.rows <= _PROOF_MAX_INNER and x.den % p and y.den % p:
+        mod = [_residue_bases(z) for z in pair]
+        sizes = tuple(tuple(r.shape[1] for r in rows) for rows, _ in mod)
+        for i, a, b in itertools.product((0, 1), repeat=3):
+            prod = _residue_product(mod[i][0][a], mod[1 - i][1][b])
+            if len(_rref_layers(prod, (p,))[1]) == min(prod.shape[1:]):
+                ranks[i, a, b] = min(prod.shape[1:])
+    else:
+        sizes = tuple(tuple(r.rows for r in exact(i)[0]) for i in (0, 1))
+    for i, a, b in itertools.product((0, 1), repeat=3):
+        if (i, a, b) not in ranks:
+            ranks[i, a, b] = rank(exact(i)[0][a], exact(1 - i)[1][b])
+    return sizes, ranks
 
 
 def kernel_basis(m: Matrix) -> "Subspace":

@@ -228,6 +228,44 @@ class TestRankFormulaOracle:
         dims = rank_formula_dims(shear_pair())
         assert (dims["e11"], dims["et00"]) == (1, 1)
 
+    @pytest.mark.parametrize(
+        "name, exact",
+        [("oblique-d12-ranks-0-12", False), ("oblique-d13", False), ("oblique-d16", False),
+         ("oblique-d20", False), ("jordan2-sum-d16", True), ("jordan3-sum-d18", True),
+         ("prescribed-d15", True), ("proof-prime-denominator-d14", True)],
+    )
+    def test_eight_dims_at_the_size_rule(self, name, exact):
+        """At the size rule the dims of an oblique pair come from the
+        residues of P and Q modulo the proof prime, and no exact RREF sees
+        P or Q.  Jordan sums and prescribed pairs have basis products short
+        modulo that prime, and a P with the prime in its denominator has no
+        residues, so those take the exact bases: each of P and Q is
+        eliminated once.  (The pairs are built here, not at collection.)"""
+        p = linalg._PROOF_PRIME
+        shear = make_pair(
+            Matrix([[1, Fraction(1, p)], [0, 0]], RATIONAL), Matrix.diag([1, 0], RATIONAL)
+        )
+        spec = PrescribedSpec(
+            d10=2, d01=3, d11=2, d00=2, generic_blocks=(ShearBlock(Fraction(1, 3)),
+            PythagoreanBlock(3, 1), PythagoreanBlock(4, 3)), conjugate=True, seed=35,
+        )
+        pair = {
+            "oblique-d12-ranks-0-12": lambda: gen_pair_oblique_rational(12, 0, 12, seed=1),
+            "oblique-d13": lambda: gen_pair_oblique_rational(13, 6, 6, seed=2),
+            "oblique-d16": lambda: gen_pair_oblique_rational(16, 3, 14, seed=3),
+            "oblique-d20": lambda: gen_pair_oblique_rational(20, 9, 11, seed=4),
+            "jordan2-sum-d16": lambda: direct_sum(jordan_pair(2), gen_pair_oblique_rational(12, 5, 7, seed=5)),
+            "jordan3-sum-d18": lambda: direct_sum(jordan_pair(3), gen_pair_oblique_rational(12, 6, 6, seed=6)),
+            "prescribed-d15": lambda: gen_prescribed(spec)[0],
+            "proof-prime-denominator-d14": lambda: direct_sum(shear, gen_pair_oblique_rational(12, 5, 7, seed=9)),
+        }[name]()
+        assert pair.dim >= linalg.MODULAR_MIN_DIM
+        with mock.patch.object(linalg, "_rref_exact", wraps=linalg._rref_exact) as rref:
+            dims = eigenspace_dims(pair)
+        seen = [call.args[0] for call in rref.call_args_list]
+        assert [sum(m == x for m in seen) for x in (pair.P, pair.Q)] == [int(exact)] * 2
+        assert dims == rank_formula_dims(pair)
+
 
 class TestAvronSeilerSimon:
     """Avron, Seiler and Simon 1994: for orthogonal projections M = P - Q
@@ -435,9 +473,10 @@ class TestIndexReport:
         restriction, read once, with one product t B and one product of
         the rows of B off its pivots with the coordinates, M_F is squared
         once, for S_F, and no power of M_Y and no product with S is
-        formed by the verifier.  The eight basis products of the
-        eigenspace dims all have full rank, which one prime proves with
-        no product formed."""
+        formed by the verifier.  The eigenspace dims eliminate neither P
+        nor Q over Q: the ranks of P and Q and of the eight basis products,
+        all full, are read off the residues of P and Q modulo one prime,
+        with no product formed."""
         pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
         derived_ops.cache_clear()
         products, eliminated = [], []
@@ -455,6 +494,7 @@ class TestIndexReport:
             report = index_report(pair, (1, 3, 5, 7))
         assert report.all_verdicts_true and report.fitting_k == 1
         assert eliminated and len({id(m) for m in eliminated}) == len(eliminated)
+        assert not any(m == pair.P or m == pair.Q for m in eliminated)
         assert sum(isinstance(b, Matrix) for _, b in products) == 12
         squares = [a for a, b in products if a is b]
         assert len({id(a) for a in squares}) == len(squares)
