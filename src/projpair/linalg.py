@@ -16,21 +16,19 @@ a smaller product is a schoolbook sum over Python integers.
 
 Every residue of a matrix's numerators modulo a prime comes from one
 intake, :func:`_residues`.  A rank modulo a prime never exceeds the rank
-over Q.  So a matrix at the rule, or a product whose inner dimension
-reaches it, that has full rank modulo the one prime :data:`_PROOF_PRIME`
-has full rank, and :func:`rank` returns that count with no product
-formed: the residues of a product come from one float64 GEMM of its
-factors' residues; :func:`basis_product_ranks` reads the eigenspace
-ranks of two idempotents at the rule off their residues alone.  Every
-other exact rank, and every kernel, column space, solve and inverse,
-comes from one reduced row echelon form.  A matrix at the rule
-(:func:`_uses_primes`) is eliminated modulo the consecutive 31-bit
-primes below 2**31 - 1 (:func:`_prime`) in int64 arrays, primes in
-pairs; a pair that disagrees on a pivot is skipped.  The RREF is
-rebuilt by CRT and rational reconstruction, and accepted once an exact
-product certifies it.  A smaller one goes through one fraction-free
-Gauss-Jordan pass.  So results are exact and no answer rests on a
-prime.
+over Q.  So a matrix at the rule of full rank modulo the one prime
+:data:`_PROOF_PRIME` has full rank, and :func:`rank` returns that count;
+:func:`basis_product_ranks` reads the eigenspace ranks of two idempotents
+at the rule off their residues alone, the residues of a product being
+one float64 GEMM of its factors'.  Every other exact rank, and every
+kernel, column space, solve and inverse, comes from one reduced row
+echelon form.  A matrix at the rule (:func:`_uses_primes`) is eliminated
+modulo the consecutive 31-bit primes below 2**31 - 1 (:func:`_prime`) in
+int64 arrays, primes in pairs; a pair that disagrees on a pivot is
+skipped.  The RREF is rebuilt by CRT and rational reconstruction, and
+accepted once an exact product certifies it.  A smaller one goes through
+one fraction-free Gauss-Jordan pass.  So results are exact and no answer
+rests on a prime.
 
 A float matrix holds one read-only float64 ndarray, so its arithmetic
 runs in numpy and BLAS; it mirrors the same API through SVD
@@ -125,8 +123,8 @@ __all__ = [
 # columns all reach it runs on 16-bit limb planes in float64 GEMMs.
 MODULAR_MIN_DIM = 12
 
-# The prime of the full-rank proof of rank, 2**20 - 3: a product of its
-# residues sums exactly in float64 over an inner dimension of up to
+# The prime of the full-rank proofs, 2**20 - 3: a product of its residues
+# sums exactly in float64 over an inner dimension of up to
 # _PROOF_MAX_INNER (8192).
 _PROOF_PRIME = 1048573
 _PROOF_MAX_INNER = (2**53 - 1) // (_PROOF_PRIME - 1) ** 2
@@ -849,6 +847,12 @@ def _bareiss_rank(m: Matrix) -> int:
     return len(_bareiss_echelon([list(r) for r in m.num], m.cols)[1])
 
 
+def _exact_rank(m: Matrix) -> int:
+    """The rank of a rational m with no proof modulo a prime: the pivot
+    count of its certified RREF at the size rule, its Bareiss rank below."""
+    return len(_rref_exact(m)[1]) if _uses_primes(m) else _bareiss_rank(m)
+
+
 def _residues(m: Matrix, primes: Sequence[int]) -> np.ndarray:
     """m.num modulo each of the primes, as a (len(primes), rows, cols)
     int64 array: one Python pass modulo their product, which must fit an
@@ -864,21 +868,11 @@ def _residue_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """AB modulo :data:`_PROOF_PRIME` from the int64 residue layers of A
     and B, as int64, in one float64 GEMM.  Each sum of the GEMM is an
     integer below inner * (p - 1)**2; while that is below 2**53, every
-    partial sum is exact in float64, in any order BLAS takes."""
+    partial sum is exact in float64, in any order BLAS takes, and each
+    sum converts to int64 exactly for the remainder."""
     p = _PROOF_PRIME
     assert a.shape[-1] * (p - 1) ** 2 < 2**53, "residue sums would leave float64's exact range"
-    return np.fmod(a.astype(np.float64) @ b.astype(np.float64), p).astype(np.int64)
-
-
-def _residue_rank(a: Matrix, b: Matrix | None = None) -> int:
-    """The rank of a, or of the product ab, modulo :data:`_PROOF_PRIME`,
-    which is at most its rank over Q.  ab is not formed: its residues
-    are those of a times those of b (:func:`_residue_product`)."""
-    primes = (_PROOF_PRIME,)
-    res = _residues(a, primes)
-    if b is not None:
-        res = _residue_product(res, _residues(b, primes))
-    return len(_rref_layers(res, primes)[1])
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
 
 
 def _residue_bases(x: Matrix) -> tuple[tuple, tuple]:
@@ -899,32 +893,21 @@ def _residue_bases(x: Matrix) -> tuple[tuple, tuple]:
 # ---------------------------------------------------------------------------
 
 
-def rank(a: Matrix, b: Matrix | None = None) -> int:
-    """The rank of a, or with b that of the product ab.
+def rank(m: Matrix) -> int:
+    """The rank of m.
 
-    Over Q, a matrix at the size rule, or a product whose inner
-    dimension reaches it (and is at most :data:`_PROOF_MAX_INNER`), is
-    first ranked modulo :data:`_PROOF_PRIME` by :func:`_residue_rank`,
-    which forms no product.  No rank modulo a prime exceeds the rank over
-    Q, so a full one, min(rows, inner, cols), is the answer.  Every other
-    rank over Q is the pivot count of the certified RREF of a or ab at or
-    above the size rule and its Bareiss rank below it.  Over floats it is
-    the :func:`numeric_rank` of the singular values of a or ab.
+    Over Q, a matrix at the size rule is first ranked modulo
+    :data:`_PROOF_PRIME`, its residues (:func:`_residues`) eliminated
+    once.  No rank modulo a prime exceeds the rank over Q, so a full one,
+    min(rows, cols), is the answer.  Every other rank over Q is
+    :func:`_exact_rank`.  Over floats it is the :func:`numeric_rank` of
+    the singular values of m.
     """
-    if b is None:
-        proof, full = a.field == RATIONAL and _uses_primes(a), min(a.shape)
-    else:
-        proof = (
-            a.field == b.field == RATIONAL
-            and a.cols == b.rows
-            and MODULAR_MIN_DIM <= a.cols <= _PROOF_MAX_INNER
-        )
-        full = min(a.rows, a.cols, b.cols)
-    if proof and _residue_rank(a, b) == full:
-        return full
-    m = a if b is None else a * b
     if m.field == RATIONAL:
-        return len(_rref_exact(m)[1]) if _uses_primes(m) else _bareiss_rank(m)
+        primes, full = (_PROOF_PRIME,), min(m.shape)
+        if _uses_primes(m) and len(_rref_layers(_residues(m, primes), primes)[1]) == full:
+            return full
+        return _exact_rank(m)
     if m.rows == 0 or m.cols == 0:
         return 0
     return numeric_rank(np.linalg.svd(m.data, compute_uv=False), m.shape)[0]
@@ -1004,12 +987,15 @@ def basis_product_ranks(x: Matrix, y: Matrix) -> tuple[tuple, dict[tuple[int, in
     Z_(p)-bases by invertible matrices, and the rank of a reduced
     p-integral product never exceeds its rank over Q: the ranks of X - aI
     are exact, and so is each product of full rank min(rows, cols) modulo
-    p.  Every other product is rank(R, K) of the exact bases.
+    p.  A product short modulo p is formed from the exact bases and
+    ranked by :func:`_exact_rank`, with no second try modulo p.  Every
+    other product, over floats, below the rule or with p in a
+    denominator, is the :func:`rank` of R K from the exact bases.
     """
-    pair, ranks, p = (x, y), {}, _PROOF_PRIME
+    pair, ranks, p, fallback = (x, y), {}, _PROOF_PRIME, rank
     exact = functools.cache(lambda i: idempotent_bases(pair[i]))
     if x.field == RATIONAL and MODULAR_MIN_DIM <= x.rows <= _PROOF_MAX_INNER and x.den % p and y.den % p:
-        mod = [_residue_bases(z) for z in pair]
+        mod, fallback = [_residue_bases(z) for z in pair], _exact_rank
         sizes = tuple(tuple(r.shape[1] for r in rows) for rows, _ in mod)
         for i, a, b in itertools.product((0, 1), repeat=3):
             prod = _residue_product(mod[i][0][a], mod[1 - i][1][b])
@@ -1019,7 +1005,7 @@ def basis_product_ranks(x: Matrix, y: Matrix) -> tuple[tuple, dict[tuple[int, in
         sizes = tuple(tuple(r.rows for r in exact(i)[0]) for i in (0, 1))
     for i, a, b in itertools.product((0, 1), repeat=3):
         if (i, a, b) not in ranks:
-            ranks[i, a, b] = rank(exact(i)[0][a], exact(1 - i)[1][b])
+            ranks[i, a, b] = fallback(exact(i)[0][a] * exact(1 - i)[1][b])
     return sizes, ranks
 
 

@@ -147,19 +147,55 @@ def test_checker_flags_unused_and_spares_used():
     assert unused_imports(source) == [("Iterable", 4), ("j", 3)]
 
 
-def test_tracer_patches_resolve():
-    """bench/spans.py wraps (module, attribute) pairs by name; a refactor
-    that drops one would otherwise break only ``bench/run.py --trace 1``."""
+def bench_spans() -> ModuleType:
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    assert spans.LAYER_PATCHES
+    return spans
+
+
+def tracer_patches(spans: ModuleType) -> list[tuple[str, object, str]]:
+    """(owner name, owner, attribute) of each of the tracer's LAYER_PATCHES."""
+    patches = []
     for owner_name, attr, _ in spans.LAYER_PATCHES:
         mod_name, _, cls_name = owner_name.partition(".")
         owner = importlib.import_module(f"projpair.{mod_name}")
-        if cls_name:
-            owner = getattr(owner, cls_name)
+        patches.append((owner_name, getattr(owner, cls_name) if cls_name else owner, attr))
+    return patches
+
+
+def test_tracer_patches_resolve():
+    """bench/spans.py wraps (module, attribute) pairs by name; a refactor
+    that drops one would otherwise break only ``bench/run.py --trace 1``."""
+    patches = tracer_patches(bench_spans())
+    assert patches
+    for owner_name, owner, attr in patches:
         assert callable(getattr(owner, attr, None)), f"{owner_name}.{attr}"
+
+
+def test_tracer_reads_a_traced_report_and_restores_every_patch():
+    """The tracer reads more than the names it patches: its Fitting
+    observer reads the split's Y basis and blocks and a rational
+    ``Matrix.data``.  One traced report on a rational pair at the size
+    rule and one on a float pair fill both counters, raise nothing, and
+    uninstalling puts back every patched attribute."""
+    import projpair
+    from projpair.generators import gen_pair_oblique_rational, gen_pair_orthogonal
+
+    spans = bench_spans()
+    originals = [(name, owner, attr, getattr(owner, attr)) for name, owner, attr in tracer_patches(spans)]
+    pairs = (gen_pair_oblique_rational(12, 5, 7, seed=3), gen_pair_orthogonal(8, 3, 4, seed=3))
+    tracer = spans.Tracer()
+    tracer.install(projpair)
+    try:
+        for pair in pairs:
+            projpair.index.index_report(pair, (1, 3))
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["fitting.k_max"] >= 1 and tracer.counters["linalg.max_entry_bits"] > 0
+    reports = [s for s in tracer.spans if s[3] == "index.index_report"]
+    assert len(reports) == 2 and not any(s[6] for s in tracer.spans)
+    assert [f"{name}.{attr}" for name, owner, attr, fn in originals if getattr(owner, attr) is not fn] == []
 
 
 @pytest.mark.parametrize(

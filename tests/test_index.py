@@ -266,6 +266,21 @@ class TestRankFormulaOracle:
         assert [sum(m == x for m in seen) for x in (pair.P, pair.Q)] == [int(exact)] * 2
         assert dims == rank_formula_dims(pair)
 
+    def test_short_products_are_not_reduced_again(self):
+        """On a Jordan sum at d = 22 two of the eight basis products are
+        short modulo the proof prime and are ranked over Q from the exact
+        bases.  Their factors are not reduced modulo the prime for a
+        second try: only P and Q are."""
+        p = linalg._PROOF_PRIME
+        pair = direct_sum(jordan_pair(3), gen_pair_oblique_rational(16, 7, 9, seed=5))
+        with mock.patch.object(linalg, "_residues", wraps=linalg._residues) as intake:
+            sizes, ranks = linalg.basis_product_ranks(pair.P, pair.Q)
+        full = {key: min(sizes[key[0]][key[1]], pair.dim - sizes[1 - key[0]][key[2]]) for key in ranks}
+        assert sorted(full[key] - r for key, r in ranks.items()) == [0] * 6 + [1, 1]
+        reduced = [call.args[0] for call in intake.call_args_list if tuple(call.args[1]) == (p,)]
+        assert len(reduced) == 2 and reduced[0] == pair.P and reduced[1] == pair.Q
+        assert eigenspace_dims(pair) == rank_formula_dims(pair)
+
 
 class TestAvronSeilerSimon:
     """Avron, Seiler and Simon 1994: for orthogonal projections M = P - Q

@@ -914,68 +914,16 @@ class TestMultiModular:
             assert got == _rref_exact(m)
 
 
-@st.composite
-def rank_products(draw):
-    """Factors A (rows x inner) and B (inner x cols) with inner 11, 12 or
-    13, one below the size rule and two at it, whose product has full
-    rank min(rows, inner, cols), one less, or a lower rank r, made by
-    A = X Y with r columns of X; integer entries of up to 120 bits and
-    small denominators."""
-    inner = draw(st.sampled_from((MODULAR_MIN_DIM - 1, MODULAR_MIN_DIM, MODULAR_MIN_DIM + 1)))
-    rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
-    full = min(rows, inner, cols)
-    kind = draw(st.sampled_from(("full", "one_short", "low")))
-    r = {"full": full, "one_short": full - 1, "low": draw(st.integers(0, full))}[kind]
-    bits = draw(st.sampled_from((2, 30, 120)))
-    den = draw(st.sampled_from((1, 6)))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-
-    def entries(n, m):
-        return Matrix(
-            [
-                [Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, den)) for _ in range(m)]
-                for _ in range(n)
-            ],
-            RATIONAL,
-        )
-
-    a = entries(rows, r) * entries(r, inner) if r else Matrix.zeros(rows, inner, RATIONAL)
-    return a, entries(inner, cols)
-
-
 class TestRankOfProduct:
-    """rank(a, b) is rank(ab); over Q a full rank at the size rule is
-    proved modulo one prime, with no product formed, and every other rank
-    comes from the exact product."""
-
-    @given(rank_products())
-    @example((Matrix.zeros(MODULAR_MIN_DIM, 15, RATIONAL), Matrix.identity(15, RATIONAL)))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_rank_of_the_product(self, factors):
-        a, b = factors
-        with bareiss_only():
-            want = rank(a * b)
-        assert rank(a, b) == rank(a * b) == want
-        af, bf = a.to_float(), b.to_float()
-        assert rank(af, bf) == rank(af * bf)
-
-    def test_full_rank_forms_no_product(self):
-        """R_P K_Q of a d = 20 oblique pair: full rank, proved with no
-        product and no elimination over Q."""
-        pair = gen_pair_oblique_rational(20, 9, 11, seed=1)
-        (row_p, _), _ = linalg.idempotent_bases(pair.P)
-        _, (ker_q, _) = linalg.idempotent_bases(pair.Q)
-        full = min(row_p.rows, ker_q.cols)
-        with mock.patch.object(Matrix, "__mul__") as product:
-            with mock.patch.object(linalg, "_rref_exact") as rref:
-                assert rank(row_p, ker_q) == full
-        assert not product.called and not rref.called
+    """Ranks of products at the size rule: a rank short modulo the proof
+    prime falls to the certified RREF, and the residues of a product are
+    exact up to the largest inner dimension the GEMM allows."""
 
     def test_invertible_but_singular_modulo_the_proof_prime(self):
         """L diag(1, .., 1, p) U with unit triangular L and U: invertible
         over Q, but its last pivot is a multiple of the proof prime p, so
-        its rank modulo p is one short and the certified RREF answers,
-        for the matrix and for the product of (L diag) and U."""
+        its rank modulo p is one short and the certified RREF answers.
+        The GEMM of the factors' residues gives the residues of m."""
         p, n = linalg._PROOF_PRIME, MODULAR_MIN_DIM
         rng = random.Random(3201)
 
@@ -986,17 +934,22 @@ class TestRankOfProduct:
         left = unit_lower() * Matrix.diag([1] * (n - 1) + [p], RATIONAL)
         right = unit_lower().transpose()
         m = left * right
-        assert linalg._residue_rank(m) == linalg._residue_rank(left, right) == n - 1
+
+        def residues(x):
+            return linalg._residues(x, (p,))
+
+        assert (linalg._residue_product(residues(left), residues(right)) == residues(m)).all()
+        assert len(linalg._rref_layers(residues(m), (p,))[1]) == n - 1
         with mock.patch.object(linalg, "_rref_exact", wraps=linalg._rref_exact) as rref:
-            assert rank(m) == rank(left, right) == n
+            assert rank(m) == n
             assert is_invertible(m)
-        assert rref.call_count == 3
+        assert rref.call_count == 2
 
     def test_every_residue_at_the_largest_inner_dimension(self):
         """Entries -1 and 2p - 1, every residue p - 1, at the largest inner
         dimension whose GEMM sums stay exact: each sum is inner (p - 1)^2,
-        just below 2**53.  One more column would pass it, so there rank
-        forms the product instead, and the GEMM refuses."""
+        just below 2**53, and the int64 remainder of each is exact.  One
+        more column would pass it, and there the GEMM refuses."""
         p, inner = linalg._PROOF_PRIME, linalg._PROOF_MAX_INNER
         assert inner * (p - 1) ** 2 < 2**53 <= (inner + 1) * (p - 1) ** 2
 
@@ -1009,10 +962,6 @@ class TestRankOfProduct:
         assert (ra @ rb).tolist() == [[inner * (p - 1) ** 2] * 2]
         assert linalg._residue_product(ra, rb).tolist() == [[(a * b).num[0][0] % p] * 2]
         wide_a, wide_b = factors(inner + 1)
-        for x, y, proved in ((a, b, True), (wide_a, wide_b, False)):
-            with mock.patch.object(linalg, "_residue_product", wraps=linalg._residue_product) as gemm:
-                assert rank(x, y) == 1
-            assert gemm.called == proved
         with pytest.raises(AssertionError):
             linalg._residue_product(linalg._residues(wide_a, (p,))[0], linalg._residues(wide_b, (p,))[0])
 
