@@ -178,18 +178,18 @@ def _readable(fd: FittingDecomposition, block: str) -> bool:
 def verify_fitting(fd: FittingDecomposition) -> FittingReport:
     """Re-check every decomposition invariant from its defining property.
 
-    Only P, Q and the split are read, and no part is rebuilt.
-    ``p_invariant_on_W`` and ``q_invariant_on_W`` hold when the block P_W
-    or Q_W can be read.  Facts (a)-(c) of the module docstring are
-    ``f_is_eventual_kernel`` (the same fact as ``s_f_nilpotent``, which
-    needs F's invariance), ``y_is_eventual_image`` (the same fact as
-    ``s_y_invertible``, which needs Y's invariance and ranks N_Y, not S_Y
-    = N_Y^2) and ``parts_independent``; together they are
-    ``rank_stabilized``.  ``k_is_least`` asks for k = 0 or S_F^(k-1)
-    != 0.  Other checks read a part's blocks only once both invariance
-    checks of that part pass, so a malformed split fails, rather than
-    raises; each verdict lands in the report so tests can corrupt a
-    decomposition and watch the right check fail.
+    Only P, Q and the split are read, no part is rebuilt, and each fact
+    is one check.  ``p_invariant_on_W`` and ``q_invariant_on_W`` hold
+    when the block P_W or Q_W can be read.  Facts (a)-(c) of the module
+    docstring are ``s_f_nilpotent`` (which needs F's invariance),
+    ``s_y_invertible`` (which needs Y's invariance and ranks N_Y, not
+    S_Y = N_Y^2) and ``parts_independent``.  ``k_is_least`` asks for
+    k = 0 or S_F^(k-1) != 0, and ``k_at_most_dim`` for k <= n, which
+    float tolerances can miss while passing the other two.  Other checks
+    read a part's blocks only once both invariance checks of that part
+    pass, so a malformed split fails, rather than raises; each verdict
+    lands in the report so tests can corrupt a decomposition and watch
+    the right check fail.
     """
     pair, n = fd.pair, fd.pair.dim
     f, y, k = fd.F, fd.Y, fd.k
@@ -207,9 +207,6 @@ def verify_fitting(fd: FittingDecomposition) -> FittingReport:
     checks = {
         "direct_sum_dims": f.dim + y.dim == n,
         "parts_independent": independent,
-        "f_is_eventual_kernel": s_f_nilpotent,
-        "y_is_eventual_image": s_y_invertible,
-        "rank_stabilized": s_f_nilpotent and s_y_invertible and independent,
         "k_at_most_dim": k <= n,
         "p_invariant_on_f": p_on_f,
         "q_invariant_on_f": q_on_f,

@@ -32,8 +32,9 @@ rests on a prime.
 
 A float matrix holds one read-only float64 ndarray, so its arithmetic
 runs in numpy and BLAS; it mirrors the same API through SVD
-thresholding.  Every float rank decision, float subspace bases included,
-comes from the one rule :func:`numeric_rank`, the fixed cutoff
+thresholding.  Every float rank decision, the bases of float subspaces
+and the invertibility of the float inverse included, comes from the one
+rule :func:`numeric_rank`, the fixed cutoff
 :data:`RANK_REL_TOL` anchored at unit scale, and every float comparison
 from the ``compare_abs_tol`` of a :class:`TolerancePolicy`.
 
@@ -112,7 +113,6 @@ __all__ = [
     "trace_product",
     "solve_exact",
     "numeric_rank",
-    "is_invertible",
     "MODULAR_MIN_DIM",
     "RANK_REL_TOL",
 ]
@@ -381,12 +381,12 @@ class Matrix:
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         if self.field == FLOAT:
-            try:
-                return _wrap(np.linalg.inv(self.data))
-            except np.linalg.LinAlgError as exc:
-                raise ProjpairError("matrix is not invertible") from exc
-        # for singular A the system A X = I is inconsistent, so None suffices
-        result = solve_exact(self, Matrix.identity(self.rows, self.field))
+            # one SVD decides by the rank rule and gives V diag(1/s) U^T
+            u, s, vh = np.linalg.svd(self.data)
+            result = _wrap((vh.T / s) @ u.T) if numeric_rank(s, self.shape)[0] == self.rows else None
+        else:
+            # for singular A the system A X = I is inconsistent, so None suffices
+            result = solve_exact(self, Matrix.identity(self.rows, self.field))
         if result is None:
             raise ProjpairError("matrix is not invertible")
         return result
@@ -833,14 +833,6 @@ def numeric_rank(sv: np.ndarray, shape: tuple[int, int]) -> tuple[int, float]:
     r = int(np.sum(sv > threshold))
     margin = float(sv[r - 1]) / threshold if r > 0 else float("inf")
     return r, margin
-
-
-def is_invertible(m: Matrix) -> bool:
-    """Whether m is square of full rank (the empty matrix is), by the
-    exact :func:`rank` over Q and by :func:`numeric_rank` over floats, so
-    a numerically-zero float matrix is singular whatever its noise
-    spectrum."""
-    return m.is_square and rank(m) == m.rows
 
 
 def _bareiss_rank(m: Matrix) -> int:

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch, FieldMismatch, NotIdempotent, SingularS
-from .linalg import Matrix, is_invertible
+from .errors import DimensionMismatch, FieldMismatch, NotIdempotent, ProjpairError, SingularS
+from .linalg import Matrix
 from .scalars import DEFAULT_POLICY, FLOAT, RATIONAL, Scalar, TolerancePolicy
 
 __all__ = [
@@ -105,16 +105,19 @@ def check_lemma3(pair: ProjectionPair, t: Matrix) -> Matrix:
     """Residual of [(I-2Q) T M (I-M^2)^{-1}, P V] = T M for a matrix T
     that commutes with P and Q.
 
-    Requires S = I - M^2 invertible; raises :class:`SingularS` otherwise.
+    (I - M^2)^{-1} is ``S.inverse()``, which also decides that S is
+    invertible: a singular S raises :class:`SingularS`.
     """
     from .symbolic import atom_values  # here, so ``projpair verify`` never loads it
 
     eye = pair.identity()
     atoms = atom_values(pair.P, pair.Q, eye)
     M, S = atoms["M"], atoms["S"]
-    if not is_invertible(S):
-        raise SingularS("I - M^2 is not invertible")
-    x = (eye - 2 * pair.Q) * t * M * S.inverse()
+    try:
+        s_inv = S.inverse()
+    except ProjpairError as exc:
+        raise SingularS("I - M^2 is not invertible") from exc
+    x = (eye - 2 * pair.Q) * t * M * s_inv
     y = pair.P * atoms["V"]
     return x * y - y * x - t * M
 

@@ -17,7 +17,7 @@ from projpair.generators import (
     mix_seed,
     random_unimodular,
 )
-from projpair.linalg import Matrix, Subspace, is_invertible
+from projpair.linalg import Matrix, Subspace, rank
 from projpair.pairs import derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL
 from test_linalg import primes_after, rref_fraction_loop
@@ -137,7 +137,7 @@ class TestKnownExponents:
         assert fd.k == 2
         assert fd.rank_sequence == (6, 4, 2)
         assert fd.F.dim == 4 and fd.Y.dim == 2
-        assert is_invertible(fd.S_Y)
+        assert rank(fd.S_Y) == fd.Y.dim
         assert (fd.S_F * fd.S_F).is_zero()
 
 
@@ -164,8 +164,7 @@ class TestJordanExponents:
         assert raised.failures() == ["k_is_least"]
 
         lowered = verify_fitting(dataclasses.replace(fd, k=m - 1))
-        assert not lowered.checks["f_is_eventual_kernel"]
-        assert not lowered.checks["rank_stabilized"]
+        assert lowered.failures() == ["s_f_nilpotent"]
 
 
 def record_modular(monkeypatch):
@@ -560,7 +559,7 @@ class TestCorruptionDetection:
         wrong = Subspace(Matrix(cols, RATIONAL).transpose())
         bad = dataclasses.replace(fd, F=wrong)
         report = verify_fitting(bad)
-        assert not report.checks["f_is_eventual_kernel"]
+        assert not report.checks["s_f_nilpotent"]
 
     @staticmethod
     def mixed_in(part, other, pair):
@@ -577,7 +576,7 @@ class TestCorruptionDetection:
         wrong = self.mixed_in(fd.Y, fd.F, pair)
         assert wrong.dim == fd.Y.dim
         report = verify_fitting(dataclasses.replace(fd, Y=wrong))
-        assert not report.checks["y_is_eventual_image"]
+        assert not report.checks["s_y_invertible"]
 
     def test_wrong_y_fails_image_check(self):
         self.check_wrong_y(pair_k2_mixed())
@@ -591,7 +590,7 @@ class TestCorruptionDetection:
         wrong = self.mixed_in(fd.F, fd.Y, pair)
         assert wrong.dim == fd.F.dim > 0
         report = verify_fitting(dataclasses.replace(fd, F=wrong))
-        assert not report.checks["f_is_eventual_kernel"]
+        assert not report.checks["s_f_nilpotent"]
 
     @pytest.mark.parametrize(
         "pair", [pair_k2_mixed(), gen_pair_orthogonal(7, 3, 2, seed=9)], ids=["rational", "float"]
@@ -611,7 +610,39 @@ class TestCorruptionDetection:
         fd = fitting_decomposition(pair)
         bad = dataclasses.replace(fd, k=1)
         report = verify_fitting(bad)
-        assert not report.checks["rank_stabilized"]
+        assert not report.checks["s_f_nilpotent"]
+
+    def test_every_check_fails_on_some_corruption(self):
+        """The verifier reports ten checks, one per fact, and a map of
+        corruptions fails each one.  k = 3 and k = 5 on the k = 2 split
+        of a dim-4 pair keep S_F^k = 0 exactly: k = 3 fails the least
+        exponent alone, k = 5 the bound as well."""
+        k2, mixed = fitting_decomposition(pair_k2()), fitting_decomposition(pair_k2_mixed())
+        cut = Matrix([r[:-1] for r in k2.F.basis.to_lists()], RATIONAL)
+        k_checks = ["s_f_nilpotent", "k_is_least"]
+        corruptions = [
+            (dataclasses.replace(k2, F=Subspace(cut)),
+             ["direct_sum_dims", "parts_independent", "q_invariant_on_f"] + k_checks),
+            (dataclasses.replace(k2, F=Subspace(Matrix([[0], [0], [1], [0]], RATIONAL))),
+             ["direct_sum_dims", "parts_independent", "p_invariant_on_f"] + k_checks),
+            (dataclasses.replace(k2, F=mixed.F),
+             ["parts_independent", "p_invariant_on_f", "q_invariant_on_f"] + k_checks),
+            (dataclasses.replace(mixed, Y=Subspace(mixed.Y.basis.to_float())),
+             ["parts_independent", "p_invariant_on_y", "q_invariant_on_y", "s_y_invertible"]),
+            (dataclasses.replace(mixed, Y=Subspace.full(mixed.pair.dim, RATIONAL)),
+             ["direct_sum_dims", "s_y_invertible"]),
+            (dataclasses.replace(k2, k=1), ["s_f_nilpotent"]),
+            (dataclasses.replace(k2, k=3), ["k_is_least"]),
+            (dataclasses.replace(k2, k=5), ["k_at_most_dim", "k_is_least"]),
+        ]
+        checks = verify_fitting(k2).checks
+        assert list(checks) == [
+            "direct_sum_dims", "parts_independent", "k_at_most_dim",
+            "p_invariant_on_f", "q_invariant_on_f", "p_invariant_on_y", "q_invariant_on_y",
+            "s_y_invertible", "s_f_nilpotent", "k_is_least",
+        ]
+        assert [verify_fitting(fd).failures() for fd, _ in corruptions] == [want for _, want in corruptions]
+        assert {name for _, want in corruptions for name in want} == set(checks)
 
     def test_corrupt_restriction_fails_roundtrip(self):
         """P moves e3 to e1, so it does not preserve F = span(e3); Q kills e3."""
@@ -632,9 +663,7 @@ class TestCorruptionDetection:
         tilted[:, 0] += 1e-3 * fd.F.basis.to_numpy()[:, 0]
         bad = dataclasses.replace(fd, Y=Subspace(Matrix(tilted, FLOAT)))
         report = verify_fitting(bad)
-        assert report.failures() == [
-            "y_is_eventual_image", "rank_stabilized", "p_invariant_on_y", "s_y_invertible",
-        ]
+        assert report.failures() == ["p_invariant_on_y", "s_y_invertible"]
 
     def test_wrong_shape_m_f_fails_without_raising(self):
         """No block, so no M_F = P_F - Q_F, exists for an F from a pair of
@@ -645,8 +674,7 @@ class TestCorruptionDetection:
         bad = dataclasses.replace(fd, F=fitting_decomposition(pair_k2_mixed()).F)
         report = verify_fitting(bad)
         assert report.failures() == [
-            "parts_independent", "f_is_eventual_kernel", "rank_stabilized",
-            "p_invariant_on_f", "q_invariant_on_f", "s_f_nilpotent", "k_is_least",
+            "parts_independent", "p_invariant_on_f", "q_invariant_on_f", "s_f_nilpotent", "k_is_least",
         ]
 
     def test_wrong_shape_p_y_fails_without_raising(self):
@@ -666,11 +694,10 @@ class TestCorruptionDetection:
         pair = pair_k2_mixed()
         fd = fitting_decomposition(pair)
         bad = dataclasses.replace(fd, F=fd.Y)
-        assert bad.S_F == fd.S_Y and is_invertible(bad.S_F)
+        assert bad.S_F == fd.S_Y and rank(bad.S_F) == bad.F.dim
         report = verify_fitting(bad)
         assert report.checks["p_invariant_on_f"] and report.checks["q_invariant_on_f"]
         assert not report.checks["s_f_nilpotent"]
-        assert not report.checks["f_is_eventual_kernel"]
 
     def test_constructor_rejects_broken_invariants(self, monkeypatch):
         # force the verifier to see a failure during construction

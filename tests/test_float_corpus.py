@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from projpair.errors import ProjpairError
+from projpair.errors import ProjpairError, RestrictionFailure
+from projpair.fitting import fitting_decomposition
 from projpair.generators import gen_pair_oblique_rational
 from projpair.index import index_report
 from projpair.linalg import Matrix
@@ -97,3 +98,21 @@ def test_badly_scaled_triangular_pair(t):
     p = Matrix([[1, t], [0, 0]], RATIONAL)
     q = Matrix([[1, 0], [0, 0]], RATIONAL)
     assert float_behaviour(make_pair(p, q)) == "RestrictionFailure"
+
+
+@pytest.mark.parametrize(
+    "exact, failed",
+    [
+        (
+            make_pair(Matrix([[1, 10**10], [0, 0]], RATIONAL), Matrix([[1, 0], [0, 0]], RATIONAL)),
+            "s_y_invertible",
+        ),
+        (gen_pair_oblique_rational(11, 6, 2, seed=4653334276071795335), "s_f_nilpotent"),
+    ],
+    ids=["triangular-1e10", "corpus-11-6-2"],
+)
+def test_restriction_failure_names_each_fact_once(exact, failed):
+    """The float splits of a listed pair and of a badly scaled pair fail
+    one fact each, and the error names that one check alone."""
+    with pytest.raises(RestrictionFailure, match=f"failed: {failed}$"):
+        fitting_decomposition(to_float_pair(exact))

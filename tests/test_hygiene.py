@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 no module imports another's private names, only linalg knows the size
-rule of the exact eliminations, every attribute the benchmark tracer
-patches and every name the CI workflow's Python reads exists, and the
-package exports exactly what its modules export."""
+rule of the exact eliminations, numpy.linalg is called only for the SVD,
+the spectrum and orthonormal frames, every attribute the benchmark
+tracer patches and every name the CI workflow's Python reads exists, and
+the package exports exactly what its modules export."""
 
 import ast
 import importlib
@@ -145,6 +146,52 @@ def test_checker_flags_unused_and_spares_used():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [("Iterable", 4), ("j", 3)]
+
+
+# The numpy.linalg routines the package may call: the SVD behind the one
+# float rank rule, the spectrum and orthonormal frames, and the error.
+NUMPY_LINALG_ALLOWED = {"svd", "eigvals", "qr", "LinAlgError"}
+
+
+def numpy_linalg_uses(source: str) -> list[tuple[str, int]]:
+    """Each use of numpy.linalg as ``np.linalg.X``, ``numpy.linalg.X``
+    or a ``from numpy.linalg import X``, with its line; a bare
+    ``np.linalg`` is reported as ``linalg``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            uses += [(alias.name, node.lineno) for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "linalg"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            parent = parents.get(node)
+            uses.append((parent.attr if isinstance(parent, ast.Attribute) else "linalg", node.lineno))
+    return sorted(uses)
+
+
+def test_numpy_linalg_checker():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import inv\n"
+        "u, s, vh = np.linalg.svd(a)\n"
+        "x = numpy.linalg.solve(a, b)\n"
+        "la = np.linalg\n"
+    )
+    assert numpy_linalg_uses(source) == [("inv", 2), ("linalg", 5), ("solve", 4), ("svd", 3)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_linalg_only_through_the_rank_rule(path):
+    """Float decisions go through one SVD rule, so no module calls a
+    routine with a rank or singularity test of its own (``inv``,
+    ``solve``, ``pinv``, ``lstsq``, ``det``, ``matrix_rank``)."""
+    uses = numpy_linalg_uses(path.read_text(encoding="utf-8"))
+    assert [(name, line) for name, line in uses if name not in NUMPY_LINALG_ALLOWED] == []
 
 
 def bench_spans() -> ModuleType:

@@ -25,7 +25,6 @@ from projpair.linalg import (
     Matrix,
     Subspace,
     _rref_exact,
-    is_invertible,
     kernel_basis,
     numeric_rank,
     rank,
@@ -244,17 +243,39 @@ class TestFloatBackend:
         assert numeric_rank(sv, (3, 3)) == (2, 1e-6 / (1e-9 * 1.0 * 3))
         assert numeric_rank(np.array([1e-10, 1e-11]), (2, 2)) == (0, float("inf"))
 
-    def test_is_invertible(self):
-        assert is_invertible(Matrix.zeros(0, 0, FLOAT))
-        assert is_invertible(Matrix([[2.0, 1.0], [0.0, 1.0]], FLOAT))
-        assert not is_invertible(Matrix([[1e-12, 0.0], [0.0, 1e-12]], FLOAT))
-        assert not is_invertible(Matrix([[1, 1], [1, 1]], RATIONAL))
-        # the rank rule decides: sigma_min = 5e-8 is below its cutoff
-        # 1e-9 * 1 * 95 = 9.5e-8, though above 1e-9 * max(sigma_max, 1)
-        m = Matrix.diag([1.0] * 95 + [5e-8], FLOAT)
-        assert rank(m) == 95
-        assert not is_invertible(m)
-        assert is_invertible(Matrix.diag([1.0] * 95 + [1e-7], FLOAT))
+    def test_inverse_follows_the_rank_rule(self):
+        """Float inverse raises exactly where float rank is short."""
+        empty = Matrix.zeros(0, 0, FLOAT)
+        assert rank(empty) == 0 and empty.inverse().shape == (0, 0)
+        a = Matrix([[2.0, 1.0], [0.0, 1.0]], FLOAT)
+        assert rank(a) == 2
+        assert np.allclose(a.inverse().to_numpy(), [[0.5, -0.5], [0.0, 1.0]], rtol=0, atol=1e-15)
+        noise = Matrix([[1e-12, 0.0], [0.0, 1e-12]], FLOAT)
+        assert rank(noise) == 0
+        with pytest.raises(ProjpairError):
+            noise.inverse()
+        # sigma_min = 5e-8 is below the cutoff 1e-9 * 1 * 96 = 9.6e-8,
+        # though above 1e-9 * max(sigma_max, 1); 1e-7 is above it
+        short = Matrix.diag([1.0] * 95 + [5e-8], FLOAT)
+        assert rank(short) == 95
+        with pytest.raises(ProjpairError):
+            short.inverse()
+        full = Matrix.diag([1.0] * 95 + [1e-7], FLOAT)
+        assert rank(full) == 96
+        assert full.inverse().entry(95, 95) == pytest.approx(1e7, rel=1e-12)
+        # LAPACK's pivot test alone would invert this to an entry of 1e20
+        tiny = Matrix.diag([1.0, 1e-20], FLOAT)
+        assert rank(tiny) == 1
+        with pytest.raises(ProjpairError):
+            tiny.inverse()
+
+    def test_inverse_matches_lapack_when_well_conditioned(self):
+        rng = np.random.default_rng(3701)
+        for d in range(1, 41):
+            a = rng.standard_normal((d, d)) / np.sqrt(d) + 3.0 * np.eye(d)
+            want = np.linalg.inv(a)
+            got = Matrix(a, FLOAT).inverse().to_numpy()
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), d
 
 
 def matmul_fraction_sum(a, b):
@@ -616,33 +637,21 @@ class TestExactKernels:
             assert (other.num, other.den) == (a.num, a.den)
 
 
-class TestIsInvertible:
-    """is_invertible is full exact rank, whatever prime divides a pivot."""
-
-    @given(rational_matrices())
-    @example(Matrix.zeros(0, 3, RATIONAL))
-    @example(Matrix.zeros(3, 0, RATIONAL))
-    @example(WIDE)
-    @example(NEGATIVE_PIVOTS)
-    @example(RANK_ONE)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_rank(self, m):
-        assert is_invertible(m) == (m.is_square and rank(m) == m.rows)
+class TestFullRank:
+    """A full exact rank is found whatever prime divides a pivot."""
 
     def test_prime_on_the_diagonal(self):
         # at the size rule the first modulus of the elimination divides a pivot
         p = linalg._prime(0)
         ones = [1] * (MODULAR_MIN_DIM - 1)
         m = Matrix.diag(ones + [p], RATIONAL)
-        assert rank(m) == MODULAR_MIN_DIM
-        assert is_invertible(m)
+        assert rank(m) == m.rows
         # the same numerator over the denominator p
         scaled = Matrix.diag([Fraction(1, p)] * len(ones) + [1], RATIONAL)
-        assert scaled.num == m.num and rank(scaled) == MODULAR_MIN_DIM
-        assert is_invertible(scaled)
+        assert scaled.num == m.num and rank(scaled) == scaled.rows
         # below the rule
         small = Matrix.diag([1, p], RATIONAL)
-        assert rank(small) == 2 and is_invertible(small)
+        assert rank(small) == small.rows
 
 
 # The first primes: with these moduli many pivots vanish and short
@@ -699,7 +708,7 @@ def exact_outcome(m):
         solve_exact(m, e0),
     ]
     if m.is_square:
-        out.append(m.inverse() if is_invertible(m) else None)
+        out.append(m.inverse() if rank(m) == m.rows else None)
     return out
 
 
@@ -942,8 +951,7 @@ class TestRankOfProduct:
         assert len(linalg._rref_layers(residues(m), (p,))[1]) == n - 1
         with mock.patch.object(linalg, "_rref_exact", wraps=linalg._rref_exact) as rref:
             assert rank(m) == n
-            assert is_invertible(m)
-        assert rref.call_count == 2
+        assert rref.call_count == 1
 
     def test_every_residue_at_the_largest_inner_dimension(self):
         """Entries -1 and 2p - 1, every residue p - 1, at the largest inner
@@ -1054,7 +1062,7 @@ class TestRankKernelSolve:
         while done < 15:
             n = rng.randint(1, 5)
             a = rand_int_matrix(rng, n, n)
-            if not is_invertible(a):
+            if rank(a) != n:
                 continue
             assert a * a.inverse() == Matrix.identity(n, RATIONAL)
             assert a.inverse() * a == Matrix.identity(n, RATIONAL)
@@ -1107,7 +1115,7 @@ class TestSubspace:
             # mix the columns by a random invertible matrix: same span
             while True:
                 c = rand_int_matrix(rng, d, d, bound=3)
-                if is_invertible(c):
+                if rank(c) == d:
                     break
             assert Subspace(basis * c) == w
 

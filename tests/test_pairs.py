@@ -1,13 +1,15 @@
 """Pair validation, derived operators, and the inverse commutator lemma."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from projpair import linalg
 from projpair.errors import DimensionMismatch, FieldMismatch, NotIdempotent, SingularS
 from projpair.generators import gen_pair_oblique_rational, gen_pair_orthogonal, mix_seed
-from projpair.linalg import Matrix, is_invertible
+from projpair.linalg import Matrix, rank
 from projpair.pairs import check_lemma3, derived_ops, make_pair, to_float_pair
 from projpair.scalars import FLOAT, RATIONAL, TolerancePolicy
 from projpair.symbolic import ATOM_VALUES, NCPoly, atom_values, evaluate_expr, lemma_suite
@@ -185,7 +187,7 @@ class TestLemmaChecks:
         while found < 10:
             pair = oblique_pair(i)
             i += 1
-            if not is_invertible(derived_ops(pair).S):
+            if rank(derived_ops(pair).S) != pair.dim:
                 continue
             for t in lemma3_ts(pair):
                 assert check_lemma3(pair, t).is_zero()
@@ -197,6 +199,31 @@ class TestLemmaChecks:
         q = Matrix([[0, 0], [0, 1]], RATIONAL)
         with pytest.raises(SingularS):
             check_lemma3(make_pair(p, q), Matrix.identity(2, RATIONAL))
+
+    @pytest.mark.parametrize("d", [5, 14])
+    def test_lemma3_eliminates_s_once(self, d, monkeypatch):
+        """(I - M^2)^-1 also decides that S is invertible: the RREF of
+        [S | I] is the one elimination, below the size rule and at it."""
+        candidates = (gen_pair_oblique_rational(d, d // 2, d // 2, seed=i) for i in itertools.count())
+        pair = next(p for p in candidates if rank(derived_ops(p).S) == d)
+        seen, depth = [], [0]
+
+        def traced(name, real):
+            def run(m, *args):
+                if not depth[0]:  # an elimination inside another is part of it
+                    seen.append((name, m.shape))
+                depth[0] += 1
+                try:
+                    return real(m, *args)
+                finally:
+                    depth[0] -= 1
+
+            return run
+
+        for name in ("_rref_exact", "_bareiss_rank", "_rref_layers"):
+            monkeypatch.setattr(linalg, name, traced(name, getattr(linalg, name)))
+        assert check_lemma3(pair, pair.identity()).is_zero()
+        assert seen == [("_rref_exact", (d, 2 * d))]
 
 
 class TestCommutatorWitness:
